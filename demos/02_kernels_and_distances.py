@@ -7,7 +7,7 @@ squared distances collapse to 2 - 2k.
 
 import numpy as np
 
-from modkernel.kernels import (ConvPatchSpec, KernelSpec, conv_patch_feature,
+from modkernel.kernels import (ConvPatchSpec, FeatureMap, conv_patch_feature,
                                kernel_bounds, kernel_eval, kernel_matrix,
                                rkhs_distance_sq)
 
@@ -15,13 +15,13 @@ rng = np.random.default_rng(1)
 
 for kind in ("relu", "tanh", "sigmoid"):
     hi, lo = kernel_bounds(kind)
-    spec = KernelSpec.for_nonlinearity(kind)
+    spec = FeatureMap(kind)
     samples = rng.standard_normal((2000, 6)) * 2.0
     K = kernel_matrix(spec, samples[:50])
     print(f"{kind:8s} declared range [{lo:+.0f}, {hi:+.0f}]   "
           f"sampled range [{K.min():+.4f}, {K.max():+.4f}]")
 
-spec = KernelSpec.for_nonlinearity("tanh")
+spec = FeatureMap("tanh")
 u, v = rng.standard_normal((2, 5))
 k = kernel_eval(spec, u, v)
 d2 = rkhs_distance_sq(spec, u, v)

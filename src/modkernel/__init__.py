@@ -14,9 +14,9 @@ from .datasets import Dataset, DatasetSpec, make_dataset
 from .errors import (ConfigurationError, ContractError, DegenerateBatchError,
                      DimensionError, IngestionError, ModkernelError,
                      UndefinedProxyError)
-from .kernels import (ConvPatchSpec, FeatureMap, KernelSpec,
-                      conv_patch_feature, kernel_bounds, kernel_eval,
-                      kernel_matrix, rkhs_distance_sq)
+from .kernels import (ConvPatchSpec, FeatureMap, conv_patch_feature,
+                      kernel_bounds, kernel_eval, kernel_matrix,
+                      rkhs_distance_sq)
 from .losses import (DecomposableLoss, LabeledSet, make_loss,
                      monotonicity_audit, multiclass_xe, risk)
 from .proxies import (PairPartition, PROXY_KINDS, partition_pairs,

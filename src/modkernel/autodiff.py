@@ -25,9 +25,10 @@ ArrayLike = "np.ndarray | list | tuple | float | int"
 class Tensor:
     """Dense float64 array with an optional gradient accumulator.
 
-    ``grad`` is allocated (as zeros) exactly when ``requires_grad`` is true,
-    either because the tensor is a trainable leaf or because it depends on
-    one.
+    A tensor constructed with ``requires_grad=True`` (a trainable leaf)
+    gets ``grad`` as zeros at once.  Interior nodes built by operations
+    start with ``grad = None`` and allocate it on the first accumulation
+    during ``backward``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -102,12 +103,11 @@ def constant(value) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple, backward_rule) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=needs, _parents=parents if needs else (),
-                 _backward=backward_rule if needs else None)
-    # Interior nodes allocate their accumulator lazily, on first use during
-    # backward; leaves keep the eager zeros contract.
-    out.grad = None
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = backward_rule
     return out
 
 
@@ -277,9 +277,6 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g.sum(axis=0))
 
     return _make(out_data, (x, W, b), rule)
-
-
-_ELEMENTWISE_KINDS = ("relu", "tanh", "sigmoid")
 
 
 def elementwise(x: Tensor, kind: str) -> Tensor:

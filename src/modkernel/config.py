@@ -9,13 +9,14 @@ are validated against the committed report schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from .datasets import DatasetSpec
 from .errors import ConfigurationError
 from .serialize import dump_json
 from .training import ArchitectureSpec, TrainConfig
+from .transfer import validate_subsample_fraction
 
 EXPERIMENT_KINDS = ("sanity-dynamics", "proxy-sweep", "modular-vs-e2e",
                     "label-efficiency", "transferability", "lemma-suite",
@@ -23,41 +24,29 @@ EXPERIMENT_KINDS = ("sanity-dynamics", "proxy-sweep", "modular-vs-e2e",
 
 _REQUIRED = object()
 
-_DATASET_FIELDS = {
-    "kind": (str, _REQUIRED),
-    "n": (int, 0),
-    "d": (int, 0),
-    "num_classes": (int, 2),
-    "seed": (int, 0),
-    "split_fraction": (float, 0.8),
-    "separation": (float, 8.0),
-    "noise": (float, 1.0),
-    "path": ((str, type(None)), None),
-    "labels_path": ((str, type(None)), None),
-}
+# JSON types of the dataclass field annotations; tuples load from arrays.
+_JSON_TYPES = {"int": int, "float": float, "str": str, "tuple": list,
+               "str | None": (str, type(None))}
 
-_ARCHITECTURE_FIELDS = {
-    "input_dim": ((int, type(None)), None),
-    "hidden_widths": (list, [64]),
-    "latent_dim": (int, 2),
-    "num_classes": ((int, type(None)), None),
-    "hidden_nonlinearity": (str, "relu"),
-    "link_nonlinearity": (str, "tanh"),
-    "link_epsilon": (float, 1e-12),
-}
 
-_TRAIN_FIELDS = {
-    "batch_size": (int, 128),
-    "lr_schedule": (list, [[0.1, 20], [0.01, 20], [0.001, 20]]),
-    "momentum": (float, 0.9),
-    "seed": (int, 0),
-    "proxy": (str, "nmse-neo"),
-    "loss": (str, "xe"),
-    "trace_every": (int, 1),
-    "plateau_tol": (float, 1e-6),
-    "plateau_patience": (int, 5),
-    "resample_limit": (int, 100),
-}
+def _fields_of(spec_class, nullable=()) -> dict:
+    """Section table built from a spec dataclass: fields without a default
+    are required; ``nullable`` ones default to null (filled in later)."""
+    table = {}
+    for f in dataclass_fields(spec_class):
+        types, default = _JSON_TYPES[f.type], f.default
+        if f.name in nullable:
+            types, default = (types, type(None)), None
+        elif default is MISSING:
+            default = _REQUIRED
+        table[f.name] = (types, default)
+    return table
+
+
+_DATASET_FIELDS = _fields_of(DatasetSpec)
+_ARCHITECTURE_FIELDS = _fields_of(ArchitectureSpec,
+                                  nullable=("input_dim", "num_classes"))
+_TRAIN_FIELDS = _fields_of(TrainConfig)
 
 # Sections that replace some 'train' keys for one stage of one experiment
 # kind; every key they leave out falls back to 'train'.
@@ -181,6 +170,11 @@ class ExperimentConfig:
     def section(self, name: str) -> dict | None:
         return self.resolved.get(name)
 
+    def section_or_defaults(self, name: str) -> dict:
+        """The resolved section, or its defaults when the config omits it."""
+        return (self.section(name)
+                or _resolve_section(name, {}, _TOP_SECTIONS[name]))
+
     def dataset_spec(self) -> DatasetSpec:
         sec = self.section("dataset")
         if sec is None:
@@ -189,8 +183,7 @@ class ExperimentConfig:
         return DatasetSpec(**sec)
 
     def architecture_spec(self) -> ArchitectureSpec:
-        sec = dict(self.section("architecture") or
-                   _resolve_section("architecture", {}, _ARCHITECTURE_FIELDS))
+        sec = dict(self.section_or_defaults("architecture"))
         data = self.section("dataset") or {}
         if sec.get("input_dim") is None:
             if not data.get("d"):
@@ -206,8 +199,7 @@ class ExperimentConfig:
     def train_config(self, override_key: str | None = None) -> TrainConfig:
         """The 'train' section, with the keys of ``override_key`` (one of
         ``TRAIN_OVERRIDES``) laid over it when that section is set."""
-        sec = dict(self.section("train") or
-                   _resolve_section("train", {}, _TRAIN_FIELDS))
+        sec = dict(self.section_or_defaults("train"))
         if override_key:
             sec.update(_override(self.resolved, override_key) or {})
         return TrainConfig.from_dict(sec)
@@ -253,6 +245,8 @@ def resolve_config(doc: dict) -> ExperimentConfig:
         cfg.dataset_spec()
     if "train" in resolved:
         cfg.train_config()
+    if "transfer" in resolved:
+        validate_subsample_fraction(resolved["transfer"]["subsample_fraction"])
     for key in TRAIN_OVERRIDES:
         override = _override(resolved, key)
         if override is not None:

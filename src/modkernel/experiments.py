@@ -349,9 +349,7 @@ def binary_subtask(base: Dataset, pair: tuple) -> Dataset:
 
 
 def _run_lemma_suite(cfg: ExperimentConfig, outdir: Path):
-    section = cfg.section("lemma") or {"instances": 10_000,
-                                       "dims": [2, 3, 4, 5, 6, 7, 8],
-                                       "seed": 0, "tolerance": 1e-9}
+    section = cfg.section_or_defaults("lemma")
     rep = geometry.run_lemma_suite(
         num_instances=int(section["instances"]),
         dims=tuple(int(d) for d in section["dims"]),
@@ -365,7 +363,7 @@ def _run_lemma_suite(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_theorem_oracle(cfg: ExperimentConfig, outdir: Path):
-    section = cfg.section("theorem") or {"instances": None}
+    section = cfg.section_or_defaults("theorem")
     registry = geometry.committed_bruteforce_instances()
     wanted = section.get("instances")
     if wanted:

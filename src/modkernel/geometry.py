@@ -15,13 +15,14 @@ Everything here is pure and deterministic given its inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .kernels import FeatureMap, KernelSpec, kernel_eval, rkhs_distance_sq
+from .kernels import FeatureMap, kernel_eval, rkhs_distance_sq
 from .losses import DecomposableLoss, make_loss
 
 _NORM_TOL = 1e-12
@@ -386,6 +387,28 @@ def optimality_bruteforce(labels, grid, feature: FeatureMap,
         counterexamples=counterexamples)
 
 
+# name: (labels, code grid, loss kind, lattice points per axis); every
+# lattice spans [-2, 2] in each weight and in the bias.
+_BRUTEFORCE_INSTANCES = {
+    "two-point-hinge-1d": ([1, 0], [[-3.0], [3.0]], "hinge", 21),
+    "four-point-xe2-1d": ([1, 1, 0, 0], [[-3.0], [-1.0], [1.0], [3.0]],
+                          "xe2", 21),
+    "four-point-xe2-2d": ([1, 0, 1, 0],
+                          [[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0], [0.0, -3.0]],
+                          "xe2", 11),
+    "three-point-tanhmse-1d": ([1, 0, 0], [[-2.0], [2.0]], "tanh-mse", 21),
+    "one-code-degenerate": ([1, 0], [[1.0]], "hinge", 5),
+}
+
+
+def _run_bruteforce_instance(name: str, labels, grid, loss: str,
+                             resolution: int) -> BruteforceReport:
+    w, b = weight_lattice(2.0, resolution, len(grid[0]))
+    return optimality_bruteforce(
+        labels=labels, grid=grid, feature=FeatureMap("tanh"),
+        loss=make_loss(loss), weights=w, biases=b, name=name)
+
+
 def committed_bruteforce_instances() -> dict:
     """The fixed tiny-instance registry exercised by the theorem oracle.
 
@@ -394,73 +417,31 @@ def committed_bruteforce_instances() -> dict:
     any competitor's scores within the lattice.  Values are zero-argument
     callables returning a ``BruteforceReport``.
     """
-    tanh_map = FeatureMap("tanh")
-
-    def two_point_hinge_1d():
-        w, b = weight_lattice(2.0, 21, 1)
-        return optimality_bruteforce(
-            labels=[1, 0], grid=[[-3.0], [3.0]], feature=tanh_map,
-            loss=make_loss("hinge"), weights=w, biases=b,
-            name="two-point-hinge-1d")
-
-    def four_point_xe2_1d():
-        w, b = weight_lattice(2.0, 21, 1)
-        return optimality_bruteforce(
-            labels=[1, 1, 0, 0], grid=[[-3.0], [-1.0], [1.0], [3.0]],
-            feature=tanh_map, loss=make_loss("xe2"), weights=w, biases=b,
-            name="four-point-xe2-1d")
-
-    def four_point_xe2_2d():
-        w, b = weight_lattice(2.0, 11, 2)
-        return optimality_bruteforce(
-            labels=[1, 0, 1, 0],
-            grid=[[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0], [0.0, -3.0]],
-            feature=tanh_map, loss=make_loss("xe2"), weights=w, biases=b,
-            name="four-point-xe2-2d")
-
-    def three_point_tanhmse_1d():
-        w, b = weight_lattice(2.0, 21, 1)
-        return optimality_bruteforce(
-            labels=[1, 0, 0], grid=[[-2.0], [2.0]], feature=tanh_map,
-            loss=make_loss("tanh-mse"), weights=w, biases=b,
-            name="three-point-tanhmse-1d")
-
-    def one_code_degenerate():
-        w, b = weight_lattice(2.0, 5, 1)
-        return optimality_bruteforce(
-            labels=[1, 0], grid=[[1.0]], feature=tanh_map,
-            loss=make_loss("hinge"), weights=w, biases=b,
-            name="one-code-degenerate")
-
-    return {
-        "two-point-hinge-1d": two_point_hinge_1d,
-        "four-point-xe2-1d": four_point_xe2_1d,
-        "four-point-xe2-2d": four_point_xe2_2d,
-        "three-point-tanhmse-1d": three_point_tanhmse_1d,
-        "one-code-degenerate": one_code_degenerate,
-    }
+    return {name: functools.partial(_run_bruteforce_instance, name, *spec)
+            for name, spec in _BRUTEFORCE_INSTANCES.items()}
 
 
-def check_distance_kernel_equivalence(spec: KernelSpec, pairs,
+def check_distance_kernel_equivalence(fmap: FeatureMap, pairs,
                                       tol: float = 1e-9) -> CheckReport:
     """Over a sample of vector pairs, confirm that the squared feature
     distance is maximal exactly when the kernel value sits at its infimum,
     and that distance^2 + 2k == 2 identically for unit-normalized features.
     """
+    alpha, beta = fmap.bounds()
     ks, d2s = [], []
     for u, v in pairs:
-        ks.append(kernel_eval(spec, u, v))
-        d2s.append(rkhs_distance_sq(spec, u, v))
+        ks.append(kernel_eval(fmap, u, v))
+        d2s.append(rkhs_distance_sq(fmap, u, v))
     ks = np.asarray(ks)
     d2s = np.asarray(d2s)
     report = CheckReport()
 
-    identity_resid = float(np.max(np.abs(d2s - (2.0 * spec.alpha - 2.0 * ks))))
+    identity_resid = float(np.max(np.abs(d2s - (2.0 * alpha - 2.0 * ks))))
     report.record("distance_identity", identity_resid <= 1e-12, identity_resid)
 
     d2_max = float(d2s.max())
     is_max = d2s >= d2_max - tol
-    at_beta = np.abs(ks - spec.beta) <= tol
+    at_beta = np.abs(ks - beta) <= tol
     mismatches = int(np.sum(is_max != at_beta))
     report.record("max_distance_iff_min_kernel", mismatches == 0,
                   float(mismatches))

@@ -17,12 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigurationError, DimensionError
 
-_SCALAR_FUNCS = {
-    "relu": lambda u: np.maximum(u, 0.0),
-    "tanh": np.tanh,
-    "sigmoid": lambda u: ad._sigmoid(np.asarray(u, dtype=np.float64)),
-}
-
 # (sup k, inf k) for the unit-normalized feature map of each nonlinearity.
 _KERNEL_BOUNDS = {
     "relu": (1.0, 0.0),
@@ -46,16 +40,18 @@ def kernel_bounds(nonlinearity: str) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Elementwise nonlinearity plus optional row-wise unit normalization."""
+    """Elementwise nonlinearity plus optional row-wise unit normalization.
+
+    The kernel it induces is the inner product of feature vectors; when
+    normalized, the kernel's sup and inf are ``bounds()``.
+    """
 
     nonlinearity: str = "tanh"
     normalize: bool = True
     epsilon: float = 1e-12
 
     def __post_init__(self):
-        if self.nonlinearity not in _SCALAR_FUNCS:
-            raise ConfigurationError(
-                f"unsupported nonlinearity: {self.nonlinearity!r}")
+        kernel_bounds(self.nonlinearity)  # rejects unknown nonlinearities
         if self.epsilon <= 0:
             raise ConfigurationError("epsilon must be positive")
 
@@ -64,10 +60,7 @@ class FeatureMap:
         U = np.asarray(U, dtype=np.float64)
         single = U.ndim == 1
         rows = U.reshape(1, -1) if single else U
-        feats = _SCALAR_FUNCS[self.nonlinearity](rows)
-        if self.normalize:
-            norms = np.linalg.norm(feats, axis=1, keepdims=True)
-            feats = feats / np.maximum(norms, self.epsilon)
+        feats = self.apply_tensor(ad.constant(rows)).data
         return feats[0] if single else feats
 
     def apply_tensor(self, x: ad.Tensor) -> ad.Tensor:
@@ -84,52 +77,31 @@ class FeatureMap:
         return kernel_bounds(self.nonlinearity)
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A feature map together with the sup/inf of its kernel."""
-
-    feature_map: FeatureMap
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.beta > self.alpha:
-            raise ConfigurationError("beta must not exceed alpha")
-
-    @classmethod
-    def for_nonlinearity(cls, nonlinearity: str,
-                         epsilon: float = 1e-12) -> "KernelSpec":
-        alpha, beta = kernel_bounds(nonlinearity)
-        fmap = FeatureMap(nonlinearity=nonlinearity, normalize=True,
-                          epsilon=epsilon)
-        return cls(feature_map=fmap, alpha=alpha, beta=beta)
-
-
-def kernel_eval(spec: KernelSpec, u, v) -> float:
+def kernel_eval(fmap: FeatureMap, u, v) -> float:
     """Inner product of the two feature vectors."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise DimensionError(f"kernel_eval: {u.shape} vs {v.shape}")
-    return float(spec.feature_map.apply(u) @ spec.feature_map.apply(v))
+    return float(fmap.apply(u) @ fmap.apply(v))
 
 
-def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
+def kernel_matrix(fmap: FeatureMap, X) -> np.ndarray:
     """Symmetric n-by-n matrix of pairwise kernel values over a batch."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise DimensionError(f"kernel_matrix expects n-by-d batch, got {X.shape}")
-    feats = spec.feature_map.apply(X)
+    feats = fmap.apply(X)
     K = feats @ feats.T
     # Mirror the upper triangle so the result is exactly symmetric.
     upper = np.triu(K)
     return upper + np.triu(K, 1).T
 
 
-def rkhs_distance_sq(spec: KernelSpec, u, v) -> float:
+def rkhs_distance_sq(fmap: FeatureMap, u, v) -> float:
     """Squared feature-space distance, k(u,u) + k(v,v) - 2 k(u,v)."""
-    return (kernel_eval(spec, u, u) + kernel_eval(spec, v, v)
-            - 2.0 * kernel_eval(spec, u, v))
+    return (kernel_eval(fmap, u, u) + kernel_eval(fmap, v, v)
+            - 2.0 * kernel_eval(fmap, u, v))
 
 
 @dataclass(frozen=True)
@@ -155,7 +127,7 @@ class ConvPatchSpec:
             raise ConfigurationError(f"unknown padding rule: {self.padding!r}")
 
 
-def conv_patch_feature(spec: KernelSpec, X, patch: ConvPatchSpec) -> np.ndarray:
+def conv_patch_feature(fmap: FeatureMap, X, patch: ConvPatchSpec) -> np.ndarray:
     """Feature vector of one receptive field of an H-by-W-by-C activation.
 
     Applies the nonlinearity entrywise (no normalization: the receptive
@@ -172,7 +144,7 @@ def conv_patch_feature(spec: KernelSpec, X, patch: ConvPatchSpec) -> np.ndarray:
     r0 = patch.center_row - patch.height // 2
     c0 = patch.center_col - patch.width // 2
     r1, c1 = r0 + patch.height, c0 + patch.width
-    phi = _SCALAR_FUNCS[spec.feature_map.nonlinearity](X)
+    phi = ad.elementwise(ad.constant(X), fmap.nonlinearity).data
     if patch.padding == "none":
         if r0 < 0 or c0 < 0 or r1 > H or c1 > W:
             raise DimensionError(

@@ -1,7 +1,7 @@
-"""Parameter documents, canonical JSON, and deterministic CSV emission.
+"""Parameter entries, canonical JSON, and deterministic CSV emission.
 
-Parameters serialize to a JSON document listing (name, shape, row-major
-values).  JSON is always dumped canonically (sorted keys, two-space
+Parameters serialize to a JSON list of (name, shape, row-major values)
+entries.  JSON is always dumped canonically (sorted keys, two-space
 indent, trailing newline) and floats use Python's shortest round-trip
 repr, so identical state produces identical bytes.
 """
@@ -15,31 +15,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestionError
-
-PARAMS_FORMAT = "modkernel-params-v1"
 MODULE_FORMAT = "modkernel-module-v1"
 
 
-def params_to_document(named_params) -> dict:
+def params_to_entries(named_params) -> list:
     """``named_params``: iterable of (name, tensor-or-array)."""
-    tensors = []
+    entries = []
     for name, param in named_params:
         arr = np.asarray(getattr(param, "data", param), dtype=np.float64)
-        tensors.append({
+        entries.append({
             "name": str(name),
             "shape": list(arr.shape),
             "values": [float(v) for v in arr.ravel()],
         })
-    return {"format": PARAMS_FORMAT, "tensors": tensors}
+    return entries
 
 
-def document_to_params(doc: dict) -> list:
-    if doc.get("format") != PARAMS_FORMAT:
-        raise IngestionError(
-            f"unexpected parameter document format: {doc.get('format')!r}")
+def entries_to_params(entries: list) -> list:
     out = []
-    for entry in doc["tensors"]:
+    for entry in entries:
         arr = np.asarray(entry["values"], dtype=np.float64)
         arr = arr.reshape(entry["shape"])
         out.append((entry["name"], arr))
@@ -56,14 +50,6 @@ def write_json(path, obj) -> None:
 
 def read_json(path) -> dict:
     return json.loads(Path(path).read_text())
-
-
-def save_params(path, named_params) -> None:
-    write_json(path, params_to_document(named_params))
-
-
-def load_params(path) -> list:
-    return document_to_params(read_json(path))
 
 
 def _format_cell(value) -> str:

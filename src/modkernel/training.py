@@ -15,17 +15,18 @@ run in parallel processes.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import proxies
 from .datasets import Dataset
-from .errors import ConfigurationError, DegenerateBatchError
+from .errors import ConfigurationError, DegenerateBatchError, IngestionError
 from .kernels import FeatureMap, gram_tensor
 from .losses import LOSS_KINDS, make_loss, risk_tensor
-from .serialize import MODULE_FORMAT, write_csv
+from .serialize import (MODULE_FORMAT, entries_to_params, params_to_entries,
+                        write_csv)
 
 TRACE_HEADER = ("stage", "epoch", "lr", "objective",
                 "train_accuracy", "test_accuracy", "resamples")
@@ -50,15 +51,7 @@ class ArchitectureSpec:
     link_epsilon: float = 1e-12
 
     def as_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_widths": list(self.hidden_widths),
-            "latent_dim": self.latent_dim,
-            "num_classes": self.num_classes,
-            "hidden_nonlinearity": self.hidden_nonlinearity,
-            "link_nonlinearity": self.link_nonlinearity,
-            "link_epsilon": self.link_epsilon,
-        }
+        return dict(asdict(self), hidden_widths=list(self.hidden_widths))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ArchitectureSpec":
@@ -89,6 +82,11 @@ class TrainConfig:
                     f"bad schedule entry (lr={lr}, epochs={epochs})")
         if self.batch_size < 2:
             raise ConfigurationError("batch_size must be at least 2")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigurationError(
+                f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.trace_every < 1:
+            raise ConfigurationError("trace_every must be at least 1")
         proxies.validate_proxy_kind(self.proxy)
         if self.loss != "xe" and self.loss not in LOSS_KINDS:
             raise ConfigurationError(
@@ -97,20 +95,6 @@ class TrainConfig:
     @property
     def total_epochs(self) -> int:
         return sum(e for _, e in self.lr_schedule)
-
-    def as_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "lr_schedule": [list(entry) for entry in self.lr_schedule],
-            "momentum": self.momentum,
-            "seed": self.seed,
-            "proxy": self.proxy,
-            "loss": self.loss,
-            "trace_every": self.trace_every,
-            "plateau_tol": self.plateau_tol,
-            "plateau_patience": self.plateau_patience,
-            "resample_limit": self.resample_limit,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -225,38 +209,26 @@ class TwoModuleModel:
         W, b = _init_affine(rng, self.arch.latent_dim, self.output_dim)
         self.output_weight, self.output_bias = W, b
 
-    def snapshot(self) -> list:
-        return [p.data.copy() for p in self.params()]
-
-    def restore(self, snap: list) -> None:
-        for p, arr in zip(self.params(), snap):
-            p.data = arr.copy()
-
     # -- checkpoint files --------------------------------------------------
     def to_checkpoint(self, meta: dict | None = None) -> dict:
-        from .serialize import params_to_document
-        doc = params_to_document(self.named_params())
         return {
             "format": MODULE_FORMAT,
             "architecture": self.arch.as_dict(),
             "output_dim": self.output_dim,
             "seed": self.seed,
-            "tensors": doc["tensors"],
+            "tensors": params_to_entries(self.named_params()),
             "meta": meta or {},
         }
 
     @classmethod
     def from_checkpoint(cls, doc: dict) -> "TwoModuleModel":
-        from .errors import IngestionError
-        from .serialize import PARAMS_FORMAT, document_to_params
         if doc.get("format") != MODULE_FORMAT:
             raise IngestionError(
                 f"unexpected module checkpoint format: {doc.get('format')!r}")
         arch = ArchitectureSpec.from_dict(doc["architecture"])
         model = cls(arch, seed=doc.get("seed", 0),
                     output_dim=doc.get("output_dim"))
-        loaded = dict(document_to_params(
-            {"format": PARAMS_FORMAT, "tensors": doc["tensors"]}))
+        loaded = dict(entries_to_params(doc["tensors"]))
         for name, tensor in model.named_params():
             tensor.data = loaded[name].copy()
         return model
@@ -289,20 +261,17 @@ class DynamicsTrace:
         return self.rows[-1][key] if self.rows else None
 
 
+def _predict(logits: np.ndarray, binary_score: bool) -> np.ndarray:
+    if binary_score:
+        return (logits.ravel() > 0).astype(np.int64)
+    return logits.argmax(axis=1)
+
+
 def accuracy(logits: np.ndarray, labels: np.ndarray,
              binary_score: bool = False) -> float:
     if labels.size == 0:
         return float("nan")
-    if binary_score:
-        pred = (logits.ravel() > 0).astype(np.int64)
-    else:
-        pred = logits.argmax(axis=1)
-    return float((pred == labels).mean())
-
-
-def _batch_indices(rng: np.random.Generator, n: int, batch_size: int) -> list:
-    order = rng.permutation(n)
-    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
+    return float((_predict(logits, binary_score) == labels).mean())
 
 
 def _schedule_epochs(cfg: TrainConfig):
@@ -311,6 +280,32 @@ def _schedule_epochs(cfg: TrainConfig):
         for _ in range(epochs):
             yield epoch, lr
             epoch += 1
+
+
+def _fit(params: list, cfg: TrainConfig, rng: np.random.Generator, n: int,
+         batch_loss, end_epoch) -> None:
+    """Momentum SGD on ``params`` over the schedule of ``cfg``.
+
+    Each epoch draws a permutation of ``range(n)`` from ``rng``, descends
+    the scalar ``batch_loss(idx)`` on each consecutive ``batch_size`` slice
+    of it, and then calls ``end_epoch(epochs_done, lr)``, which returns
+    True to stop early.
+    """
+    opt = ad.SgdMomentum(params, cfg.lr_schedule[0][0], cfg.momentum)
+    for epoch, lr in _schedule_epochs(cfg):
+        opt.learning_rate = lr
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            loss = batch_loss(order[start:start + cfg.batch_size])
+            opt.zero_grad()
+            ad.backward(loss)
+            opt.step()
+        if end_epoch(epoch + 1, lr):
+            return
+
+
+def _trace_due(cfg: TrainConfig, done: int) -> bool:
+    return done % cfg.trace_every == 0 or done == cfg.total_epochs
 
 
 # ---------------------------------------------------------------------------
@@ -326,65 +321,55 @@ def train_input_module(model: TwoModuleModel, data: Dataset, cfg: TrainConfig,
     """
     alpha, beta = model.link.bounds()
     proxies.validate_proxy_for_bounds(cfg.proxy, beta)
-    wanted = sorted(set(checkpoint_epochs or []))
+    wanted = set(checkpoint_epochs or [])
     snapshots: dict[int, list] = {}
     trace = DynamicsTrace()
     rng = np.random.default_rng(cfg.seed)
-    opt = ad.SgdMomentum(model.input_params(), cfg.lr_schedule[0][0],
-                         cfg.momentum)
-    n = data.X_train.shape[0]
+    resamples = 0
 
-    def snap_if_wanted(done_epochs: int):
-        if done_epochs in wanted:
-            snapshots[done_epochs] = [p.data.copy()
-                                      for p in model.input_params()]
+    def snap_if_wanted(done: int) -> None:
+        if done in wanted:
+            snapshots[done] = [p.data.copy() for p in model.input_params()]
 
-    snap_if_wanted(0)
-    for epoch, lr in _schedule_epochs(cfg):
-        opt.learning_rate = lr
-        resamples = 0
-        for idx in _batch_indices(rng, n, cfg.batch_size):
-            idx, resampled = _usable_batch(rng, data.y_train, idx, n,
-                                           cfg, cfg.proxy)
-            resamples += resampled
-            part = proxies.partition_pairs(data.y_train[idx])
-            acts = model.pre_link(ad.constant(data.X_train[idx]))
-            K = gram_tensor(model.link, acts)
-            objective = proxies.proxy_tensor(cfg.proxy, K, part, alpha, beta)
-            opt.zero_grad()
-            ad.backward(ad.neg(objective))
-            opt.step()
-        done = epoch + 1
+    def batch_loss(idx):
+        nonlocal resamples
+        idx, part, resampled = _usable_batch(rng, data.y_train, idx, cfg)
+        resamples += resampled
+        acts = model.pre_link(ad.constant(data.X_train[idx]))
+        K = gram_tensor(model.link, acts)
+        return ad.neg(proxies.proxy_tensor(cfg.proxy, K, part, alpha, beta))
+
+    def end_epoch(done: int, lr: float) -> bool:
+        nonlocal resamples
         snap_if_wanted(done)
-        if done % cfg.trace_every == 0 or done == cfg.total_epochs:
+        if _trace_due(cfg, done):
             value = full_proxy_value(model, data.X_train, data.y_train, cfg.proxy)
             trace.add("input", done, lr, value, float("nan"), float("nan"),
                       resamples)
             _record_activations(trace, model, data, done)
+        resamples = 0
+        return False
+
+    snap_if_wanted(0)
+    _fit(model.input_params(), cfg, rng, data.X_train.shape[0], batch_loss,
+         end_epoch)
     return trace, snapshots
 
 
-def _usable_batch(rng, labels, idx, n, cfg: TrainConfig, kind: str) -> tuple:
-    """Swap in random batches until the proxy's pair types are present."""
+def _usable_batch(rng, labels, idx, cfg: TrainConfig) -> tuple:
+    """Swap in random batches until the proxy's pair types are present;
+    returns (indices, their pair partition, number of redraws)."""
+    n = labels.shape[0]
     resamples = 0
     while True:
-        part_labels = labels[idx]
-        missing = (("N" in proxies.required_pair_types(kind)
-                    and np.unique(part_labels).size < 2)
-                   or ("P" in proxies.required_pair_types(kind)
-                       and not _has_duplicate(part_labels)))
-        if not missing:
-            return idx, resamples
+        part = proxies.partition_pairs(labels[idx])
+        if not proxies.is_degenerate_for(cfg.proxy, part):
+            return idx, part, resamples
         resamples += 1
         if resamples > cfg.resample_limit:
             raise DegenerateBatchError(
-                f"could not draw a batch with the pair types {kind!r} needs")
+                f"could not draw a batch with the pair types {cfg.proxy!r} needs")
         idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
-
-
-def _has_duplicate(labels: np.ndarray) -> bool:
-    _, counts = np.unique(labels, return_counts=True)
-    return bool((counts >= 2).any())
 
 
 def full_proxy_value(model: TwoModuleModel, X: np.ndarray, y: np.ndarray,
@@ -421,6 +406,11 @@ def _binary_score_mode(cfg: TrainConfig) -> bool:
     return cfg.loss != "xe"
 
 
+def _output_logits(model: TwoModuleModel, feats: np.ndarray) -> np.ndarray:
+    return ad.affine(ad.constant(feats), model.output_weight,
+                     model.output_bias).data
+
+
 def freeze_and_train_output(model: TwoModuleModel, data: Dataset,
                             cfg: TrainConfig) -> DynamicsTrace:
     """Reinitialize and train the output module on frozen link features.
@@ -439,25 +429,20 @@ def freeze_and_train_output(model: TwoModuleModel, data: Dataset,
 
 
 def _train_output_on_features(model: TwoModuleModel, feats_train, y_train,
-                              feats_test, y_test, cfg: TrainConfig,
-                              stage: str = "output") -> DynamicsTrace:
+                              feats_test, y_test,
+                              cfg: TrainConfig) -> DynamicsTrace:
     trace = DynamicsTrace()
-    rng = np.random.default_rng(_derived_seed(cfg.seed, "output-batches"))
-    opt = ad.SgdMomentum(model.output_params(), cfg.lr_schedule[0][0],
-                         cfg.momentum)
-    n = feats_train.shape[0]
     binary = _binary_score_mode(cfg)
     best_loss = np.inf
     stale = 0
-    for epoch, lr in _schedule_epochs(cfg):
-        opt.learning_rate = lr
-        for idx in _batch_indices(rng, n, cfg.batch_size):
-            loss, _ = _loss_and_logits(model, ad.constant(feats_train[idx]),
-                                       y_train[idx], cfg)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-        done = epoch + 1
+
+    def batch_loss(idx):
+        loss, _ = _loss_and_logits(model, ad.constant(feats_train[idx]),
+                                   y_train[idx], cfg)
+        return loss
+
+    def end_epoch(done: int, lr: float) -> bool:
+        nonlocal best_loss, stale
         full_loss, logits = _loss_and_logits(model, ad.constant(feats_train),
                                              y_train, cfg)
         if best_loss - full_loss.item() < cfg.plateau_tol:
@@ -466,19 +451,18 @@ def _train_output_on_features(model: TwoModuleModel, feats_train, y_train,
             stale = 0
         stop = stale >= cfg.plateau_patience
         best_loss = min(best_loss, full_loss.item())
-        if done % cfg.trace_every == 0 or done == cfg.total_epochs or stop:
+        if _trace_due(cfg, done) or stop:
             train_acc = accuracy(logits.data, y_train, binary)
-            if y_test.size:
-                test_logits = ad.affine(ad.constant(feats_test),
-                                        model.output_weight,
-                                        model.output_bias).data
-                test_acc = accuracy(test_logits, y_test, binary)
-            else:
-                test_acc = float("nan")
-            trace.add(stage, done, lr, float(full_loss.item()),
+            test_acc = (accuracy(_output_logits(model, feats_test), y_test,
+                                 binary)
+                        if y_test.size else float("nan"))
+            trace.add("output", done, lr, float(full_loss.item()),
                       train_acc, test_acc)
-        if stop:
-            break
+        return stop
+
+    rng = np.random.default_rng(_derived_seed(cfg.seed, "output-batches"))
+    _fit(model.output_params(), cfg, rng, feats_train.shape[0], batch_loss,
+         end_epoch)
     return trace
 
 
@@ -495,20 +479,15 @@ def train_end_to_end(model: TwoModuleModel, data: Dataset,
                      cfg: TrainConfig) -> DynamicsTrace:
     """Joint SGD on the overall loss; same trace format as the stages."""
     trace = DynamicsTrace()
-    rng = np.random.default_rng(cfg.seed)
-    opt = ad.SgdMomentum(model.params(), cfg.lr_schedule[0][0], cfg.momentum)
-    n = data.X_train.shape[0]
     binary = _binary_score_mode(cfg)
-    for epoch, lr in _schedule_epochs(cfg):
-        opt.learning_rate = lr
-        for idx in _batch_indices(rng, n, cfg.batch_size):
-            feats = model.link_features(ad.constant(data.X_train[idx]))
-            loss, _ = _loss_and_logits(model, feats, data.y_train[idx], cfg)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-        done = epoch + 1
-        if done % cfg.trace_every == 0 or done == cfg.total_epochs:
+
+    def batch_loss(idx):
+        feats = model.link_features(ad.constant(data.X_train[idx]))
+        loss, _ = _loss_and_logits(model, feats, data.y_train[idx], cfg)
+        return loss
+
+    def end_epoch(done: int, lr: float) -> bool:
+        if _trace_due(cfg, done):
             feats_full = model.link_features(ad.constant(data.X_train))
             full_loss, logits = _loss_and_logits(model, feats_full,
                                                  data.y_train, cfg)
@@ -518,6 +497,10 @@ def train_end_to_end(model: TwoModuleModel, data: Dataset,
             trace.add("e2e", done, lr, float(full_loss.item()),
                       train_acc, test_acc)
             _record_activations(trace, model, data, done)
+        return False
+
+    _fit(model.params(), cfg, np.random.default_rng(cfg.seed),
+         data.X_train.shape[0], batch_loss, end_epoch)
     return trace
 
 
@@ -538,6 +521,7 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
     feats_test = model.link_features_np(data.X_test)
     n = data.X_train.shape[0]
     num_classes = data.num_classes
+    binary = _binary_score_mode(cfg)
     rows = []
     for budget in label_budgets:
         budget = int(budget)
@@ -568,12 +552,9 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
         _train_output_on_features(model, feats_train[chosen],
                                   data.y_train[chosen], feats_test,
                                   data.y_test, cfg)
-        logits = ad.affine(ad.constant(feats_test), model.output_weight,
-                           model.output_bias).data
-        binary = _binary_score_mode(cfg)
+        logits = _output_logits(model, feats_test)
         acc = accuracy(logits, data.y_test, binary)
-        pred = ((logits.ravel() > 0).astype(np.int64) if binary
-                else logits.argmax(axis=1))
+        pred = _predict(logits, binary)
         recall = []
         for c in range(num_classes):
             mask = data.y_test == c

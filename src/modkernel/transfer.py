@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .datasets import Dataset
-from .errors import ContractError, DegenerateBatchError, DimensionError
-from .kernels import KernelSpec, kernel_matrix
+from .errors import (ConfigurationError, ContractError, DegenerateBatchError,
+                     DimensionError)
+from .kernels import kernel_matrix
 from .proxies import is_degenerate_for, partition_pairs, proxy_value, validate_proxy_kind
 from .serialize import read_json, write_csv, write_json
 from .training import TrainConfig, TwoModuleModel, freeze_and_train_output
@@ -54,9 +56,13 @@ def score_candidate(candidate: CandidateModule, target_data: Dataset,
     up to ``max_retries`` times before erroring.  No parameters change.
     """
     validate_proxy_kind(proxy)
+    validate_subsample_fraction(subsample_fraction)
     n = target_data.X_train.shape[0]
-    spec = KernelSpec.for_nonlinearity(candidate.model.link.nonlinearity,
-                                       epsilon=candidate.model.link.epsilon)
+    if n < 2:
+        raise DegenerateBatchError(
+            f"scoring needs at least 2 target training examples, got {n}")
+    link = candidate.model.link
+    alpha, beta = link.bounds()
     rng = np.random.default_rng(seed)
     size = n if subsample_fraction >= 1.0 else max(
         2, int(round(subsample_fraction * n)))
@@ -66,16 +72,17 @@ def score_candidate(candidate: CandidateModule, target_data: Dataset,
         part = partition_pairs(target_data.y_train[idx])
         if not is_degenerate_for(proxy, part):
             acts = candidate.model.pre_link(
-                _const(target_data.X_train[idx])).data
-            K = kernel_matrix(spec, acts)
-            return proxy_value(proxy, K, part, spec.alpha, spec.beta)
+                ad.constant(target_data.X_train[idx])).data
+            K = kernel_matrix(link, acts)
+            return proxy_value(proxy, K, part, alpha, beta)
     raise DegenerateBatchError(
         f"no usable subsample for proxy {proxy!r} after {max_retries} retries")
 
 
-def _const(X):
-    from .autodiff import constant
-    return constant(X)
+def validate_subsample_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigurationError(
+            f"subsample_fraction must lie in (0, 1], got {fraction}")
 
 
 @dataclass

@@ -19,7 +19,7 @@ from modkernel.experiments import run_experiment
 from modkernel.geometry import (committed_bruteforce_instances,
                                 construct_e_star, random_lemma_instance,
                                 verify_lemma_solution)
-from modkernel.kernels import KernelSpec, kernel_eval, kernel_matrix, rkhs_distance_sq
+from modkernel.kernels import FeatureMap, kernel_eval, kernel_matrix, rkhs_distance_sq
 from modkernel.losses import make_loss, risk_tensor
 from modkernel.serialize import read_json
 
@@ -228,7 +228,7 @@ def test_criterion_9_kernel_identities():
     """distance^2 == 2 - 2k within 1e-12 over 10^4 pairs; kernel matrices
     PSD within -1e-8 on batches of size <= 8 (independent Jacobi oracle)."""
     t0 = time.perf_counter()
-    spec = KernelSpec.for_nonlinearity("tanh")
+    spec = FeatureMap("tanh")
     rng = np.random.default_rng(9)
     worst = 0.0
     for _ in range(10_000):
@@ -240,7 +240,7 @@ def test_criterion_9_kernel_identities():
 
     min_eig = np.inf
     for kind in ("relu", "tanh", "sigmoid"):
-        kspec = KernelSpec.for_nonlinearity(kind)
+        kspec = FeatureMap(kind)
         for _ in range(60):
             n = int(rng.integers(2, 9))
             K = kernel_matrix(kspec, rng.standard_normal((n, 3)))

@@ -65,6 +65,14 @@ class TestConfigLoading:
         with pytest.raises(ConfigurationError, match="instances"):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("train", [{"trace_every": 0},
+                                       {"momentum": 1.0},
+                                       {"momentum": -0.1}])
+    def test_bad_train_value_rejected_at_load(self, tmp_path, train):
+        doc = {"experiment": "sanity-dynamics", "train": train}
+        with pytest.raises(ConfigurationError, match=next(iter(train))):
+            load_config(write_config(tmp_path, doc))
+
     def test_unknown_threshold_rejected(self, tmp_path):
         doc = dict(MINIMAL_LEMMA, thresholds={"min_vibes": 1.0})
         with pytest.raises(ConfigurationError, match="min_vibes"):
@@ -122,7 +130,9 @@ class TestConfigLoading:
     @pytest.mark.parametrize("override", [{"batch_size": "8"},
                                           {"momentum": None},
                                           {"lr_schedule": [[0.1]]},
-                                          {"lr_schedule": [[-0.1, 5]]}])
+                                          {"lr_schedule": [[-0.1, 5]]},
+                                          {"trace_every": 0},
+                                          {"momentum": 1.0}])
     def test_override_bad_value_names_section(self, tmp_path, key, override):
         doc = self._with_override(key, override)
         with pytest.raises(ConfigurationError, match=f"section '{key}'"):

@@ -8,7 +8,7 @@ from modkernel.geometry import (LemmaInstance,
                                 construct_e_star, optimality_bruteforce,
                                 random_lemma_instance, run_lemma_suite,
                                 verify_lemma_solution, weight_lattice)
-from modkernel.kernels import FeatureMap, KernelSpec
+from modkernel.kernels import FeatureMap
 from modkernel.losses import make_loss
 
 
@@ -167,7 +167,7 @@ class TestBruteforce:
 
 class TestDistanceKernelEquivalence:
     def test_antipodal_and_identical_pairs(self):
-        spec = KernelSpec.for_nonlinearity("tanh")
+        spec = FeatureMap("tanh")
         u = np.array([1.3, 0.0])
         pairs = [(u, -u), (u, u.copy()), (u, np.array([0.0, 1.3]))]
         report = check_distance_kernel_equivalence(spec, pairs)
@@ -175,7 +175,7 @@ class TestDistanceKernelEquivalence:
 
     def test_random_pairs_order_agreement(self):
         rng = np.random.default_rng(8)
-        spec = KernelSpec.for_nonlinearity("tanh")
+        spec = FeatureMap("tanh")
         base = rng.standard_normal(3)
         pairs = [(base, -base)]  # pin the max at the infimum
         pairs += [(rng.standard_normal(3), rng.standard_normal(3))
@@ -188,7 +188,7 @@ class TestDistanceKernelEquivalence:
     def test_missing_extreme_pair_is_flagged(self):
         # without a pair at the infimum, the max-distance pair cannot sit
         # at beta, so the equivalence check must fail loudly
-        spec = KernelSpec.for_nonlinearity("tanh")
+        spec = FeatureMap("tanh")
         u = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])
         report = check_distance_kernel_equivalence(spec, [(u, v), (u, u)])

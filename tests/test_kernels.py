@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from modkernel.errors import ConfigurationError, DimensionError
-from modkernel.kernels import (ConvPatchSpec, FeatureMap, KernelSpec,
-                               conv_patch_feature, kernel_bounds, kernel_eval,
-                               kernel_matrix, rkhs_distance_sq)
+from modkernel.kernels import (ConvPatchSpec, FeatureMap, conv_patch_feature,
+                               kernel_bounds, kernel_eval, kernel_matrix,
+                               rkhs_distance_sq)
 
 from oracles import jacobi_eigenvalues, naive_patch_extract
 
 
 def spec_for(kind):
-    return KernelSpec.for_nonlinearity(kind)
+    return FeatureMap(kind)
 
 
 class TestKernelBounds:
@@ -91,11 +91,12 @@ class TestKernelMatrix:
         for kind in ("relu", "tanh", "sigmoid"):
             spec = spec_for(kind)
             X = rng.standard_normal((10_000, 4)) * 3.0
-            feats = spec.feature_map.apply(X)
+            feats = spec.apply(X)
             pairs = rng.integers(0, 10_000, (10_000, 2))
             values = np.einsum("ij,ij->i", feats[pairs[:, 0]], feats[pairs[:, 1]])
-            assert values.min() >= spec.beta - 1e-9
-            assert values.max() <= spec.alpha + 1e-9
+            alpha, beta = spec.bounds()
+            assert values.min() >= beta - 1e-9
+            assert values.max() <= alpha + 1e-9
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(12)
@@ -127,8 +128,7 @@ class TestRkhsDistance:
             spec = spec_for(kind)
             for _ in range(50):
                 u, v = rng.standard_normal((2, 5))
-                direct = float(np.sum((spec.feature_map.apply(u)
-                                       - spec.feature_map.apply(v)) ** 2))
+                direct = float(np.sum((spec.apply(u) - spec.apply(v)) ** 2))
                 assert rkhs_distance_sq(spec, u, v) == pytest.approx(
                     direct, abs=1e-12)
 
@@ -189,7 +189,3 @@ class TestFeatureMap:
     def test_bad_nonlinearity(self):
         with pytest.raises(ConfigurationError):
             FeatureMap("swish")
-
-    def test_kernel_spec_orders_bounds(self):
-        with pytest.raises(ConfigurationError):
-            KernelSpec(feature_map=FeatureMap("tanh"), alpha=0.0, beta=1.0)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from modkernel.datasets import DatasetSpec, make_dataset
-from modkernel.errors import ContractError, DimensionError
-from modkernel.kernels import KernelSpec, kernel_matrix
+from modkernel.config import resolve_config
+from modkernel.datasets import Dataset, DatasetSpec, make_dataset
+from modkernel.errors import (ConfigurationError, ContractError,
+                              DegenerateBatchError, DimensionError)
+from modkernel.kernels import FeatureMap, kernel_matrix
 from modkernel.proxies import partition_pairs, proxy_value
 from modkernel.serialize import dump_json
 from modkernel.training import ArchitectureSpec, TrainConfig, TwoModuleModel, train_input_module
@@ -68,11 +70,32 @@ class TestScoreCandidate:
         score_candidate(cand, data, "al", subsample_fraction=0.5, seed=3)
         assert dump_json(cand.model.to_checkpoint()) == before
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_examples_is_degenerate(self, n):
+        data = target_blobs()
+        tiny = Dataset(data.X_train[:n], data.y_train[:n], data.X_test,
+                       data.y_test)
+        with pytest.raises(DegenerateBatchError, match="at least 2"):
+            score_candidate(fresh_candidate(), tiny, "al", 0.5, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ConfigurationError, match="subsample_fraction"):
+            score_candidate(fresh_candidate(), target_blobs(), "al", fraction)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_config_rejects_fraction_outside_unit_interval(self, fraction):
+        doc = {"experiment": "transferability",
+               "transfer": {"source_tasks": [[0, 1]], "target_task": [0, 1],
+                            "subsample_fraction": fraction}}
+        with pytest.raises(ConfigurationError, match="subsample_fraction"):
+            resolve_config(doc)
+
     def test_full_fraction_equals_full_kernel_matrix_value(self):
         data = target_blobs()
         cand = fresh_candidate()
         score = score_candidate(cand, data, "utal", 1.0, seed=9)
-        spec = KernelSpec.for_nonlinearity("tanh")
+        spec = FeatureMap("tanh")
         from modkernel.autodiff import constant
         acts = cand.model.pre_link(constant(data.X_train)).data
         K = kernel_matrix(spec, acts)

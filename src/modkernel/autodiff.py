@@ -279,29 +279,6 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (x, W, b), rule)
 
 
-def elementwise(x: Tensor, kind: str) -> Tensor:
-    """Apply a named scalar nonlinearity entrywise.
-
-    The relu derivative at exactly zero is taken to be zero.
-    """
-    if kind == "relu":
-        out_data = np.maximum(x.data, 0.0)
-        local = (x.data > 0).astype(np.float64)
-    elif kind == "tanh":
-        out_data = np.tanh(x.data)
-        local = 1.0 - out_data * out_data
-    elif kind == "sigmoid":
-        out_data = _sigmoid(x.data)
-        local = out_data * (1.0 - out_data)
-    else:
-        raise ContractError(f"unsupported elementwise kind: {kind!r}")
-
-    def rule(g):
-        _accumulate(x, g * local)
-
-    return _make(out_data, (x,), rule)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -309,6 +286,33 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# kind -> (forward map, derivative as a function of the output).
+_ELEMENTWISE = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda y: y > 0),
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+    "sigmoid": (_sigmoid, lambda y: y * (1.0 - y)),
+}
+
+
+def elementwise(x: Tensor, kind: str) -> Tensor:
+    """Apply a named scalar nonlinearity entrywise.
+
+    The relu derivative at exactly zero is taken to be zero.  The local
+    derivative is built inside the backward rule, so a forward-only pass
+    never computes it.
+    """
+    try:
+        forward, derivative = _ELEMENTWISE[kind]
+    except KeyError:
+        raise ContractError(f"unsupported elementwise kind: {kind!r}") from None
+    out_data = forward(x.data)
+
+    def rule(g):
+        _accumulate(x, g * derivative(out_data))
+
+    return _make(out_data, (x,), rule)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -399,13 +403,13 @@ def unit_normalize(x: Tensor, epsilon: float = 1e-12) -> Tensor:
         raise DimensionError(f"unit_normalize expects n-by-d input, got {x.shape}")
     norms = np.linalg.norm(x.data, axis=1, keepdims=True)
     scale = np.maximum(norms, epsilon)
-    floored = norms <= epsilon
     out_data = x.data / scale
 
     def rule(g):
         # Above the floor: d(x/|x|) pulls out the radial component.
         # At or below the floor the map is linear with constant 1/epsilon.
         radial = (g * out_data).sum(axis=1, keepdims=True)
+        floored = norms <= epsilon
         gx = np.where(floored, g / epsilon, (g - out_data * radial) / scale)
         _accumulate(x, gx)
 
@@ -413,22 +417,26 @@ def unit_normalize(x: Tensor, epsilon: float = 1e-12) -> Tensor:
 
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy of n-by-C logits against integer labels."""
+    """Mean softmax cross-entropy of n-by-C logits against integer labels.
+
+    The softmax the backward rule needs is built inside it, so a
+    forward-only pass never computes it.
+    """
     if logits.data.ndim != 2:
         raise DimensionError(f"cross_entropy_logits expects n-by-C, got {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     n, C = logits.data.shape
     if labels.shape != (n,):
         raise DimensionError(f"labels shape {labels.shape} does not match n={n}")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.data.max(axis=1)
+    row_max = logits.data.max(axis=1, keepdims=True)
+    exps = np.exp(logits.data - row_max)
+    row_sums = exps.sum(axis=1, keepdims=True)
+    lse = np.log(row_sums[:, 0]) + row_max[:, 0]
     picked = logits.data[np.arange(n), labels]
     out_data = np.asarray((lse - picked).mean())
-    softmax = np.exp(shifted)
-    softmax /= softmax.sum(axis=1, keepdims=True)
 
     def rule(g):
-        gz = softmax.copy()
+        gz = exps / row_sums
         gz[np.arange(n), labels] -= 1.0
         _accumulate(logits, g * gz / n)
 

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import geometry
-from .config import dump_config, load_config
+from .config import LEMMA_DEFAULTS, dump_config, load_config
 from .errors import ConfigurationError, IngestionError, ModkernelError
 from .experiments import run_experiment
 from .serialize import write_json
@@ -33,9 +33,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lemma = sub.add_parser("verify-lemma",
                              help="randomized construction-and-verify sweep")
-    p_lemma.add_argument("--instances", type=int, default=10_000)
-    p_lemma.add_argument("--seed", type=int, default=0)
-    p_lemma.add_argument("--tolerance", type=float, default=1e-9)
+    p_lemma.add_argument("--instances", type=int,
+                         default=LEMMA_DEFAULTS["instances"])
+    p_lemma.add_argument("--seed", type=int, default=LEMMA_DEFAULTS["seed"])
+    p_lemma.add_argument("--tolerance", type=float,
+                         default=LEMMA_DEFAULTS["tolerance"])
     p_lemma.add_argument("--output", default=None,
                          help="optional path for the JSON report")
 

@@ -86,6 +86,10 @@ _LEMMA_FIELDS = {
     "tolerance": (float, 1e-9),
 }
 
+# The lemma defaults, also read by geometry.run_lemma_suite and the
+# verify-lemma command line.
+LEMMA_DEFAULTS = {key: default for key, (_, default) in _LEMMA_FIELDS.items()}
+
 _THEOREM_FIELDS = {
     "instances": ((list, type(None)), None),
 }

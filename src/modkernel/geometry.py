@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import LEMMA_DEFAULTS
 from .errors import ConfigurationError, ContractError
 from .kernels import FeatureMap, kernel_eval, rkhs_distance_sq
 from .losses import DecomposableLoss, make_loss
@@ -251,8 +252,10 @@ class LemmaSuiteReport:
                 "branches": self.branches}
 
 
-def run_lemma_suite(num_instances: int = 10_000, dims=(2, 3, 4, 5, 6, 7, 8),
-                    seed: int = 0, tol: float = 1e-9) -> LemmaSuiteReport:
+def run_lemma_suite(num_instances: int = LEMMA_DEFAULTS["instances"],
+                    dims=tuple(LEMMA_DEFAULTS["dims"]),
+                    seed: int = LEMMA_DEFAULTS["seed"],
+                    tol: float = LEMMA_DEFAULTS["tolerance"]) -> LemmaSuiteReport:
     rng = np.random.default_rng(seed)
     failures = 0
     worst: dict[str, float] = {}

@@ -5,6 +5,9 @@ Each objective is a scalar function of the batch kernel matrix meant to be
 numpy evaluator (used for scoring and reports) and a graph builder on
 autodiff tensors (used for training), and the two agree to machine
 precision.  Pairs are ordered: both (i, j) and (j, i) are enumerated.
+A batch's pairs are held as two boolean n-by-n masks; the numpy
+evaluators gather the entries they read through them, and the graph
+builders multiply by them as float64 constants.
 
 All functions here are pure and safe for concurrent evaluation.
 """
@@ -30,8 +33,10 @@ class PairPartition:
 
     ``negatives`` holds every (i, j) with distinct labels, ``positives``
     every (i, j), i != j, with equal labels; together with the diagonal
-    they partition all ordered pairs.  Pair order is row-major.  The pair
-    lists are materialized on demand; hot paths use the masks and counts.
+    they partition all ordered pairs.  Pair order is row-major.
+    ``neg_mask`` and ``pos_mask`` are boolean n-by-n arrays marking them.
+    The pair lists are materialized on demand; hot paths use the masks and
+    counts.
     """
 
     n: int
@@ -42,11 +47,11 @@ class PairPartition:
 
     @property
     def negatives(self) -> tuple:
-        return tuple(map(tuple, np.argwhere(self.neg_mask > 0)))
+        return tuple(map(tuple, np.argwhere(self.neg_mask)))
 
     @property
     def positives(self) -> tuple:
-        return tuple(map(tuple, np.argwhere(self.pos_mask > 0)))
+        return tuple(map(tuple, np.argwhere(self.pos_mask)))
 
 
 def partition_pairs(labels) -> PairPartition:
@@ -54,27 +59,21 @@ def partition_pairs(labels) -> PairPartition:
     if labels.ndim != 1 or labels.shape[0] < 1:
         raise DegenerateBatchError(f"need a 1-D label list, got {labels.shape}")
     n = labels.shape[0]
-    same = labels[:, None] == labels[None, :]
-    eye = np.eye(n, dtype=bool)
-    neg = ~same
-    pos = same & ~eye
-    return PairPartition(
-        n=n,
-        neg_mask=neg.astype(np.float64),
-        pos_mask=pos.astype(np.float64),
-        num_negatives=int(neg.sum()),
-        num_positives=int(pos.sum()),
-    )
+    neg = labels[:, None] != labels[None, :]
+    pos = ~neg
+    np.fill_diagonal(pos, False)
+    _, class_sizes = np.unique(labels, return_counts=True)
+    # Ordered equal-label pairs, the diagonal included.
+    same = int(class_sizes @ class_sizes)
+    return PairPartition(n=n, neg_mask=neg, pos_mask=pos,
+                         num_negatives=n * n - same, num_positives=same - n)
 
 
 def target_kernel_matrix(part: PairPartition, alpha: float,
                          beta: float) -> np.ndarray:
     """The ideal kernel matrix: alpha on intra-class pairs and the
     diagonal, beta on inter-class pairs."""
-    n = part.n
-    target = np.full((n, n), alpha)
-    target[part.neg_mask.astype(bool)] = beta
-    return target
+    return np.where(part.neg_mask, beta, alpha)
 
 
 def validate_proxy_kind(kind: str) -> str:
@@ -118,28 +117,31 @@ def al_neo(K: np.ndarray, part: PairPartition, beta: float) -> float:
             "al-neo is undefined for beta = 0; use 'al' or 'utal'")
     if part.num_negatives == 0:
         raise DegenerateBatchError("al-neo needs at least one inter-class pair")
-    vals = K[part.neg_mask.astype(bool)]
-    denom_sq = float((vals * vals).sum())
+    vals = K[part.neg_mask]
+    total = vals.sum()
+    denom_sq = float(np.square(vals, out=vals).sum())
     if denom_sq <= 0.0:
         raise DegenerateBatchError(
             "al-neo: inter-class kernel values are all zero")
-    return float(beta * vals.sum()) / (abs(beta) * len(vals) * np.sqrt(denom_sq))
+    return (float(beta * total)
+            / (abs(beta) * part.num_negatives * np.sqrt(denom_sq)))
 
 
 def cts_neo(K: np.ndarray, part: PairPartition) -> float:
     """-(1/|N|) * sum_N exp(k)."""
     if part.num_negatives == 0:
         raise DegenerateBatchError("cts-neo needs at least one inter-class pair")
-    vals = K[part.neg_mask.astype(bool)]
-    return -float(np.exp(vals).mean())
+    vals = K[part.neg_mask]
+    return -float(np.exp(vals, out=vals).mean())
 
 
 def nmse_neo(K: np.ndarray, part: PairPartition, beta: float) -> float:
     """-(1/|N|) * sum_N (k - beta)^2; maximum value 0."""
     if part.num_negatives == 0:
         raise DegenerateBatchError("nmse-neo needs at least one inter-class pair")
-    vals = K[part.neg_mask.astype(bool)]
-    return -float(((vals - beta) ** 2).mean())
+    vals = K[part.neg_mask]
+    vals -= beta
+    return -float(np.square(vals, out=vals).mean())
 
 
 def alignment(K: np.ndarray, Kstar: np.ndarray) -> float:
@@ -151,13 +153,19 @@ def alignment(K: np.ndarray, Kstar: np.ndarray) -> float:
     return float((K * Kstar).sum()) / (nk * ns)
 
 
+def _strict_upper(n: int) -> np.ndarray:
+    """Boolean n-by-n mask of the pairs (i, j) with i < j."""
+    rows = np.arange(n)
+    return rows[:, None] < rows[None, :]
+
+
 def utal(K: np.ndarray, Kstar: np.ndarray) -> float:
     """Alignment restricted to the strict upper triangles."""
     n = K.shape[0]
     if n < 2:
         raise DegenerateBatchError("utal needs at least two examples")
-    iu = np.triu_indices(n, k=1)
-    u, v = K[iu], Kstar[iu]
+    upper = _strict_upper(n)
+    u, v = K[upper], Kstar[upper]
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise DegenerateBatchError("utal: zero strict-upper-triangle vector")
@@ -169,16 +177,18 @@ def cts(K: np.ndarray, part: PairPartition) -> float:
     if part.num_positives == 0 or part.num_negatives == 0:
         raise DegenerateBatchError("cts needs both pair types in the batch")
     e = np.exp(K)
-    num = float((e * part.pos_mask).sum())
-    den = float((e * (part.pos_mask + part.neg_mask)).sum())
-    return num / den
+    masked = e * part.pos_mask
+    num = float(masked.sum())
+    np.multiply(e, part.pos_mask | part.neg_mask, out=masked)
+    return num / float(masked.sum())
 
 
 def nmse(K: np.ndarray, Kstar: np.ndarray) -> float:
     """-(1/n^2) * sum over all ordered pairs (diagonal included) of
     (k - k_target)^2."""
     n = K.shape[0]
-    return -float(((K - Kstar) ** 2).sum()) / (n * n)
+    diff = K - Kstar
+    return -float(np.square(diff, out=diff).sum()) / (n * n)
 
 
 def proxy_value(kind: str, K: np.ndarray, part: PairPartition,
@@ -253,7 +263,7 @@ def utal_tensor(K: ad.Tensor, Kstar: np.ndarray) -> ad.Tensor:
     n = K.shape[0]
     if n < 2:
         raise DegenerateBatchError("utal needs at least two examples")
-    upper = np.triu(np.ones((n, n)), k=1)
+    upper = _strict_upper(n)
     target = Kstar * upper
     ns = np.linalg.norm(target)
     if ns == 0.0:
@@ -270,7 +280,7 @@ def cts_tensor(K: ad.Tensor, part: PairPartition) -> ad.Tensor:
         raise DegenerateBatchError("cts needs both pair types in the batch")
     e = ad.exp(K)
     num = _masked_sum(e, part.pos_mask)
-    den = _masked_sum(e, part.pos_mask + part.neg_mask)
+    den = _masked_sum(e, part.pos_mask | part.neg_mask)
     return num / den
 
 

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 from pathlib import Path
 
@@ -311,6 +312,28 @@ class TestCli:
                      "--output", str(out_path)]) == 0
         assert "0 failures" in capsys.readouterr().out
         assert read_json(out_path)["failures"] == 0
+
+    def test_verify_lemma_defaults_match_empty_lemma_section(
+            self, tmp_path, monkeypatch):
+        from modkernel import geometry
+        signature = inspect.signature(geometry.run_lemma_suite)
+        calls = []
+
+        def record(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(dict(bound.arguments, dims=tuple(bound.arguments["dims"])))
+            return geometry.LemmaSuiteReport(instances=0, failures=0,
+                                             worst_residuals={}, branches={})
+
+        monkeypatch.setattr(geometry, "run_lemma_suite", record)
+        assert main(["verify-lemma"]) == 0
+        path = write_config(tmp_path, {"experiment": "lemma-suite",
+                                       "output_dir": str(tmp_path / "o"),
+                                       "lemma": {}})
+        assert main(["run", str(path)]) == 0
+        cli_call, run_call = calls
+        assert cli_call == run_call
 
     def test_verify_theorem(self, capsys):
         assert main(["verify-theorem", "--instance",

@@ -55,6 +55,50 @@ class TestPartition:
         np.testing.assert_array_equal(part.neg_mask, part.neg_mask.T)
         np.testing.assert_array_equal(part.pos_mask, part.pos_mask.T)
 
+    @pytest.mark.parametrize("labels, negatives, positives", [
+        ([2, 0, 2, 1, 0, 2], 22, 8),
+        (["b", "a", "b", "b"], 6, 6),
+        ([5, 5, 5], 0, 6),
+        ([7], 0, 0),
+    ], ids=["int", "str", "one-class", "n=1"])
+    def test_boolean_masks_and_counts(self, labels, negatives, positives):
+        part = proxies.partition_pairs(labels)
+        arr = np.asarray(labels)
+        same = arr[:, None] == arr[None, :]
+        assert part.neg_mask.dtype == bool and part.pos_mask.dtype == bool
+        np.testing.assert_array_equal(part.neg_mask, ~same)
+        np.testing.assert_array_equal(
+            part.pos_mask, same & ~np.eye(len(labels), dtype=bool))
+        assert (part.num_negatives, part.num_positives) == (negatives, positives)
+        assert part.num_negatives == len(part.negatives)
+        assert part.num_positives == len(part.positives)
+
+
+class TestPinnedValues:
+    """Every proxy on a seeded 600-point kernel, to the last bit: any
+    change in the evaluators' arithmetic or summation order moves them."""
+
+    EXPECTED = {
+        "al-neo": "-0x1.c2b48e19cfae0p-20",
+        "cts-neo": "-0x1.161cf295a2236p+0",
+        "nmse-neo": "-0x1.2ac3dc493ed9dp+0",
+        "al": "0x1.3605bc310afe8p-8",
+        "utal": "0x1.5f5110ae3a656p-11",
+        "cts": "0x1.5569101d8fd3cp-2",
+        "nmse": "-0x1.2a0dfcf20f0a2p+0",
+    }
+
+    def test_values_are_bit_exact_and_leave_the_kernel_alone(self):
+        rng = np.random.default_rng(600)
+        K = sym_kernel(rng, 600)
+        labels = rng.integers(0, 3, 600)
+        part = proxies.partition_pairs(labels)
+        before = K.copy()
+        got = {kind: proxies.proxy_value(kind, K, part, 1.0, -1.0).hex()
+               for kind in proxies.PROXY_KINDS}
+        assert got == self.EXPECTED
+        np.testing.assert_array_equal(K, before)
+
 
 class TestTargetMatrix:
     def test_entries(self):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from modkernel.datasets import Dataset, DatasetSpec, make_dataset
 from modkernel.errors import (ConfigurationError, ContractError,
                               DegenerateBatchError, DimensionError)
 from modkernel.kernels import FeatureMap, kernel_matrix
-from modkernel.proxies import partition_pairs, proxy_value
+from modkernel.proxies import PROXY_KINDS, partition_pairs, proxy_value
 from modkernel.serialize import dump_json
 from modkernel.training import ArchitectureSpec, TrainConfig, TwoModuleModel, train_input_module
 from modkernel.transfer import (CandidateModule, attach_oracle, rank_candidates,
@@ -101,6 +102,31 @@ class TestScoreCandidate:
         K = kernel_matrix(spec, acts)
         part = partition_pairs(data.y_train)
         assert score == proxy_value("utal", K, part, 1.0, -1.0)
+
+
+class TestScoringMemory:
+    N = 1000
+
+    @pytest.fixture(scope="class")
+    def target(self):
+        return make_dataset(DatasetSpec(kind="gaussian-blobs", n=self.N, d=6,
+                                        num_classes=2, seed=3,
+                                        split_fraction=1.0))
+
+    @pytest.mark.parametrize("kind", PROXY_KINDS)
+    def test_peak_within_four_kernel_matrices(self, target, kind):
+        """Scoring holds K, its boolean pair masks and a few proxy
+        temporaries, never more than four n-by-n float64 arrays at once."""
+        cand = fresh_candidate()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            score_candidate(cand, target, kind, subsample_fraction=1.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * self.N ** 2 * 8, f"{kind}: peak {peak} bytes"
 
 
 class TestRanking:

@@ -27,8 +27,8 @@ class Tensor:
 
     A tensor constructed with ``requires_grad=True`` (a trainable leaf)
     gets ``grad`` as zeros at once.  Interior nodes built by operations
-    start with ``grad = None`` and allocate it on the first accumulation
-    during ``backward``.
+    start with ``grad = None``; the first accumulation during ``backward``
+    sets it to an array no other tensor holds.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -112,16 +112,28 @@ def _make(data: np.ndarray, parents: tuple, backward_rule) -> Tensor:
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+    """Add ``grad`` into ``t.grad``.  ``grad`` must be an array the backward
+    rule has just allocated: the first accumulation keeps it as ``t.grad``."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(grad)  # copy: never alias an upstream buffer
+        t.grad = grad
     else:
         t.grad += grad
 
 
+def _accumulate_view(t: Tensor, grad: np.ndarray) -> None:
+    """``_accumulate`` for a gradient that may alias another buffer (the
+    node's own gradient passed through, or a view of it): the first
+    accumulation stores a copy."""
+    if t.requires_grad and t.grad is None:
+        grad = np.array(grad)
+    _accumulate(t, grad)
+
+
 def topological_order(root: Tensor) -> list[Tensor]:
-    """Nodes reachable from ``root`` through parent links, parents first.
+    """Nodes reachable from ``root`` through parent links to tensors that
+    require gradients, parents first.
 
     The returned list is the operation record of the graph: acyclic by
     construction, and a reverse traversal visits every node exactly once.
@@ -139,7 +151,7 @@ def topological_order(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
@@ -182,11 +194,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def rule(g):
         if bias_broadcast:
-            _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
+            _accumulate_view(a, g)
+            if b.requires_grad:
+                _accumulate(b, g.sum(axis=0))
         else:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+            _accumulate_view(a, _unbroadcast(g, a.data.shape))
+            _accumulate_view(b, _unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), rule)
 
@@ -197,8 +210,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def rule(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, -_unbroadcast(g, b.data.shape))
+        _accumulate_view(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, -_unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), rule)
 
@@ -217,8 +231,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def rule(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), rule)
 
@@ -229,9 +245,11 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def rule(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data),
-                                    b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data),
+                                        b.data.shape))
 
     return _make(out_data, (a, b), rule)
 
@@ -249,15 +267,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def rule(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _make(out_data, (a, b), rule)
 
 
 def transpose(a: Tensor) -> Tensor:
     def rule(g):
-        _accumulate(a, g.T)
+        _accumulate_view(a, g.T)
 
     return _make(a.data.T, (a,), rule)
 
@@ -272,9 +292,12 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     out_data = x.data @ W.data + b.data
 
     def rule(g):
-        _accumulate(x, g @ W.data.T)
-        _accumulate(W, x.data.T @ g)
-        _accumulate(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, g @ W.data.T)
+        if W.requires_grad:
+            _accumulate(W, x.data.T @ g)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
 
     return _make(out_data, (x, W, b), rule)
 
@@ -387,6 +410,22 @@ def tensor_mean(x: Tensor) -> Tensor:
 
     def rule(g):
         _accumulate(x, np.broadcast_to(g / n, x.data.shape).copy())
+
+    return _make(out_data, (x,), rule)
+
+
+def masked_sum(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Sum of the entries of ``x`` where the boolean ``mask`` is set.
+
+    The same value and gradient, bit for bit, as
+    ``tensor_sum(mul(x, constant(mask)))``, with no float copy of the mask.
+    """
+    if mask.shape != x.data.shape:
+        raise DimensionError(f"masked_sum: {x.shape} vs mask {mask.shape}")
+    out_data = np.asarray(np.multiply(x.data, mask).sum())
+
+    def rule(g):
+        _accumulate(x, np.multiply(np.broadcast_to(g, x.data.shape), mask))
 
     return _make(out_data, (x,), rule)
 

@@ -9,6 +9,8 @@ are validated against the committed report schema.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -89,6 +91,32 @@ _LEMMA_FIELDS = {
 # The lemma defaults, also read by geometry.run_lemma_suite and the
 # verify-lemma command line.
 LEMMA_DEFAULTS = {key: default for key, (_, default) in _LEMMA_FIELDS.items()}
+
+
+def _is_integer(value, least: int) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
+
+
+def check_lemma_settings(instances, dims, seed, tolerance) -> None:
+    """Reject lemma-suite settings the suite cannot run on: it needs at
+    least one instance, a non-empty list of dimensions of at least 1, a
+    non-negative seed and a finite, non-negative tolerance."""
+    if not _is_integer(instances, 1):
+        raise ConfigurationError(
+            f"lemma 'instances' must be an integer >= 1, got {instances!r}")
+    if (not isinstance(dims, (list, tuple)) or not dims
+            or not all(_is_integer(d, 1) for d in dims)):
+        raise ConfigurationError(
+            "lemma 'dims' must be a non-empty list of integers >= 1, "
+            f"got {dims!r}")
+    if not _is_integer(seed, 0):
+        raise ConfigurationError(
+            f"lemma 'seed' must be an integer >= 0, got {seed!r}")
+    if (not isinstance(tolerance, numbers.Real) or isinstance(tolerance, bool)
+            or not math.isfinite(tolerance) or tolerance < 0):
+        raise ConfigurationError(
+            f"lemma 'tolerance' must be a finite number >= 0, got {tolerance!r}")
 
 _THEOREM_FIELDS = {
     "instances": ((list, type(None)), None),
@@ -251,6 +279,8 @@ def resolve_config(doc: dict) -> ExperimentConfig:
         cfg.train_config()
     if "transfer" in resolved:
         validate_subsample_fraction(resolved["transfer"]["subsample_fraction"])
+    if "lemma" in resolved:
+        check_lemma_settings(**resolved["lemma"])
     for key in TRAIN_OVERRIDES:
         override = _override(resolved, key)
         if override is not None:

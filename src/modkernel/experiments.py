@@ -351,9 +351,8 @@ def binary_subtask(base: Dataset, pair: tuple) -> Dataset:
 def _run_lemma_suite(cfg: ExperimentConfig, outdir: Path):
     section = cfg.section_or_defaults("lemma")
     rep = geometry.run_lemma_suite(
-        num_instances=int(section["instances"]),
-        dims=tuple(int(d) for d in section["dims"]),
-        seed=int(section["seed"]), tol=float(section["tolerance"]))
+        num_instances=section["instances"], dims=tuple(section["dims"]),
+        seed=section["seed"], tol=section["tolerance"])
     write_json(outdir / "lemma_report.json", rep.as_dict())
     metrics = {"instances": float(rep.instances),
                "failures": float(rep.failures)}

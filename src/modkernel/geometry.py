@@ -10,18 +10,27 @@ families (finite code grids for the input map, a finite weight lattice for
 the linear readout) and confirms that input maps maximizing pairwise
 feature separation attain the family-wide minimum of the decomposed risk.
 
+The lemma code is written once, over batches.  A ``LemmaInstance`` holds
+one instance (five vectors) or a batch of k instances of one dimension
+(five k-by-dim arrays, one instance per row).  Validation, construction
+and verification run on whole batches, with boolean masks selecting each
+branch of the construction; a single instance goes through the same code
+as a batch of one.  ``run_lemma_suite`` samples its instances one at a
+time from one random stream and checks them one batch per dimension.
+
 Everything here is pure and deterministic given its inputs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import LEMMA_DEFAULTS
+from .config import LEMMA_DEFAULTS, check_lemma_settings
 from .errors import ConfigurationError, ContractError
 from .kernels import FeatureMap, kernel_eval, rkhs_distance_sq
 from .losses import DecomposableLoss, make_loss
@@ -29,10 +38,22 @@ from .losses import DecomposableLoss, make_loss
 _NORM_TOL = 1e-12
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (of the vector, for 1-D input).
+
+    Bit for bit equal to ``np.linalg.norm`` of each row.
+    """
+    return np.sqrt(np.vecdot(x, x))
+
+
 @dataclass(frozen=True)
 class LemmaInstance:
     """A unit vector e and four equal-norm vectors with the starred pair
-    at least as separated as the plain pair."""
+    at least as separated as the plain pair.
+
+    Each field is one vector, or a k-by-dim array holding a batch of k
+    instances of one dimension, one instance per row.
+    """
 
     e: np.ndarray
     v_plus: np.ndarray
@@ -40,30 +61,47 @@ class LemmaInstance:
     v_plus_star: np.ndarray
     v_minus_star: np.ndarray
 
-    def validate(self) -> None:
+    def as_batch(self) -> "LemmaInstance":
+        """This batch, or a batch of one holding this instance."""
         vecs = [self.e, self.v_plus, self.v_minus,
                 self.v_plus_star, self.v_minus_star]
         dims = {v.shape for v in vecs}
-        if len(dims) != 1 or vecs[0].ndim != 1:
+        if len(dims) != 1 or vecs[0].ndim not in (1, 2):
             raise ContractError(f"all five vectors must share one dimension, got {dims}")
-        if abs(np.linalg.norm(self.e) - 1.0) > _NORM_TOL:
-            raise ContractError("e must be a unit vector")
-        norms = [np.linalg.norm(v) for v in vecs[1:]]
-        if min(norms) <= 0.0:
-            raise ContractError("the four vectors must have positive norm")
-        if max(norms) - min(norms) > _NORM_TOL:
-            raise ContractError("the four vectors must share a common norm")
-        gap = (np.linalg.norm(self.v_plus - self.v_minus)
-               - np.linalg.norm(self.v_plus_star - self.v_minus_star))
-        if gap > _NORM_TOL:
-            raise ContractError(
-                "the starred pair must be at least as separated as the plain pair")
+        if vecs[0].ndim == 2:
+            return self
+        return LemmaInstance(*(v[None, :] for v in vecs))
+
+    def validate(self) -> None:
+        """Raise ContractError with the first condition that the first
+        invalid instance of the batch breaks."""
+        b = self.as_batch()
+        norms = _norms(np.stack([b.v_plus, b.v_minus,
+                                 b.v_plus_star, b.v_minus_star]))
+        gap = _norms(b.v_plus - b.v_minus) - _norms(b.v_plus_star - b.v_minus_star)
+        conditions = (
+            (np.abs(_norms(b.e) - 1.0) <= _NORM_TOL, "e must be a unit vector"),
+            (norms.min(axis=0) > 0.0, "the four vectors must have positive norm"),
+            (norms.max(axis=0) - norms.min(axis=0) <= _NORM_TOL,
+             "the four vectors must share a common norm"),
+            (gap <= _NORM_TOL,
+             "the starred pair must be at least as separated as the plain pair"),
+        )
+        valid = np.logical_and.reduce([ok for ok, _ in conditions])
+        if not valid.all():
+            first = int(np.argmin(valid))
+            raise ContractError(next(message for ok, message in conditions
+                                     if not ok[first]))
 
 
 @dataclass
 class LemmaSolution:
     """The constructed unit direction plus every diagnostic of the
-    construction (inner products, coefficients, angles)."""
+    construction (inner products, coefficients, angles).
+
+    For a batch, ``e_star`` is k-by-dim and every other field an array
+    with one entry per instance.
+    """
 
     e_star: np.ndarray
     a: float
@@ -80,84 +118,103 @@ class LemmaSolution:
     gamma_plus: float
     gamma_minus: float
 
+    def row(self, i: int) -> "LemmaSolution":
+        """The solution of instance ``i`` of a batch, with Python scalars."""
+        values = {f.name: getattr(self, f.name)[i]
+                  for f in dataclasses.fields(self)}
+        return LemmaSolution(**{name: v if name == "e_star" else v.item()
+                                for name, v in values.items()})
 
-def _angle(cos_value: float) -> float:
-    return float(np.arccos(np.clip(cos_value, -1.0, 1.0)))
+    def as_batch(self) -> "LemmaSolution":
+        """A batch of one holding this single-instance solution."""
+        return LemmaSolution(**{f.name: np.asarray(getattr(self, f.name))[None]
+                                for f in dataclasses.fields(self)})
+
+
+def _angle(cos_value: np.ndarray) -> np.ndarray:
+    return np.arccos(np.clip(cos_value, -1.0, 1.0))
 
 
 def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to u (dimension >= 2)."""
-    d = u.shape[0]
-    basis = np.argmin(np.abs(u))
-    cand = np.zeros(d)
-    cand[basis] = 1.0
-    cand -= (cand @ u) * u
-    norm = np.linalg.norm(cand)
-    if norm == 0.0:
+    """For each row of u, a unit vector orthogonal to it (dimension >= 2)."""
+    rows = np.arange(u.shape[0])
+    cand = np.zeros_like(u)
+    cand[rows, np.argmin(np.abs(u), axis=1)] = 1.0
+    cand -= np.vecdot(cand, u)[:, None] * u
+    norm = _norms(cand)
+    if np.any(norm == 0.0):
         raise ContractError("failed to build an orthogonal direction")
-    return cand / norm
+    return cand / norm[:, None]
 
 
 def construct_e_star(inst: LemmaInstance) -> LemmaSolution:
-    """Build the matching unit direction for a valid instance.
+    """Build the matching unit direction for a valid instance, or for each
+    instance of a valid batch.
 
     Branches: if the starred vectors coincide, any unit vector hitting the
     required inner product works (built against the span of v_plus_star);
     if they are antipodal, v_plus_star itself (normalized) works; otherwise
-    the closed-form coefficients a, b apply.
+    the closed-form coefficients a, b apply.  A single instance runs as a
+    batch of one and gets back a solution of Python scalars.
     """
-    inst.validate()
-    r = float(inst.v_plus_star @ inst.v_plus_star)
-    s = float(inst.v_plus_star @ inst.v_minus_star)
-    p = float(inst.e @ inst.v_plus)
-    n = float(inst.e @ inst.v_minus)
+    batch = inst.as_batch()
+    batch.validate()
+    vps, vms = batch.v_plus_star, batch.v_minus_star
+    r = np.vecdot(vps, vps)
+    s = np.vecdot(vps, vms)
+    p = np.vecdot(batch.e, batch.v_plus)
+    n = np.vecdot(batch.e, batch.v_minus)
     rho = np.sqrt(r)
-    theta = _angle(float(inst.v_plus @ inst.v_minus) / r)
+    theta = _angle(np.vecdot(batch.v_plus, batch.v_minus) / r)
     theta_star = _angle(s / r)
     gamma_plus = _angle(p / rho)
     gamma_minus = _angle(n / rho)
 
-    if np.array_equal(inst.v_plus_star, inst.v_minus_star):
-        # Coincident starred pair: the instance forces v_plus == v_minus,
-        # so a unit vector with <e_star, v_plus_star> == p suffices.
-        u1 = inst.v_plus_star / rho
-        c = float(np.clip(p / rho, -1.0, 1.0))
-        residual = np.sqrt(max(1.0 - c * c, 0.0))
-        if residual > 0.0:
-            # Needs a second direction; in one dimension c is always +-1.
-            e_star = c * u1 + residual * _orthonormal_complement(u1)
-        else:
-            e_star = c * u1
-        branch, a, b = "identical", float("nan"), float("nan")
-    elif np.array_equal(inst.v_plus_star, -inst.v_minus_star):
-        e_star = inst.v_plus_star / rho
-        branch, a, b = "antipodal", float("nan"), float("nan")
-    else:
-        if abs(s) >= r:
-            raise ContractError(
-                "internal invariant violated: |s| >= r outside the "
-                "degenerate branches")
-        a = float(np.sqrt(max(r - n * n, 0.0) / (r * r - s * s)))
-        b = (n - a * s) / r
-        e_star = a * inst.v_plus_star + b * inst.v_minus_star
-        branch = "general"
-        if float(e_star @ inst.v_plus_star) < p - _NORM_TOL:
-            # The closed form preserves <e, v_minus> exactly, but its best
-            # plus-score is rho*cos(gamma_minus - theta_star), which falls
-            # short of p whenever theta_star - gamma_minus > gamma_plus.
-            # On that region v_plus_star itself scores rho >= p while its
-            # minus-score rho*cos(theta_star) <= n, so it certifies the
-            # inequalities directly (at the cost of the n-equality).
-            e_star = inst.v_plus_star / rho
-            branch, a, b = "cauchy-schwarz", float("nan"), float("nan")
+    identical = np.all(vps == vms, axis=1)
+    antipodal = ~identical & np.all(vps == -vms, axis=1)
+    general = ~(identical | antipodal)
+    if np.any(general & (np.abs(s) >= r)):
+        raise ContractError(
+            "internal invariant violated: |s| >= r outside the "
+            "degenerate branches")
 
-    p_star = float(e_star @ inst.v_plus_star)
-    n_star = float(e_star @ inst.v_minus_star)
-    return LemmaSolution(
-        e_star=e_star, a=a, b=b, branch=branch,
-        p=p, n=n, p_star=p_star, n_star=n_star, r=r, s=s,
-        theta=theta, theta_star=theta_star,
+    # Antipodal starred pair: v_plus_star itself, normalized.
+    u1 = vps / rho[:, None]
+    # Coincident starred pair: the instance forces v_plus == v_minus, so a
+    # unit vector with <e_star, v_plus_star> == p suffices.
+    c = np.clip(p / rho, -1.0, 1.0)
+    residual = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    coincident = c[:, None] * u1
+    # Rows that need a second direction; in one dimension c is always +-1.
+    turn = identical & (residual > 0.0)
+    if turn.any():
+        coincident[turn] += (residual[turn, None]
+                             * _orthonormal_complement(u1[turn]))
+
+    # Closed form.  Degenerate rows divide by zero; no branch keeps them.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt(np.maximum(r - n * n, 0.0) / (r * r - s * s))
+        b = (n - a * s) / r
+        closed_form = a[:, None] * vps + b[:, None] * vms
+    # The closed form preserves <e, v_minus> exactly, but its best
+    # plus-score is rho*cos(gamma_minus - theta_star), which falls short of
+    # p whenever theta_star - gamma_minus > gamma_plus.  On that region
+    # v_plus_star itself scores rho >= p while its minus-score
+    # rho*cos(theta_star) <= n, so it certifies the inequalities directly
+    # (at the cost of the n-equality).
+    closed = general & ~(np.vecdot(closed_form, vps) < p - _NORM_TOL)
+
+    e_star = np.where(closed[:, None], closed_form,
+                      np.where(identical[:, None], coincident, u1))
+    branch = np.select([identical, antipodal, closed],
+                       ["identical", "antipodal", "general"], "cauchy-schwarz")
+    sol = LemmaSolution(
+        e_star=e_star, a=np.where(closed, a, np.nan),
+        b=np.where(closed, b, np.nan), branch=branch,
+        p=p, n=n, p_star=np.vecdot(e_star, vps), n_star=np.vecdot(e_star, vms),
+        r=r, s=s, theta=theta, theta_star=theta_star,
         gamma_plus=gamma_plus, gamma_minus=gamma_minus)
+    return sol if batch is inst else sol.row(0)
 
 
 @dataclass
@@ -177,60 +234,94 @@ class CheckReport:
         return {"passed": self.passed, "checks": self.checks}
 
 
+def _square(x: np.ndarray) -> np.ndarray:
+    """Each entry's ``** 2`` as a Python float.  That is the C library's
+    pow, which can differ from ``x * x`` in the last bit; the coefficient
+    residuals keep the values the check has always reported."""
+    return np.array([v ** 2 for v in x.tolist()])
+
+
+def lemma_checks(inst: LemmaInstance, sol: LemmaSolution,
+                 tol: float = 1e-9) -> dict:
+    """Independently re-check a batch of solutions against their instances.
+
+    Returns ``{check name: (applies, passed, residual)}``, three arrays with
+    one entry per instance; a check counts only where it applies.  Checks
+    the unit norm of e_star, both score inequalities, the angle bound
+    gamma_minus - gamma_plus <= theta, the coefficient constraint of the
+    general branch, and that the reported diagnostics match recomputation.
+    """
+    everywhere = np.ones(inst.e.shape[0], dtype=bool)
+    norm_resid = np.abs(_norms(sol.e_star) - 1.0)
+
+    p = np.vecdot(inst.e, inst.v_plus)
+    n = np.vecdot(inst.e, inst.v_minus)
+    p_star = np.vecdot(sol.e_star, inst.v_plus_star)
+    n_star = np.vecdot(sol.e_star, inst.v_minus_star)
+    diag_resid = np.maximum(np.abs(p_star - sol.p_star),
+                            np.abs(n_star - sol.n_star))
+    angle_gap = (sol.gamma_minus - sol.gamma_plus) - sol.theta
+    eq_resid = np.abs(n_star - n)
+    general = sol.branch == "general"
+    unit_resid = np.abs(_square(sol.a) * sol.r + _square(sol.b) * sol.r
+                        + 2.0 * sol.a * sol.b * sol.s - 1.0)
+    return {
+        "unit_norm": (everywhere, norm_resid <= tol, norm_resid),
+        "plus_score_no_worse": (everywhere, p_star >= p - tol,
+                                np.maximum(p - p_star, 0.0)),
+        "minus_score_no_worse": (everywhere, n_star <= n + tol,
+                                 np.maximum(n_star - n, 0.0)),
+        "diagnostics_consistent": (everywhere, diag_resid <= tol, diag_resid),
+        "angle_bound": (everywhere, angle_gap <= tol,
+                        np.maximum(angle_gap, 0.0)),
+        "minus_score_preserved": (general | (sol.branch == "identical"),
+                                  eq_resid <= tol, eq_resid),
+        "coefficient_constraint": (general, unit_resid <= tol, unit_resid),
+    }
+
+
 def verify_lemma_solution(inst: LemmaInstance, sol: LemmaSolution,
                           tol: float = 1e-9) -> CheckReport:
-    """Independently re-check a solution against its instance.
-
-    Verifies the unit norm of e_star, both score inequalities, the angle
-    bound gamma_minus - gamma_plus <= theta, the coefficient constraint of
-    the general branch, and that the reported diagnostics match
-    recomputation.
-    """
+    """Independently re-check the solution of one instance: the checks of
+    ``lemma_checks`` on a batch of one, as a ``CheckReport``."""
     report = CheckReport()
-    norm_resid = abs(np.linalg.norm(sol.e_star) - 1.0)
-    report.record("unit_norm", norm_resid <= tol, norm_resid)
-
-    p = float(inst.e @ inst.v_plus)
-    n = float(inst.e @ inst.v_minus)
-    p_star = float(sol.e_star @ inst.v_plus_star)
-    n_star = float(sol.e_star @ inst.v_minus_star)
-    report.record("plus_score_no_worse", p_star >= p - tol, max(p - p_star, 0.0))
-    report.record("minus_score_no_worse", n_star <= n + tol, max(n_star - n, 0.0))
-
-    diag_resid = max(abs(p_star - sol.p_star), abs(n_star - sol.n_star))
-    report.record("diagnostics_consistent", diag_resid <= tol, diag_resid)
-
-    angle_gap = (sol.gamma_minus - sol.gamma_plus) - sol.theta
-    report.record("angle_bound", angle_gap <= tol, max(angle_gap, 0.0))
-
-    if sol.branch in ("general", "identical"):
-        eq_resid = abs(n_star - n)
-        report.record("minus_score_preserved", eq_resid <= tol, eq_resid)
-    if sol.branch == "general":
-        unit_resid = abs(sol.a ** 2 * sol.r + sol.b ** 2 * sol.r
-                         + 2.0 * sol.a * sol.b * sol.s - 1.0)
-        report.record("coefficient_constraint", unit_resid <= tol, unit_resid)
+    checks = lemma_checks(inst.as_batch(), sol.as_batch(), tol)
+    for name, (applies, passed, residual) in checks.items():
+        if applies[0]:
+            report.record(name, passed[0], residual[0])
     return report
 
 
-def random_lemma_instance(rng: np.random.Generator, dim: int,
-                          max_tries: int = 1000) -> LemmaInstance:
-    """Rejection-sample an instance satisfying the separation condition."""
+_MAX_TRIES = 1000
+
+
+def _sample_into(rng: np.random.Generator, e: np.ndarray, vecs: np.ndarray,
+                 max_tries: int) -> None:
+    """Rejection-sample one valid instance in place: e, and the 4-by-dim
+    rows v_plus, v_minus, v_plus_star, v_minus_star of ``vecs``.
+
+    Each try draws e, then the common norm, then the four vectors.
+    """
     for _ in range(max_tries):
-        e = rng.standard_normal(dim)
-        e /= np.linalg.norm(e)
+        rng.standard_normal(out=e)
         rho = rng.uniform(0.5, 2.0)
-
-        def _vec():
-            v = rng.standard_normal(dim)
-            return v / np.linalg.norm(v) * rho
-
-        v_plus, v_minus = _vec(), _vec()
-        v_plus_star, v_minus_star = _vec(), _vec()
-        if (np.linalg.norm(v_plus - v_minus)
-                <= np.linalg.norm(v_plus_star - v_minus_star)):
-            return LemmaInstance(e, v_plus, v_minus, v_plus_star, v_minus_star)
+        rng.standard_normal(out=vecs)
+        vecs /= _norms(vecs)[:, None]
+        vecs *= rho
+        diffs = vecs[0::2] - vecs[1::2]
+        plain_gap, starred_gap = _norms(diffs)
+        if plain_gap <= starred_gap:
+            e /= _norms(e)
+            return
     raise ContractError("failed to sample a valid instance")
+
+
+def random_lemma_instance(rng: np.random.Generator, dim: int,
+                          max_tries: int = _MAX_TRIES) -> LemmaInstance:
+    """Rejection-sample an instance satisfying the separation condition."""
+    e, vecs = np.empty(dim), np.empty((4, dim))
+    _sample_into(rng, e, vecs, max_tries)
+    return LemmaInstance(e, *vecs)
 
 
 @dataclass
@@ -252,24 +343,62 @@ class LemmaSuiteReport:
                 "branches": self.branches}
 
 
+# Instances sampled before a block is checked; bounds the suite's memory.
+_SUITE_BLOCK = 1024
+
+
 def run_lemma_suite(num_instances: int = LEMMA_DEFAULTS["instances"],
                     dims=tuple(LEMMA_DEFAULTS["dims"]),
                     seed: int = LEMMA_DEFAULTS["seed"],
                     tol: float = LEMMA_DEFAULTS["tolerance"]) -> LemmaSuiteReport:
+    """Sample ``num_instances`` instances, instance i of dimension
+    ``dims[i % len(dims)]``, construct and verify each.
+
+    ``worst_residuals`` and ``branches`` list their keys in the order the
+    instances first produce them.
+    """
+    check_lemma_settings(instances=num_instances, dims=dims, seed=seed,
+                         tolerance=tol)
     rng = np.random.default_rng(seed)
     failures = 0
     worst: dict[str, float] = {}
-    branches: dict[str, int] = {}
-    for i in range(num_instances):
-        dim = int(dims[i % len(dims)])
-        inst = random_lemma_instance(rng, dim)
-        sol = construct_e_star(inst)
-        branches[sol.branch] = branches.get(sol.branch, 0) + 1
-        report = verify_lemma_solution(inst, sol, tol=tol)
-        if not report.passed:
-            failures += 1
-        for name, check in report.checks.items():
-            worst[name] = max(worst.get(name, 0.0), check["residual"])
+    counts: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
+    for start in range(0, num_instances, _SUITE_BLOCK):
+        block = range(start, min(start + _SUITE_BLOCK, num_instances))
+        index = {dim: [i for i in block if dims[i % len(dims)] == dim]
+                 for dim in dims}
+        rows = {dim: (np.empty((len(idx), dim)), np.empty((len(idx), 4, dim)))
+                for dim, idx in index.items()}
+        filled = dict.fromkeys(dims, 0)
+        for i in block:
+            dim = dims[i % len(dims)]
+            e, vecs = rows[dim]
+            _sample_into(rng, e[filled[dim]], vecs[filled[dim]], _MAX_TRIES)
+            filled[dim] += 1
+        for dim, (e, vecs) in rows.items():
+            if not index[dim]:
+                continue
+            batch = LemmaInstance(e, *vecs.transpose(1, 0, 2))
+            sol = construct_e_star(batch)
+            failed = np.zeros(len(e), dtype=bool)
+            # Every instance runs the first checks and a later check applies
+            # only where an earlier one does, so adding names in check
+            # order keeps first-seen order.
+            for name, (applies, passed, residual) in lemma_checks(
+                    batch, sol, tol).items():
+                if applies.any():
+                    failed |= applies & ~passed
+                    worst[name] = max(worst.get(name, 0.0),
+                                      float(np.fmax.reduce(residual[applies])))
+            failures += int(failed.sum())
+            names, first, count = np.unique(sol.branch, return_index=True,
+                                            return_counts=True)
+            for name, j, c in zip(names.tolist(), first, count):
+                i = index[dim][j]
+                counts[name] = counts.get(name, 0) + int(c)
+                first_seen[name] = min(first_seen.get(name, i), i)
+    branches = {name: counts[name] for name in sorted(counts, key=first_seen.get)}
     return LemmaSuiteReport(instances=num_instances, failures=failures,
                             worst_residuals=worst, branches=branches)
 

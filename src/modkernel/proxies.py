@@ -7,7 +7,7 @@ autodiff tensors (used for training), and the two agree to machine
 precision.  Pairs are ordered: both (i, j) and (j, i) are enumerated.
 A batch's pairs are held as two boolean n-by-n masks; the numpy
 evaluators gather the entries they read through them, and the graph
-builders multiply by them as float64 constants.
+builders sum through them with ``ad.masked_sum``.
 
 All functions here are pure and safe for concurrent evaluation.
 """
@@ -215,10 +215,6 @@ def proxy_value(kind: str, K: np.ndarray, part: PairPartition,
 # autodiff graph builders (same formulas over a gram tensor)
 # ---------------------------------------------------------------------------
 
-def _masked_sum(t: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
-    return ad.tensor_sum(ad.mul(t, ad.constant(mask)))
-
-
 def al_neo_tensor(K: ad.Tensor, part: PairPartition, beta: float) -> ad.Tensor:
     if beta == 0.0:
         raise UndefinedProxyError(
@@ -226,8 +222,8 @@ def al_neo_tensor(K: ad.Tensor, part: PairPartition, beta: float) -> ad.Tensor:
     if part.num_negatives == 0:
         raise DegenerateBatchError("al-neo needs at least one inter-class pair")
     count = float(part.num_negatives)
-    num = _masked_sum(K, part.neg_mask) * beta
-    sq = _masked_sum(ad.square(K), part.neg_mask)
+    num = ad.masked_sum(K, part.neg_mask) * beta
+    sq = ad.masked_sum(ad.square(K), part.neg_mask)
     if sq.item() <= 0.0:
         raise DegenerateBatchError(
             "al-neo: inter-class kernel values are all zero")
@@ -238,14 +234,14 @@ def cts_neo_tensor(K: ad.Tensor, part: PairPartition) -> ad.Tensor:
     if part.num_negatives == 0:
         raise DegenerateBatchError("cts-neo needs at least one inter-class pair")
     count = float(part.num_negatives)
-    return -(_masked_sum(ad.exp(K), part.neg_mask) / count)
+    return -(ad.masked_sum(ad.exp(K), part.neg_mask) / count)
 
 
 def nmse_neo_tensor(K: ad.Tensor, part: PairPartition, beta: float) -> ad.Tensor:
     if part.num_negatives == 0:
         raise DegenerateBatchError("nmse-neo needs at least one inter-class pair")
     count = float(part.num_negatives)
-    return -(_masked_sum(ad.square(K - beta), part.neg_mask) / count)
+    return -(ad.masked_sum(ad.square(K - beta), part.neg_mask) / count)
 
 
 def alignment_tensor(K: ad.Tensor, Kstar: np.ndarray) -> ad.Tensor:
@@ -269,7 +265,7 @@ def utal_tensor(K: ad.Tensor, Kstar: np.ndarray) -> ad.Tensor:
     if ns == 0.0:
         raise DegenerateBatchError("utal: zero strict-upper-triangle vector")
     num = ad.tensor_sum(ad.mul(K, ad.constant(target)))
-    nk = ad.sqrt(_masked_sum(ad.square(K), upper))
+    nk = ad.sqrt(ad.masked_sum(ad.square(K), upper))
     if nk.item() == 0.0:
         raise DegenerateBatchError("utal: zero strict-upper-triangle vector")
     return num / (nk * ns)
@@ -279,8 +275,8 @@ def cts_tensor(K: ad.Tensor, part: PairPartition) -> ad.Tensor:
     if part.num_positives == 0 or part.num_negatives == 0:
         raise DegenerateBatchError("cts needs both pair types in the batch")
     e = ad.exp(K)
-    num = _masked_sum(e, part.pos_mask)
-    den = _masked_sum(e, part.pos_mask | part.neg_mask)
+    num = ad.masked_sum(e, part.pos_mask)
+    den = ad.masked_sum(e, part.pos_mask | part.neg_mask)
     return num / den
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -254,3 +256,81 @@ class TestGraph:
     def test_grad_present_iff_requires_grad(self):
         assert _leaf([1.0]).grad is not None
         assert ad.constant([1.0]).grad is None
+
+    def test_constant_parents_never_receive_gradients(self):
+        rng = np.random.default_rng(3)
+        x = ad.constant(rng.standard_normal((4, 3)))
+        xt = ad.constant(rng.standard_normal((3, 4)))
+        m = ad.constant(rng.standard_normal((4, 2)) ** 2 + 1.0)
+        W = _leaf(rng.standard_normal((3, 2)))
+        b = _leaf(rng.standard_normal(2))
+        h = ad.affine(x, W, b)
+        terms = [ad.mul(m, h), ad.div(h, m),
+                 ad.div(m, ad.add(ad.square(h), m)), ad.matmul(x, W),
+                 ad.transpose(ad.matmul(ad.transpose(W), xt)), ad.sub(m, h)]
+        loss = ad.tensor_sum(functools.reduce(ad.add, terms))
+        ad.backward(loss)
+        for const in (x, xt, m):
+            assert const.grad is None
+        assert W.grad is not None and b.grad is not None
+        order = ad.topological_order(loss)
+        assert all(t.requires_grad for t in order)
+        assert not any(t is const for t in order for const in (x, xt, m))
+
+    def test_gradients_alias_no_other_buffer(self):
+        rng = np.random.default_rng(4)
+        W = _leaf(rng.standard_normal((3, 3)))
+        b = _leaf(rng.standard_normal(3))
+        x = ad.constant(rng.standard_normal((5, 3)))
+        h = ad.affine(x, W, b)           # bias broadcast: b gets g summed
+        s = ad.add(h, h)                 # both parents get g itself
+        t = ad.transpose(ad.sub(s, h))   # a view of g passes through
+        k = ad.matmul(t, ad.transpose(t))
+        loss = ad.tensor_sum(ad.mul(k, ad.constant(np.ones((3, 3)))))
+        ad.backward(loss)
+        order = ad.topological_order(loss)
+        grads = [node.grad for node in order if node.grad is not None]
+        before = [g.copy() for g in grads]
+        for i, g in enumerate(grads):
+            g += 1.0
+            for j, other in enumerate(grads):
+                if j != i:
+                    np.testing.assert_array_equal(other, before[j])
+            g[...] = before[i]
+            for node in order:
+                assert not np.shares_memory(g, node.data)
+
+
+class TestMaskedSum:
+    def _case(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((5, 5))
+        mask = rng.random((5, 5)) < 0.5
+        return x, mask
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_finite_differences(self, seed):
+        x, mask = self._case(seed)
+        leaf = _leaf(x)
+
+        def build(t):
+            return ad.square(ad.masked_sum(ad.exp(t), mask))
+
+        ad.backward(build(leaf))
+        fd = central_difference(lambda arr: build(ad.Tensor(arr)).item(), x)
+        np.testing.assert_allclose(leaf.grad, fd, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_to_sum_of_masked_product(self, seed):
+        x, mask = self._case(seed)
+        fused, plain = _leaf(x), _leaf(x)
+        out = ad.square(ad.masked_sum(ad.exp(fused), mask))
+        ref = ad.square(ad.tensor_sum(ad.mul(ad.exp(plain), ad.constant(mask))))
+        assert out.data.tobytes() == ref.data.tobytes()
+        ad.backward(out)
+        ad.backward(ref)
+        assert fused.grad.tobytes() == plain.grad.tobytes()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            ad.masked_sum(_leaf(np.ones((2, 2))), np.ones((2, 3), dtype=bool))

@@ -1,6 +1,9 @@
 import csv
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +76,26 @@ class TestConfigLoading:
         doc = {"experiment": "sanity-dynamics", "train": train}
         with pytest.raises(ConfigurationError, match=next(iter(train))):
             load_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("lemma, key", [
+        ({"instances": -5}, "instances"),
+        ({"instances": 0}, "instances"),
+        ({"dims": []}, "dims"),
+        ({"dims": ["a"]}, "dims"),
+        ({"dims": [0, 2]}, "dims"),
+        ({"dims": [2.5]}, "dims"),
+        ({"seed": -1}, "seed"),
+        ({"tolerance": -1.0}, "tolerance"),
+    ])
+    def test_bad_lemma_value_rejected_at_load(self, tmp_path, lemma, key):
+        doc = {"experiment": "lemma-suite", "lemma": lemma}
+        with pytest.raises(ConfigurationError, match=key):
+            load_config(write_config(tmp_path, doc))
+
+    def test_lemma_dimension_one_loads(self, tmp_path):
+        doc = {"experiment": "lemma-suite", "lemma": {"dims": [1, 2]}}
+        assert load_config(write_config(tmp_path, doc)).resolved["lemma"][
+            "dims"] == [1, 2]
 
     def test_unknown_threshold_rejected(self, tmp_path):
         doc = dict(MINIMAL_LEMMA, thresholds={"min_vibes": 1.0})
@@ -312,6 +335,37 @@ class TestCli:
                      "--output", str(out_path)]) == 0
         assert "0 failures" in capsys.readouterr().out
         assert read_json(out_path)["failures"] == 0
+
+    @pytest.mark.parametrize("flags", [["--instances", "-3"],
+                                       ["--instances", "0"],
+                                       ["--seed", "-1"],
+                                       ["--tolerance", "-1.0"]])
+    def test_verify_lemma_bad_flag_exits_2(self, flags, capsys):
+        assert main(["verify-lemma", *flags]) == 2
+        assert "error: lemma" in capsys.readouterr().err
+
+    def test_run_bad_lemma_section_exits_2(self, tmp_path):
+        path = write_config(tmp_path, {"experiment": "lemma-suite",
+                                       "output_dir": str(tmp_path / "o"),
+                                       "lemma": {"instances": -5}})
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_verify_lemma_and_run_write_identical_reports(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        lemma = [sys.executable, "-m", "modkernel.cli", "verify-lemma",
+                 "--output", str(tmp_path / "a.json")]
+        run = [sys.executable, "-m", "modkernel.cli", "run",
+               str(CONFIG_DIR / "lemma-suite.json"),
+               "--output-root", str(tmp_path / "root")]
+        for cmd in (lemma, run):
+            result = subprocess.run(cmd, cwd=tmp_path, env=env,
+                                    capture_output=True, text=True,
+                                    timeout=300)
+            assert result.returncode == 0, result.stderr
+        report = tmp_path / "root" / "out" / "lemma-suite" / "lemma_report.json"
+        assert (tmp_path / "a.json").read_bytes() == report.read_bytes()
 
     def test_verify_lemma_defaults_match_empty_lemma_section(
             self, tmp_path, monkeypatch):

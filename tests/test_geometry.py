@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modkernel.errors import ConfigurationError, ContractError
-from modkernel.geometry import (LemmaInstance,
+from modkernel.geometry import (LemmaInstance, LemmaSolution,
                                 check_distance_kernel_equivalence,
                                 committed_bruteforce_instances,
                                 construct_e_star, optimality_bruteforce,
@@ -116,6 +116,155 @@ class TestVerifier:
         sol.n_star += 0.01
         report = verify_lemma_solution(inst, sol)
         assert not report.checks["diagnostics_consistent"]["passed"]
+
+
+# Reports of the earlier per-instance implementation, so any drift in the
+# batch code fails; keys are listed in the order the report holds them.
+PINNED_SUITES = {
+    "defaults": ({}, {
+        "failures": 0,
+        "branches": [("general", 8840), ("cauchy-schwarz", 1160)],
+        "worst_residuals": [
+            ("unit_norm", "0x1.f93d000000000p-37"),
+            ("plus_score_no_worse", "0x0.0p+0"),
+            ("minus_score_no_worse", "0x1.2b00000000000p-45"),
+            ("diagnostics_consistent", "0x0.0p+0"),
+            ("angle_bound", "0x1.d900000000000p-44"),
+            ("minus_score_preserved", "0x1.e600000000000p-45"),
+            ("coefficient_constraint", "0x1.0000000000000p-36"),
+        ],
+    }),
+    "1000-seed-123": ({"num_instances": 1000, "seed": 123}, {
+        "failures": 0,
+        "branches": [("general", 900), ("cauchy-schwarz", 100)],
+        "worst_residuals": [
+            ("unit_norm", "0x1.a740000000000p-42"),
+            ("plus_score_no_worse", "0x0.0p+0"),
+            ("minus_score_no_worse", "0x1.8c00000000000p-49"),
+            ("diagnostics_consistent", "0x0.0p+0"),
+            ("angle_bound", "0x1.1de0000000000p-47"),
+            ("minus_score_preserved", "0x1.ec00000000000p-47"),
+            ("coefficient_constraint", "0x1.0000000000000p-47"),
+        ],
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SUITES))
+def test_lemma_suite_pinned(name):
+    kwargs, expected = PINNED_SUITES[name]
+    report = run_lemma_suite(**kwargs)
+    assert report.failures == expected["failures"]
+    assert list(report.branches.items()) == expected["branches"]
+    assert [(k, v.hex()) for k, v in report.worst_residuals.items()] \
+        == expected["worst_residuals"]
+
+
+def _stack(instances):
+    return LemmaInstance(*(np.stack([getattr(inst, name) for inst in instances])
+                           for name in ("e", "v_plus", "v_minus",
+                                        "v_plus_star", "v_minus_star")))
+
+
+def _branch_instances(dim, hand_built):
+    """``hand_built`` followed by the first sampled general and
+    cauchy-schwarz instances of dimension ``dim``."""
+    rng = np.random.default_rng(11)
+    found = {}
+    while len(found) < 2:
+        inst = random_lemma_instance(rng, dim)
+        found.setdefault(construct_e_star(inst).branch, inst)
+    return [hand_built, found["general"], found["cauchy-schwarz"]]
+
+
+def _identical_instance():
+    e = _unit([0.6, 0.8, 0.0])
+    shared = np.array([0.0, 1.1, 0.0])
+    star = np.array([1.1, 0.0, 0.0])
+    return LemmaInstance(e, shared, shared.copy(), star, star.copy())
+
+
+def _antipodal_instance():
+    return LemmaInstance(np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+                         np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+                         np.array([-1.0, 0.0]))
+
+
+class TestBatch:
+    @pytest.mark.parametrize("dim, hand_built, branch", [
+        (3, _identical_instance(), "identical"),
+        (2, _antipodal_instance(), "antipodal"),
+    ])
+    def test_batch_rows_equal_batches_of_one(self, dim, hand_built, branch):
+        from modkernel.geometry import lemma_checks
+
+        instances = _branch_instances(dim, hand_built)
+        batch = _stack(instances)
+        sol = construct_e_star(batch)
+        assert list(sol.branch) == [branch, "general", "cauchy-schwarz"]
+        checks = lemma_checks(batch, sol)
+        for i, inst in enumerate(instances):
+            alone = construct_e_star(inst)
+            row = sol.row(i)
+            np.testing.assert_array_equal(row.e_star, alone.e_star)
+            for name in LemmaSolution.__dataclass_fields__:
+                if name != "e_star":
+                    assert repr(getattr(row, name)) == repr(getattr(alone, name)), name
+            report = verify_lemma_solution(inst, alone)
+            assert report.passed
+            in_batch = {name: {"passed": bool(passed[i]),
+                               "residual": float(residual[i])}
+                        for name, (applies, passed, residual) in checks.items()
+                        if applies[i]}
+            assert in_batch == report.checks
+
+    @pytest.mark.parametrize("bad", [
+        LemmaInstance(np.array([2.0, 0.0]), np.array([1.0, 0.0]),
+                      np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+                      np.array([0.0, 1.0])),
+        LemmaInstance(np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+                      np.array([0.0, 2.0]), np.array([1.0, 0.0]),
+                      np.array([0.0, 1.0])),
+        LemmaInstance(np.array([1.0, 0.0]), np.zeros(2), np.zeros(2),
+                      np.zeros(2), np.zeros(2)),
+        LemmaInstance(np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+                      np.array([-1.0, 0.0]), np.array([1.0, 0.0]),
+                      np.array([0.0, 1.0])),
+    ], ids=["non-unit-e", "unequal-norms", "zero-norm", "less-separated"])
+    def test_invalid_instance_in_batch_raises_its_own_message(self, bad):
+        with pytest.raises(ContractError) as alone:
+            construct_e_star(bad)
+        good = _antipodal_instance()
+        with pytest.raises(ContractError) as in_batch:
+            construct_e_star(_stack([good, bad, good]))
+        assert str(in_batch.value) == str(alone.value)
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ContractError, match="one dimension"):
+            LemmaInstance(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)),
+                          np.ones((2, 3)), np.ones((2, 4))).validate()
+
+
+class TestLemmaSuiteSettings:
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"num_instances": -5}, "instances"),
+        ({"num_instances": 0}, "instances"),
+        ({"dims": ()}, "dims"),
+        ({"dims": ("a",)}, "dims"),
+        ({"dims": (0, 2)}, "dims"),
+        ({"seed": -1}, "seed"),
+        ({"tol": -1.0}, "tolerance"),
+        ({"tol": float("nan")}, "tolerance"),
+    ])
+    def test_bad_settings_rejected(self, kwargs, key):
+        with pytest.raises(ConfigurationError, match=key):
+            run_lemma_suite(**kwargs)
+
+    def test_dimension_one_still_runs(self):
+        report = run_lemma_suite(num_instances=50, dims=(1, 2), seed=3)
+        assert report.passed
+        assert set(report.branches) == {"identical", "antipodal", "general",
+                                        "cauchy-schwarz"}
 
 
 class TestBruteforce:

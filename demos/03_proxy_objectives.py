@@ -3,7 +3,7 @@
 Each proxy is a scalar function of the batch kernel matrix that the input
 module maximizes.  The negative-only family reads inter-class pairs
 exclusively; the full family also pins intra-class pairs to the kernel
-supremum through the target matrix.
+supremum, comparing K with the ideal kernel.
 """
 
 import numpy as np
@@ -24,7 +24,8 @@ alpha, beta = fmap.bounds()
 # random features vs the ideal layout
 random_feats = fmap.apply(rng.standard_normal((6, 4)))
 K_random = random_feats @ random_feats.T
-K_ideal = proxies.target_kernel_matrix(part, alpha, beta)
+# the ideal kernel: alpha within a class (and on the diagonal), beta across
+K_ideal = np.where(part.neg_mask, beta, alpha)
 
 print(f"\n{'proxy':>10s} {'random':>10s} {'ideal':>10s}")
 for kind in proxies.PROXY_KINDS:

@@ -20,7 +20,7 @@ from .kernels import (ConvPatchSpec, FeatureMap, conv_patch_feature,
 from .losses import (DecomposableLoss, LabeledSet, make_loss,
                      monotonicity_audit, multiclass_xe, risk)
 from .proxies import (PairPartition, PROXY_KINDS, partition_pairs,
-                      proxy_tensor, proxy_value, target_kernel_matrix)
+                      proxy_tensor, proxy_value)
 from .training import (ArchitectureSpec, DynamicsTrace, TrainConfig,
                        TwoModuleModel, freeze_and_train_output,
                        label_efficiency_run, proxy_accuracy_sweep,

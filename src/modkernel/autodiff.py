@@ -414,18 +414,42 @@ def tensor_mean(x: Tensor) -> Tensor:
     return _make(out_data, (x,), rule)
 
 
+# Rows per block when masked_sum forms its masked product.
+MASKED_SUM_BLOCK_ROWS = 256
+
+
 def masked_sum(x: Tensor, mask: np.ndarray) -> Tensor:
     """Sum of the entries of ``x`` where the boolean ``mask`` is set.
 
-    The same value and gradient, bit for bit, as
+    The masked product is formed and summed one block of
+    ``MASKED_SUM_BLOCK_ROWS`` rows at a time, so the forward pass holds no
+    float temporary of the size of a large ``x``.  Up to that many rows,
+    the value and gradient are, bit for bit, those of
     ``tensor_sum(mul(x, constant(mask)))``, with no float copy of the mask.
     """
     if mask.shape != x.data.shape:
         raise DimensionError(f"masked_sum: {x.shape} vs mask {mask.shape}")
-    out_data = np.asarray(np.multiply(x.data, mask).sum())
+    block = MASKED_SUM_BLOCK_ROWS
+    out_data = np.asarray(sum(
+        (np.multiply(x.data[i:i + block], mask[i:i + block]).sum()
+         for i in range(0, x.data.shape[0], block)), 0.0))
 
     def rule(g):
         _accumulate(x, np.multiply(np.broadcast_to(g, x.data.shape), mask))
+
+    return _make(out_data, (x,), rule)
+
+
+def diagonal_sum(x: Tensor) -> Tensor:
+    """Sum of the diagonal entries of a square matrix (its trace)."""
+    if x.data.ndim != 2 or x.data.shape[0] != x.data.shape[1]:
+        raise DimensionError(f"diagonal_sum expects a square matrix, got {x.shape}")
+    out_data = np.asarray(np.trace(x.data))
+
+    def rule(g):
+        grad = np.zeros_like(x.data)
+        np.fill_diagonal(grad, g)
+        _accumulate(x, grad)
 
     return _make(out_data, (x,), rule)
 

@@ -279,6 +279,11 @@ def resolve_config(doc: dict) -> ExperimentConfig:
         cfg.train_config()
     if "transfer" in resolved:
         validate_subsample_fraction(resolved["transfer"]["subsample_fraction"])
+    for section in ("label_efficiency", "transfer"):
+        seed = resolved.get(section, {}).get("seed", 0)
+        if seed < 0:
+            raise ConfigurationError(
+                f"'{section}.seed' must be an integer >= 0, got {seed}")
     if "lemma" in resolved:
         check_lemma_settings(**resolved["lemma"])
     for key in TRAIN_OVERRIDES:

@@ -38,6 +38,8 @@ class DatasetSpec:
                 f"unknown dataset kind {self.kind!r}; expected one of {DATASET_KINDS}")
         if not 0.0 < self.split_fraction <= 1.0:
             raise ConfigurationError("split_fraction must lie in (0, 1]")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

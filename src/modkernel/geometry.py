@@ -234,13 +234,6 @@ class CheckReport:
         return {"passed": self.passed, "checks": self.checks}
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    """Each entry's ``** 2`` as a Python float.  That is the C library's
-    pow, which can differ from ``x * x`` in the last bit; the coefficient
-    residuals keep the values the check has always reported."""
-    return np.array([v ** 2 for v in x.tolist()])
-
-
 def lemma_checks(inst: LemmaInstance, sol: LemmaSolution,
                  tol: float = 1e-9) -> dict:
     """Independently re-check a batch of solutions against their instances.
@@ -263,7 +256,7 @@ def lemma_checks(inst: LemmaInstance, sol: LemmaSolution,
     angle_gap = (sol.gamma_minus - sol.gamma_plus) - sol.theta
     eq_resid = np.abs(n_star - n)
     general = sol.branch == "general"
-    unit_resid = np.abs(_square(sol.a) * sol.r + _square(sol.b) * sol.r
+    unit_resid = np.abs(np.square(sol.a) * sol.r + np.square(sol.b) * sol.r
                         + 2.0 * sol.a * sol.b * sol.s - 1.0)
     return {
         "unit_norm": (everywhere, norm_resid <= tol, norm_resid),

@@ -1,13 +1,17 @@
 """Pairwise proxy objectives over kernel matrices of labeled batches.
 
 Each objective is a scalar function of the batch kernel matrix meant to be
-*maximized* by the input module.  Every objective exists twice: a plain
-numpy evaluator (used for scoring and reports) and a graph builder on
-autodiff tensors (used for training), and the two agree to machine
-precision.  Pairs are ordered: both (i, j) and (j, i) are enumerated.
-A batch's pairs are held as two boolean n-by-n masks; the numpy
-evaluators gather the entries they read through them, and the graph
-builders sum through them with ``ad.masked_sum``.
+*maximized* by the input module.  Each is defined once, as a graph on
+autodiff tensors: training builds it over a gram tensor, and
+``proxy_value`` runs the same graph on a constant kernel matrix.  Pairs
+are ordered: both (i, j) and (j, i) are enumerated.
+
+A proxy reads K, e^K or K^2 through three sums only: over all pairs, over
+the inter-class pairs (``ad.masked_sum`` through the partition's boolean
+n-by-n mask) and over the diagonal (``ad.diagonal_sum``).  The sums over
+intra-class pairs, over the strict upper triangle and against the ideal
+kernel follow from those in closed form for a symmetric K, so no n-by-n
+target matrix or second mask is built.
 
 All functions here are pure and safe for concurrent evaluation.
 """
@@ -34,14 +38,13 @@ class PairPartition:
     ``negatives`` holds every (i, j) with distinct labels, ``positives``
     every (i, j), i != j, with equal labels; together with the diagonal
     they partition all ordered pairs.  Pair order is row-major.
-    ``neg_mask`` and ``pos_mask`` are boolean n-by-n arrays marking them.
-    The pair lists are materialized on demand; hot paths use the masks and
+    ``neg_mask`` is the boolean n-by-n array marking the negatives.  The
+    pair lists are materialized on demand; hot paths use the mask and the
     counts.
     """
 
     n: int
     neg_mask: np.ndarray = field(default=None, repr=False)
-    pos_mask: np.ndarray = field(default=None, repr=False)
     num_negatives: int = 0
     num_positives: int = 0
 
@@ -51,7 +54,9 @@ class PairPartition:
 
     @property
     def positives(self) -> tuple:
-        return tuple(map(tuple, np.argwhere(self.pos_mask)))
+        same = ~self.neg_mask
+        np.fill_diagonal(same, False)
+        return tuple(map(tuple, np.argwhere(same)))
 
 
 def partition_pairs(labels) -> PairPartition:
@@ -59,21 +64,11 @@ def partition_pairs(labels) -> PairPartition:
     if labels.ndim != 1 or labels.shape[0] < 1:
         raise DegenerateBatchError(f"need a 1-D label list, got {labels.shape}")
     n = labels.shape[0]
-    neg = labels[:, None] != labels[None, :]
-    pos = ~neg
-    np.fill_diagonal(pos, False)
     _, class_sizes = np.unique(labels, return_counts=True)
     # Ordered equal-label pairs, the diagonal included.
     same = int(class_sizes @ class_sizes)
-    return PairPartition(n=n, neg_mask=neg, pos_mask=pos,
+    return PairPartition(n=n, neg_mask=labels[:, None] != labels[None, :],
                          num_negatives=n * n - same, num_positives=same - n)
-
-
-def target_kernel_matrix(part: PairPartition, alpha: float,
-                         beta: float) -> np.ndarray:
-    """The ideal kernel matrix: alpha on intra-class pairs and the
-    diagonal, beta on inter-class pairs."""
-    return np.where(part.neg_mask, beta, alpha)
 
 
 def validate_proxy_kind(kind: str) -> str:
@@ -106,201 +101,67 @@ def is_degenerate_for(kind: str, part: PairPartition) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# numpy evaluators
-# ---------------------------------------------------------------------------
+def proxy_tensor(kind: str, K: ad.Tensor, part: PairPartition,
+                 alpha: float, beta: float) -> ad.Tensor:
+    """Build the differentiable value of any proxy over a symmetric kernel
+    tensor, for kernel supremum ``alpha`` and infimum ``beta``.
 
-def al_neo(K: np.ndarray, part: PairPartition, beta: float) -> float:
-    """beta * sum_N(k) / (|beta| * |N| * sqrt(sum_N(k^2)))."""
-    if beta == 0.0:
+    The negative-only proxies, over the inter-class pairs N:
+    al-neo = beta sum_N k / (|beta| |N| sqrt(sum_N k^2)),
+    cts-neo = -mean_N e^k and nmse-neo = -mean_N (k - beta)^2.
+    The full proxies compare K with the ideal kernel K*, alpha on
+    intra-class pairs and the diagonal and beta on N: al is the cosine of
+    K and K* under the Frobenius inner product, utal the same over the
+    strict upper triangles, nmse = -mean (k - k*)^2 over all n^2 pairs,
+    and cts = sum_P e^k / sum_{N u P} e^k over the off-diagonal pairs.
+    """
+    validate_proxy_kind(kind)
+    neg = part.neg_mask
+    num_neg = float(part.num_negatives)
+    if kind == "al-neo" and beta == 0.0:
         raise UndefinedProxyError(
             "al-neo is undefined for beta = 0; use 'al' or 'utal'")
-    if part.num_negatives == 0:
-        raise DegenerateBatchError("al-neo needs at least one inter-class pair")
-    vals = K[part.neg_mask]
-    total = vals.sum()
-    denom_sq = float(np.square(vals, out=vals).sum())
-    if denom_sq <= 0.0:
+    if is_degenerate_for(kind, part):
         raise DegenerateBatchError(
-            "al-neo: inter-class kernel values are all zero")
-    return (float(beta * total)
-            / (abs(beta) * part.num_negatives * np.sqrt(denom_sq)))
+            f"{kind} needs both pair types in the batch" if kind == "cts"
+            else f"{kind} needs at least one inter-class pair")
+    if kind == "al-neo":
+        sq = ad.masked_sum(ad.square(K), neg)
+        if sq.item() <= 0.0:
+            raise DegenerateBatchError(
+                "al-neo: inter-class kernel values are all zero")
+        num = ad.masked_sum(K, neg) * beta
+        return num / (ad.sqrt(sq) * (abs(beta) * num_neg))
+    if kind == "cts-neo":
+        return -(ad.masked_sum(ad.exp(K), neg) / num_neg)
+    if kind == "nmse-neo":
+        return -(ad.masked_sum(ad.square(K - beta), neg) / num_neg)
+    if kind == "cts":
+        e = ad.exp(K)
+        off_diagonal = ad.tensor_sum(e) - ad.diagonal_sum(e)
+        return (off_diagonal - ad.masked_sum(e, neg)) / off_diagonal
 
-
-def cts_neo(K: np.ndarray, part: PairPartition) -> float:
-    """-(1/|N|) * sum_N exp(k)."""
-    if part.num_negatives == 0:
-        raise DegenerateBatchError("cts-neo needs at least one inter-class pair")
-    vals = K[part.neg_mask]
-    return -float(np.exp(vals, out=vals).mean())
-
-
-def nmse_neo(K: np.ndarray, part: PairPartition, beta: float) -> float:
-    """-(1/|N|) * sum_N (k - beta)^2; maximum value 0."""
-    if part.num_negatives == 0:
-        raise DegenerateBatchError("nmse-neo needs at least one inter-class pair")
-    vals = K[part.neg_mask]
-    vals -= beta
-    return -float(np.square(vals, out=vals).mean())
-
-
-def alignment(K: np.ndarray, Kstar: np.ndarray) -> float:
-    """Cosine of the two matrices under the Frobenius inner product."""
-    nk = np.linalg.norm(K)
-    ns = np.linalg.norm(Kstar)
-    if nk == 0.0 or ns == 0.0:
-        raise DegenerateBatchError("alignment: zero Frobenius norm")
-    return float((K * Kstar).sum()) / (nk * ns)
-
-
-def _strict_upper(n: int) -> np.ndarray:
-    """Boolean n-by-n mask of the pairs (i, j) with i < j."""
-    rows = np.arange(n)
-    return rows[:, None] < rows[None, :]
-
-
-def utal(K: np.ndarray, Kstar: np.ndarray) -> float:
-    """Alignment restricted to the strict upper triangles."""
-    n = K.shape[0]
-    if n < 2:
-        raise DegenerateBatchError("utal needs at least two examples")
-    upper = _strict_upper(n)
-    u, v = K[upper], Kstar[upper]
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateBatchError("utal: zero strict-upper-triangle vector")
-    return float(u @ v) / (nu * nv)
-
-
-def cts(K: np.ndarray, part: PairPartition) -> float:
-    """sum_P exp(k) / sum_{N u P} exp(k); lies in (0, 1)."""
-    if part.num_positives == 0 or part.num_negatives == 0:
-        raise DegenerateBatchError("cts needs both pair types in the batch")
-    e = np.exp(K)
-    masked = e * part.pos_mask
-    num = float(masked.sum())
-    np.multiply(e, part.pos_mask | part.neg_mask, out=masked)
-    return num / float(masked.sum())
-
-
-def nmse(K: np.ndarray, Kstar: np.ndarray) -> float:
-    """-(1/n^2) * sum over all ordered pairs (diagonal included) of
-    (k - k_target)^2."""
-    n = K.shape[0]
-    diff = K - Kstar
-    return -float(np.square(diff, out=diff).sum()) / (n * n)
+    # al, utal and nmse: <K, K*>, |K|^2 and |K*|^2, over every pair, or
+    # for utal over the off-diagonal ones (twice the strict upper triangle).
+    inter = ad.masked_sum(K, neg)
+    same = ad.tensor_sum(K) - inter
+    K_sq = ad.square(K)
+    sq = ad.tensor_sum(K_sq)
+    same_pairs = part.n * part.n - part.num_negatives
+    if kind == "utal":
+        same = same - ad.diagonal_sum(K)
+        sq = sq - ad.diagonal_sum(K_sq)
+        same_pairs = part.num_positives
+    inner = same * alpha + inter * beta
+    ideal_sq = alpha * alpha * same_pairs + beta * beta * num_neg
+    if kind == "nmse":
+        return -((sq - inner * 2.0 + ideal_sq) / float(part.n * part.n))
+    if ideal_sq == 0.0 or sq.item() <= 0.0:
+        raise DegenerateBatchError(f"{kind}: the kernel or its ideal has norm 0")
+    return inner / (ad.sqrt(sq) * np.sqrt(ideal_sq))
 
 
 def proxy_value(kind: str, K: np.ndarray, part: PairPartition,
                 alpha: float, beta: float) -> float:
-    """Evaluate any proxy by name on a precomputed kernel matrix."""
-    validate_proxy_kind(kind)
-    if kind == "al-neo":
-        return al_neo(K, part, beta)
-    if kind == "cts-neo":
-        return cts_neo(K, part)
-    if kind == "nmse-neo":
-        return nmse_neo(K, part, beta)
-    if kind == "cts":
-        return cts(K, part)
-    Kstar = target_kernel_matrix(part, alpha, beta)
-    if kind == "al":
-        return alignment(K, Kstar)
-    if kind == "utal":
-        return utal(K, Kstar)
-    return nmse(K, Kstar)
-
-
-# ---------------------------------------------------------------------------
-# autodiff graph builders (same formulas over a gram tensor)
-# ---------------------------------------------------------------------------
-
-def al_neo_tensor(K: ad.Tensor, part: PairPartition, beta: float) -> ad.Tensor:
-    if beta == 0.0:
-        raise UndefinedProxyError(
-            "al-neo is undefined for beta = 0; use 'al' or 'utal'")
-    if part.num_negatives == 0:
-        raise DegenerateBatchError("al-neo needs at least one inter-class pair")
-    count = float(part.num_negatives)
-    num = ad.masked_sum(K, part.neg_mask) * beta
-    sq = ad.masked_sum(ad.square(K), part.neg_mask)
-    if sq.item() <= 0.0:
-        raise DegenerateBatchError(
-            "al-neo: inter-class kernel values are all zero")
-    return num / (ad.sqrt(sq) * (abs(beta) * count))
-
-
-def cts_neo_tensor(K: ad.Tensor, part: PairPartition) -> ad.Tensor:
-    if part.num_negatives == 0:
-        raise DegenerateBatchError("cts-neo needs at least one inter-class pair")
-    count = float(part.num_negatives)
-    return -(ad.masked_sum(ad.exp(K), part.neg_mask) / count)
-
-
-def nmse_neo_tensor(K: ad.Tensor, part: PairPartition, beta: float) -> ad.Tensor:
-    if part.num_negatives == 0:
-        raise DegenerateBatchError("nmse-neo needs at least one inter-class pair")
-    count = float(part.num_negatives)
-    return -(ad.masked_sum(ad.square(K - beta), part.neg_mask) / count)
-
-
-def alignment_tensor(K: ad.Tensor, Kstar: np.ndarray) -> ad.Tensor:
-    ns = np.linalg.norm(Kstar)
-    if ns == 0.0:
-        raise DegenerateBatchError("alignment: zero Frobenius norm")
-    num = ad.tensor_sum(ad.mul(K, ad.constant(Kstar)))
-    nk = ad.sqrt(ad.tensor_sum(ad.square(K)))
-    if nk.item() == 0.0:
-        raise DegenerateBatchError("alignment: zero Frobenius norm")
-    return num / (nk * ns)
-
-
-def utal_tensor(K: ad.Tensor, Kstar: np.ndarray) -> ad.Tensor:
-    n = K.shape[0]
-    if n < 2:
-        raise DegenerateBatchError("utal needs at least two examples")
-    upper = _strict_upper(n)
-    target = Kstar * upper
-    ns = np.linalg.norm(target)
-    if ns == 0.0:
-        raise DegenerateBatchError("utal: zero strict-upper-triangle vector")
-    num = ad.tensor_sum(ad.mul(K, ad.constant(target)))
-    nk = ad.sqrt(ad.masked_sum(ad.square(K), upper))
-    if nk.item() == 0.0:
-        raise DegenerateBatchError("utal: zero strict-upper-triangle vector")
-    return num / (nk * ns)
-
-
-def cts_tensor(K: ad.Tensor, part: PairPartition) -> ad.Tensor:
-    if part.num_positives == 0 or part.num_negatives == 0:
-        raise DegenerateBatchError("cts needs both pair types in the batch")
-    e = ad.exp(K)
-    num = ad.masked_sum(e, part.pos_mask)
-    den = ad.masked_sum(e, part.pos_mask | part.neg_mask)
-    return num / den
-
-
-def nmse_tensor(K: ad.Tensor, Kstar: np.ndarray) -> ad.Tensor:
-    n = K.shape[0]
-    diff = K - ad.constant(Kstar)
-    return -(ad.tensor_sum(ad.square(diff)) / float(n * n))
-
-
-def proxy_tensor(kind: str, K: ad.Tensor, part: PairPartition,
-                 alpha: float, beta: float) -> ad.Tensor:
-    """Build the differentiable value of any proxy over a gram tensor."""
-    validate_proxy_kind(kind)
-    if kind == "al-neo":
-        return al_neo_tensor(K, part, beta)
-    if kind == "cts-neo":
-        return cts_neo_tensor(K, part)
-    if kind == "nmse-neo":
-        return nmse_neo_tensor(K, part, beta)
-    if kind == "cts":
-        return cts_tensor(K, part)
-    Kstar = target_kernel_matrix(part, alpha, beta)
-    if kind == "al":
-        return alignment_tensor(K, Kstar)
-    if kind == "utal":
-        return utal_tensor(K, Kstar)
-    return nmse_tensor(K, Kstar)
+    """Evaluate any proxy by name on a precomputed symmetric kernel matrix."""
+    return proxy_tensor(kind, ad.constant(K), part, alpha, beta).item()

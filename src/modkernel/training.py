@@ -87,6 +87,8 @@ class TrainConfig:
                 f"momentum must lie in [0, 1), got {self.momentum}")
         if self.trace_every < 1:
             raise ConfigurationError("trace_every must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         proxies.validate_proxy_kind(self.proxy)
         if self.loss != "xe" and self.loss not in LOSS_KINDS:
             raise ConfigurationError(

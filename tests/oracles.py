@@ -4,6 +4,8 @@ Everything here is deliberately naive (explicit loops, textbook formulas)
 and shares no code with the package.
 """
 
+import math
+
 import numpy as np
 
 
@@ -20,6 +22,49 @@ def naive_matmul(A, B):
                 acc += A[i, t] * B[t, j]
             out[i, j] = acc
     return out
+
+
+def proxy_reference(kind, K, labels, alpha, beta):
+    """One of the seven pairwise proxies by its textbook formula, looping
+    over the ordered pairs: an explicit ideal kernel (alpha on equal labels
+    and the diagonal, beta elsewhere) for the full family and an explicit
+    strict upper triangle for utal."""
+    K = np.asarray(K, dtype=np.float64)
+    n = len(labels)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    target = {(i, j): alpha if labels[i] == labels[j] else beta
+              for i, j in pairs}
+    neg = [(i, j) for i, j in pairs if labels[i] != labels[j]]
+    pos = [(i, j) for i, j in pairs if i != j and labels[i] == labels[j]]
+    upper = [(i, j) for i, j in pairs if i < j]
+
+    def total(f, over):
+        return math.fsum(f(K[i, j], target[i, j]) for i, j in over)
+
+    def cosine(over):
+        kt = total(lambda k, t: k * t, over)
+        kk = total(lambda k, t: k * k, over)
+        tt = total(lambda k, t: t * t, over)
+        return kt / math.sqrt(kk * tt)
+
+    if kind == "al-neo":
+        return (beta * total(lambda k, t: k, neg)
+                / (abs(beta) * len(neg)
+                   * math.sqrt(total(lambda k, t: k * k, neg))))
+    if kind == "cts-neo":
+        return -total(lambda k, t: math.exp(k), neg) / len(neg)
+    if kind == "nmse-neo":
+        return -total(lambda k, t: (k - beta) ** 2, neg) / len(neg)
+    if kind == "al":
+        return cosine(pairs)
+    if kind == "utal":
+        return cosine(upper)
+    if kind == "cts":
+        return (total(lambda k, t: math.exp(k), pos)
+                / total(lambda k, t: math.exp(k), pos + neg))
+    if kind == "nmse":
+        return -total(lambda k, t: (k - t) ** 2, pairs) / (n * n)
+    raise ValueError(f"unknown proxy kind {kind!r}")
 
 
 def central_difference(f, x0, step=1e-5):

@@ -123,12 +123,9 @@ def test_criterion_4_proxy_maxima():
     part = proxies.partition_pairs(labels)
     beta = -1.0
     n_neg = part.num_negatives
-    at_best = proxies.target_kernel_matrix(part, 1.0, beta)
-    attained = {
-        "nmse-neo": proxies.nmse_neo(at_best, part, beta),
-        "cts-neo": proxies.cts_neo(at_best, part),
-        "al-neo": proxies.al_neo(at_best, part, beta),
-    }
+    at_best = np.where(part.neg_mask, beta, 1.0)
+    attained = {kind: proxies.proxy_value(kind, at_best, part, 1.0, beta)
+                for kind in proxies.NEO_KINDS}
     assert attained["nmse-neo"] == 0.0
     assert abs(attained["cts-neo"] - (-np.exp(-1.0))) <= 1e-12
     assert abs(attained["al-neo"] - 1.0 / np.sqrt(n_neg)) <= 1e-12
@@ -139,9 +136,8 @@ def test_criterion_4_proxy_maxima():
         K = rng.uniform(beta, 1.0, (n, n))
         K = (K + K.T) / 2.0
         np.fill_diagonal(K, 1.0)
-        assert proxies.nmse_neo(K, part, beta) <= attained["nmse-neo"] + 1e-12
-        assert proxies.cts_neo(K, part) <= attained["cts-neo"] + 1e-12
-        assert proxies.al_neo(K, part, beta) <= attained["al-neo"] + 1e-12
+        for kind, best in attained.items():
+            assert proxies.proxy_value(kind, K, part, 1.0, beta) <= best + 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     print(f"\nPASS criterion 4: analytic proxy maxima attained and never "

@@ -200,6 +200,7 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
         "softplus": (lambda t: ad.tensor_sum(ad.softplus(t)), x),
         "sum": (lambda t: ad.square(ad.tensor_sum(t)), x),
         "mean": (lambda t: ad.square(ad.tensor_mean(t)), x),
+        "diagonal_sum": (lambda t: ad.square(ad.diagonal_sum(t)), x[:, :3]),
         "unit_normalize": (lambda t: ad.tensor_sum(ad.mul(
             ad.unit_normalize(t), ad.constant(m))), x),
         "cross_entropy": (lambda t: ad.cross_entropy_logits(
@@ -331,6 +332,29 @@ class TestMaskedSum:
         ad.backward(ref)
         assert fused.grad.tobytes() == plain.grad.tobytes()
 
+    def test_row_blocks_add_up_to_the_masked_total(self):
+        rng = np.random.default_rng(3)
+        rows = 2 * ad.MASKED_SUM_BLOCK_ROWS + 5
+        x = rng.standard_normal((rows, 4))
+        mask = rng.random((rows, 4)) < 0.5
+        fused, plain = _leaf(x), _leaf(x)
+        out = ad.masked_sum(fused, mask)
+        ref = ad.tensor_sum(ad.mul(plain, ad.constant(mask)))
+        assert out.item() == pytest.approx(ref.item(), rel=1e-13)
+        ad.backward(out)
+        ad.backward(ref)
+        assert fused.grad.tobytes() == plain.grad.tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ad.masked_sum(_leaf(np.ones((2, 2))), np.ones((2, 3), dtype=bool))
+
+
+class TestDiagonalSum:
+    def test_is_the_trace(self):
+        x = np.arange(9.0).reshape(3, 3)
+        assert ad.diagonal_sum(ad.constant(x)).item() == 12.0
+
+    def test_needs_a_square_matrix(self):
+        with pytest.raises(DimensionError):
+            ad.diagonal_sum(_leaf(np.ones((2, 3))))

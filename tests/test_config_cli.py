@@ -77,6 +77,20 @@ class TestConfigLoading:
         with pytest.raises(ConfigurationError, match=next(iter(train))):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("doc", [
+        {"experiment": "sanity-dynamics", "train": {"seed": -1}},
+        {"experiment": "sanity-dynamics",
+         "dataset": {"kind": "random-label", "n": 8, "d": 2, "seed": -1}},
+        {"experiment": "label-efficiency",
+         "label_efficiency": {"budgets": [4], "seed": -1}},
+        {"experiment": "transferability",
+         "transfer": {"source_tasks": [[0, 1]], "target_task": [0, 1],
+                      "seed": -1}},
+    ], ids=["train", "dataset", "label_efficiency", "transfer"])
+    def test_negative_seed_rejected_at_load(self, tmp_path, doc):
+        with pytest.raises(ConfigurationError, match="seed"):
+            load_config(write_config(tmp_path, doc))
+
     @pytest.mark.parametrize("lemma, key", [
         ({"instances": -5}, "instances"),
         ({"instances": 0}, "instances"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import modkernel.autodiff as ad
 from modkernel import proxies
@@ -7,7 +9,7 @@ from modkernel.errors import (ConfigurationError, DegenerateBatchError,
                               UndefinedProxyError)
 from modkernel.kernels import FeatureMap, gram_tensor
 
-from oracles import central_difference
+from oracles import central_difference, proxy_reference
 
 
 def sym_kernel(rng, n, lo=-1.0, hi=1.0):
@@ -16,6 +18,17 @@ def sym_kernel(rng, n, lo=-1.0, hi=1.0):
     K = (K + K.T) / 2.0
     np.fill_diagonal(K, 1.0)
     return K
+
+
+def ideal_kernel(labels, alpha=1.0, beta=-1.0):
+    """alpha on equal-label pairs and the diagonal, beta elsewhere."""
+    labels = np.asarray(labels)
+    return np.where(labels[:, None] == labels[None, :], alpha, beta)
+
+
+def value(kind, K, labels, alpha=1.0, beta=-1.0):
+    return proxies.proxy_value(kind, K, proxies.partition_pairs(labels),
+                               alpha, beta)
 
 
 class TestPartition:
@@ -53,7 +66,7 @@ class TestPartition:
     def test_symmetric_masks(self):
         part = proxies.partition_pairs([0, 1, 0, 2])
         np.testing.assert_array_equal(part.neg_mask, part.neg_mask.T)
-        np.testing.assert_array_equal(part.pos_mask, part.pos_mask.T)
+        assert all((j, i) in part.positives for i, j in part.positives)
 
     @pytest.mark.parametrize("labels, negatives, positives", [
         ([2, 0, 2, 1, 0, 2], 22, 8),
@@ -65,10 +78,10 @@ class TestPartition:
         part = proxies.partition_pairs(labels)
         arr = np.asarray(labels)
         same = arr[:, None] == arr[None, :]
-        assert part.neg_mask.dtype == bool and part.pos_mask.dtype == bool
+        assert part.neg_mask.dtype == bool
         np.testing.assert_array_equal(part.neg_mask, ~same)
-        np.testing.assert_array_equal(
-            part.pos_mask, same & ~np.eye(len(labels), dtype=bool))
+        assert set(part.positives) == set(map(tuple, np.argwhere(
+            same & ~np.eye(len(labels), dtype=bool))))
         assert (part.num_negatives, part.num_positives) == (negatives, positives)
         assert part.num_negatives == len(part.negatives)
         assert part.num_positives == len(part.positives)
@@ -76,15 +89,15 @@ class TestPartition:
 
 class TestPinnedValues:
     """Every proxy on a seeded 600-point kernel, to the last bit: any
-    change in the evaluators' arithmetic or summation order moves them."""
+    change in the proxies' arithmetic or summation order moves them."""
 
     EXPECTED = {
-        "al-neo": "-0x1.c2b48e19cfae0p-20",
-        "cts-neo": "-0x1.161cf295a2236p+0",
+        "al-neo": "-0x1.c2b48e19cfae3p-20",
+        "cts-neo": "-0x1.161cf295a2237p+0",
         "nmse-neo": "-0x1.2ac3dc493ed9dp+0",
-        "al": "0x1.3605bc310afe8p-8",
-        "utal": "0x1.5f5110ae3a656p-11",
-        "cts": "0x1.5569101d8fd3cp-2",
+        "al": "0x1.3605bc310afe7p-8",
+        "utal": "0x1.5f5110ae3a64cp-11",
+        "cts": "0x1.5569101d8fd3ep-2",
         "nmse": "-0x1.2a0dfcf20f0a2p+0",
     }
 
@@ -100,126 +113,107 @@ class TestPinnedValues:
         np.testing.assert_array_equal(K, before)
 
 
-class TestTargetMatrix:
-    def test_entries(self):
-        part = proxies.partition_pairs([0, 0, 1])
-        target = proxies.target_kernel_matrix(part, alpha=1.0, beta=-1.0)
-        expected = np.array([[1.0, 1.0, -1.0],
-                             [1.0, 1.0, -1.0],
-                             [-1.0, -1.0, 1.0]])
-        np.testing.assert_array_equal(target, expected)
-
-
 class TestAlNeo:
     def test_all_beta_attains_inverse_sqrt(self):
         # |N| = 4 ordered inter-class pairs; all kernel values at -1
         part = proxies.partition_pairs([0, 1, 1])
         assert len(part.negatives) == 4
-        K = proxies.target_kernel_matrix(part, 1.0, -1.0)
-        assert proxies.al_neo(K, part, beta=-1.0) == pytest.approx(0.5)
+        assert value("al-neo", ideal_kernel([0, 1, 1]), [0, 1, 1]) == \
+            pytest.approx(0.5)
 
     def test_all_plus_one_is_negative_half(self):
-        part = proxies.partition_pairs([0, 1, 1])
-        K = np.ones((3, 3))
-        assert proxies.al_neo(K, part, beta=-1.0) == pytest.approx(-0.5)
+        assert value("al-neo", np.ones((3, 3)), [0, 1, 1]) == \
+            pytest.approx(-0.5)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
-        part = proxies.partition_pairs([0, 0, 1, 1])
         K = sym_kernel(rng, 4)
-        v1 = proxies.al_neo(K, part, beta=-1.0)
-        v2 = proxies.al_neo(0.37 * K, part, beta=-1.0)
+        v1 = value("al-neo", K, [0, 0, 1, 1])
+        v2 = value("al-neo", 0.37 * K, [0, 0, 1, 1])
         assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_beta_zero_is_undefined(self):
-        part = proxies.partition_pairs([0, 1])
         with pytest.raises(UndefinedProxyError):
-            proxies.al_neo(np.eye(2), part, beta=0.0)
+            value("al-neo", np.eye(2), [0, 1], beta=0.0)
 
     def test_zero_denominator(self):
-        part = proxies.partition_pairs([0, 1])
         with pytest.raises(DegenerateBatchError):
-            proxies.al_neo(np.eye(2), part, beta=-1.0)
+            value("al-neo", np.eye(2), [0, 1])
 
 
 class TestCtsNeo:
     def test_all_beta(self):
-        part = proxies.partition_pairs([0, 1, 0, 1])
-        K = proxies.target_kernel_matrix(part, 1.0, -1.0)
-        assert proxies.cts_neo(K, part) == pytest.approx(-np.exp(-1.0))
+        labels = [0, 1, 0, 1]
+        assert value("cts-neo", ideal_kernel(labels), labels) == \
+            pytest.approx(-np.exp(-1.0))
 
     def test_all_zero(self):
-        part = proxies.partition_pairs([0, 1])
-        assert proxies.cts_neo(np.eye(2), part) == pytest.approx(-1.0)
+        assert value("cts-neo", np.eye(2), [0, 1]) == pytest.approx(-1.0)
 
     def test_matches_direct_loop(self):
         rng = np.random.default_rng(2)
         part = proxies.partition_pairs([0, 0, 1, 1])
         K = sym_kernel(rng, 4)
         direct = -np.mean([np.exp(K[i, j]) for i, j in part.negatives])
-        assert proxies.cts_neo(K, part) == pytest.approx(direct, abs=1e-12)
+        assert proxies.proxy_value("cts-neo", K, part, 1.0, -1.0) == \
+            pytest.approx(direct, abs=1e-12)
 
 
 class TestNmseNeo:
     def test_exact_target_is_zero(self):
-        part = proxies.partition_pairs([0, 1, 1])
-        K = proxies.target_kernel_matrix(part, 1.0, -1.0)
-        assert proxies.nmse_neo(K, part, beta=-1.0) == 0.0
+        assert value("nmse-neo", ideal_kernel([0, 1, 1]), [0, 1, 1]) == 0.0
 
     def test_all_zero_kernels(self):
-        part = proxies.partition_pairs([0, 1])
-        assert proxies.nmse_neo(np.eye(2), part, beta=-1.0) == pytest.approx(-1.0)
+        assert value("nmse-neo", np.eye(2), [0, 1]) == pytest.approx(-1.0)
 
     def test_matches_direct_loop(self):
         rng = np.random.default_rng(3)
         part = proxies.partition_pairs([0, 1, 2, 0])
         K = sym_kernel(rng, 4)
         direct = -np.mean([(K[i, j] + 1.0) ** 2 for i, j in part.negatives])
-        assert proxies.nmse_neo(K, part, beta=-1.0) == pytest.approx(
-            direct, abs=1e-12)
+        assert proxies.proxy_value("nmse-neo", K, part, 1.0, -1.0) == \
+            pytest.approx(direct, abs=1e-12)
 
 
 class TestAlignment:
     def test_self_alignment(self):
-        rng = np.random.default_rng(4)
-        K = sym_kernel(rng, 4)
-        assert proxies.alignment(K, K) == pytest.approx(1.0)
+        labels = [0, 1, 1, 2]
+        assert value("al", ideal_kernel(labels), labels) == pytest.approx(1.0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         K = sym_kernel(rng, 3)
-        assert proxies.alignment(3.7 * K, K) == pytest.approx(1.0)
+        assert value("al", 3.7 * K, [0, 1, 1]) == pytest.approx(
+            value("al", K, [0, 1, 1]), abs=1e-12)
 
     def test_hand_frobenius_case(self):
-        part = proxies.partition_pairs(["+", "-"])
-        Kstar = proxies.target_kernel_matrix(part, alpha=1.0, beta=0.0)
-        assert proxies.alignment(np.eye(2), Kstar) == pytest.approx(1.0)
+        assert value("al", np.eye(2), ["+", "-"], beta=0.0) == \
+            pytest.approx(1.0)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateBatchError):
-            proxies.alignment(np.zeros((2, 2)), np.eye(2))
+            value("al", np.zeros((2, 2)), [0, 1])
 
 
 class TestUtal:
     def test_equal_upper_triangles(self):
-        rng = np.random.default_rng(6)
-        K = sym_kernel(rng, 4)
-        K2 = K.copy()
-        np.fill_diagonal(K2, 7.0)  # diagonal must not matter
-        assert proxies.utal(K, K2) == pytest.approx(1.0)
+        labels = [0, 1, 1, 0]
+        K = ideal_kernel(labels) * 0.4
+        np.fill_diagonal(K, 7.0)  # diagonal must not matter
+        assert value("utal", K, labels) == pytest.approx(1.0)
 
     def test_two_by_two_is_sign(self):
         K = np.array([[1.0, 0.8], [0.8, 1.0]])
-        Kstar = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert proxies.utal(K, Kstar) == pytest.approx(-1.0)
+        assert value("utal", K, [0, 1]) == pytest.approx(-1.0)
 
     def test_matches_cosine_oracle(self):
         rng = np.random.default_rng(7)
-        K, Kstar = sym_kernel(rng, 4), sym_kernel(rng, 4)
+        labels = [0, 1, 0, 2]
+        K, Kstar = sym_kernel(rng, 4), ideal_kernel(labels)
         iu = np.triu_indices(4, 1)
         u, v = K[iu], Kstar[iu]
         expected = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-        assert proxies.utal(K, Kstar) == pytest.approx(expected, abs=1e-12)
+        assert value("utal", K, labels) == pytest.approx(expected, abs=1e-12)
 
 
 class TestCts:
@@ -228,44 +222,38 @@ class TestCts:
         K = np.full((4, 4), 0.3)
         expected = len(part.positives) / (len(part.positives)
                                           + len(part.negatives))
-        assert proxies.cts(K, part) == pytest.approx(expected, abs=1e-12)
+        assert proxies.proxy_value("cts", K, part, 1.0, -1.0) == \
+            pytest.approx(expected, abs=1e-12)
 
     def test_three_point_enumeration(self):
-        part = proxies.partition_pairs(["+", "+", "-"])
-        assert proxies.cts(np.zeros((3, 3)), part) == pytest.approx(1.0 / 3.0)
+        assert value("cts", np.zeros((3, 3)), ["+", "+", "-"]) == \
+            pytest.approx(1.0 / 3.0)
 
     def test_monotone_in_separation(self):
-        part = proxies.partition_pairs([0, 0, 1, 1])
-        values = []
-        for gap in (0.0, 0.5, 1.0, 1.5, 2.0):
-            K = proxies.target_kernel_matrix(part, 1.0, 1.0 - gap)
-            values.append(proxies.cts(K, part))
+        labels = [0, 0, 1, 1]
+        values = [value("cts", ideal_kernel(labels, 1.0, 1.0 - gap), labels)
+                  for gap in (0.0, 0.5, 1.0, 1.5, 2.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_needs_both_pair_types(self):
         with pytest.raises(DegenerateBatchError):
-            proxies.cts(np.eye(2), proxies.partition_pairs([0, 1]))
+            value("cts", np.eye(2), [0, 1])
         with pytest.raises(DegenerateBatchError):
-            proxies.cts(np.eye(2), proxies.partition_pairs([0, 0]))
+            value("cts", np.eye(2), [0, 0])
 
 
 class TestNmse:
     def test_exact_target(self):
-        part = proxies.partition_pairs([0, 1, 0])
-        Kstar = proxies.target_kernel_matrix(part, 1.0, -1.0)
-        assert proxies.nmse(Kstar, Kstar) == 0.0
+        labels = [0, 1, 0]
+        assert value("nmse", ideal_kernel(labels), labels) == 0.0
 
     def test_hand_two_point_case(self):
-        part = proxies.partition_pairs(["+", "-"])
-        Kstar = proxies.target_kernel_matrix(part, 1.0, -1.0)
-        assert proxies.nmse(np.eye(2), Kstar) == pytest.approx(-0.5)
+        assert value("nmse", np.eye(2), ["+", "-"]) == pytest.approx(-0.5)
 
     def test_unit_diagonal_contributes_nothing(self):
-        part = proxies.partition_pairs([0, 1])
-        Kstar = proxies.target_kernel_matrix(part, 1.0, -1.0)
         K = np.array([[1.0, 0.2], [0.2, 1.0]])
         off_only = -((0.2 + 1.0) ** 2 * 2) / 4.0
-        assert proxies.nmse(K, Kstar) == pytest.approx(off_only, abs=1e-12)
+        assert value("nmse", K, [0, 1]) == pytest.approx(off_only, abs=1e-12)
 
 
 class TestSharedProperties:
@@ -294,15 +282,15 @@ class TestSharedProperties:
 
     def test_nmse_family_nonpositive_and_zero_iff_target(self):
         rng = np.random.default_rng(10)
-        part = proxies.partition_pairs([0, 1, 1, 0])
-        Kstar = proxies.target_kernel_matrix(part, 1.0, -1.0)
-        assert proxies.nmse(Kstar, Kstar) == 0.0
-        assert proxies.nmse_neo(Kstar, part, -1.0) == 0.0
+        labels = [0, 1, 1, 0]
+        Kstar = ideal_kernel(labels)
+        assert value("nmse", Kstar, labels) == 0.0
+        assert value("nmse-neo", Kstar, labels) == 0.0
         for _ in range(50):
             K = sym_kernel(rng, 4)
             if not np.allclose(K, Kstar, atol=1e-12):
-                assert proxies.nmse(K, Kstar) < 0.0 or np.array_equal(K, Kstar)
-            assert proxies.nmse_neo(K, part, -1.0) <= 0.0
+                assert value("nmse", K, labels) < 0.0
+            assert value("nmse-neo", K, labels) <= 0.0
 
     def test_neo_maxima_never_exceeded_by_perturbations(self):
         rng = np.random.default_rng(11)
@@ -316,19 +304,53 @@ class TestSharedProperties:
                 v = proxies.proxy_value(kind, K, part, 1.0, -1.0)
                 assert v <= best + 1e-12, kind
 
-    def test_tensor_and_numpy_paths_agree(self):
+    def test_proxy_value_matches_loop_oracle(self):
         rng = np.random.default_rng(12)
-        labels = np.array([0, 1, 1, 2, 0])
-        part = proxies.partition_pairs(labels)
-        acts = rng.standard_normal((5, 3))
         fmap = FeatureMap("tanh")
-        K_t = gram_tensor(fmap, ad.Tensor(acts, requires_grad=True))
-        feats = fmap.apply(acts)
+        for n in (2, 5, 17, 40):
+            labels = rng.integers(0, 3, n)
+            labels[:2] = (0, 1)
+            part = proxies.partition_pairs(labels)
+            feats = fmap.apply(rng.standard_normal((n, 2)))
+            for K in (sym_kernel(rng, n), feats @ feats.T):
+                for kind in self.KINDS:
+                    if proxies.is_degenerate_for(kind, part):
+                        continue
+                    got = proxies.proxy_value(kind, K, part, 1.0, -1.0)
+                    want = proxy_reference(kind, K, list(labels), 1.0, -1.0)
+                    assert got == pytest.approx(want, abs=1e-12), (kind, n)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+        arrays(np.float64, st.tuples(st.integers(3, 24), st.just(d)),
+               elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
+        st.lists(st.integers(0, 3), min_size=24, max_size=24))))
+    def test_unit_feature_grams_stay_within_analytic_bounds(self, case):
+        raw, label_pool = case
+        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        assume(bool(np.all(norms > 1e-3)))
+        feats = raw / norms
+        n = feats.shape[0]
+        labels = np.array([0, 1, 0] + label_pool[:n - 3])
+        part = proxies.partition_pairs(labels)
         K = feats @ feats.T
-        for kind in self.KINDS:
-            v_np = proxies.proxy_value(kind, K, part, 1.0, -1.0)
-            v_t = proxies.proxy_tensor(kind, K_t, part, 1.0, -1.0).item()
-            assert v_np == pytest.approx(v_t, abs=1e-12), kind
+        off_diagonal = ~np.eye(n, dtype=bool)
+        spread, n_neg = 4.0, part.num_negatives
+        bounds = {"al-neo": (-n_neg ** -0.5, n_neg ** -0.5),
+                  "cts-neo": (-np.e, -np.exp(-1.0)), "nmse-neo": (-spread, 0.0),
+                  "al": (-1.0, 1.0), "utal": (-1.0, 1.0), "cts": (0.0, 1.0),
+                  "nmse": (-spread, 0.0)}
+        # The pairs whose kernel values make up the norm each cosine
+        # divides by; a cosine of all-zero values is undefined.
+        norm_pairs = {"al-neo": part.neg_mask, "utal": off_diagonal}
+        for kind, (lo, hi) in bounds.items():
+            try:
+                v = proxies.proxy_value(kind, K, part, 1.0, -1.0)
+            except DegenerateBatchError:
+                assert np.square(K[norm_pairs[kind]]).sum() <= 1e-12, kind
+                continue
+            assert lo - 1e-12 <= v <= hi + 1e-12, (kind, v)
 
     @pytest.mark.parametrize("kind", proxies.PROXY_KINDS)
     def test_gradients_match_finite_differences(self, kind):

@@ -57,7 +57,7 @@ class Tensor:
 
     def zero_grad(self) -> None:
         if self.grad is not None:
-            self.grad[...] = 0.0
+            self.grad.fill(0.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -94,7 +94,7 @@ class Tensor:
 def _lift(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
-    return Tensor(value)
+    return _make(np.asarray(value, dtype=np.float64), (), None)
 
 
 def constant(value) -> Tensor:
@@ -102,12 +102,24 @@ def constant(value) -> Tensor:
     return Tensor(value)
 
 
-def _make(data: np.ndarray, parents: tuple, backward_rule) -> Tensor:
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_rule
+_new_tensor = object.__new__
+
+
+def _make(data, parents: tuple, backward_rule) -> Tensor:
+    """The node holding an op's float64 result (a numpy scalar, which
+    ufuncs return on 0-d arrays, becomes a 0-d array).  It keeps its
+    parents and rule only if one of the parents requires gradients."""
+    for p in parents:
+        if p.requires_grad:
+            break
+    else:
+        parents, backward_rule = (), None
+    out = _new_tensor(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
+    out.requires_grad = bool(parents)
+    out._parents = parents
+    out._backward = backward_rule
     return out
 
 
@@ -137,22 +149,24 @@ def topological_order(root: Tensor) -> list[Tensor]:
 
     The returned list is the operation record of the graph: acyclic by
     construction, and a reverse traversal visits every node exactly once.
+    Depth first, parents entered last to first; this order fixes the order
+    in which gradients accumulate.
     """
     order: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    visited = {root}
+    stack = [(root, reversed(root._parents))]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
+        node, parents = stack[-1]
+        for parent in parents:
+            if parent.requires_grad and parent not in visited:
+                visited.add(parent)
+                if parent._parents:
+                    stack.append((parent, reversed(parent._parents)))
+                    break
+                order.append(parent)
+        else:
+            stack.pop()
             order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
-                stack.append((parent, False))
     return order
 
 
@@ -165,9 +179,9 @@ def backward(loss: Tensor) -> None:
         return
     order = topological_order(loss)
     if loss.grad is None:
-        loss.grad = np.ones_like(loss.data)
+        loss.grad = np.ones(loss.data.shape)
     else:
-        loss.grad += np.ones_like(loss.data)
+        loss.grad += 1.0
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
@@ -275,29 +289,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), rule)
 
 
-def transpose(a: Tensor) -> Tensor:
+def gram(x: Tensor) -> Tensor:
+    """x @ x.T for an n-by-d x; the gradient g @ x + (x.T @ g).T has the
+    bits of a matmul of x with its transpose."""
+    if x.data.ndim != 2:
+        raise DimensionError(f"gram expects an n-by-d matrix, got {x.shape}")
+    xd = x.data
+
     def rule(g):
-        _accumulate_view(a, g.T)
+        grad = g @ xd
+        grad += (xd.T @ g).T
+        _accumulate(x, grad)
 
-    return _make(a.data.T, (a,), rule)
+    return _make(xd @ xd.T, (x,), rule)
 
 
-def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """x @ W + b for x: n-by-d_in, W: d_in-by-d_out, b: length d_out."""
-    if (x.data.ndim != 2 or W.data.ndim != 2 or b.data.ndim != 1
-            or x.data.shape[1] != W.data.shape[0]
-            or W.data.shape[1] != b.data.shape[0]):
+def affine(x: Tensor, W: Tensor, b: Tensor, kind: str | None = None) -> Tensor:
+    """x @ W + b for x: n-by-d_in, W: d_in-by-d_out, b: length d_out; with
+    ``kind``, the bits of ``elementwise(affine(x, W, b), kind)`` in one node."""
+    xd, Wd, bd = x.data, W.data, b.data
+    if (xd.ndim != 2 or Wd.ndim != 2 or bd.ndim != 1
+            or xd.shape[1] != Wd.shape[0] or Wd.shape[1] != bd.shape[0]):
         raise DimensionError(
             f"affine: x{x.shape}, W{W.shape}, b{b.shape} do not conform")
-    out_data = x.data @ W.data + b.data
+    out_data = xd @ Wd + bd
+    if kind is not None:
+        forward, derivative = _elementwise_pair(kind)
+        out_data = forward(out_data)
 
     def rule(g):
+        if kind is not None:
+            g = g * derivative(out_data)
         if x.requires_grad:
-            _accumulate(x, g @ W.data.T)
+            _accumulate(x, g @ Wd.T)
         if W.requires_grad:
-            _accumulate(W, x.data.T @ g)
+            _accumulate(W, xd.T @ g)
         if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
+            _accumulate(b, np.add.reduce(g, axis=0))
 
     return _make(out_data, (x, W, b), rule)
 
@@ -326,16 +354,20 @@ def elementwise(x: Tensor, kind: str) -> Tensor:
     derivative is built inside the backward rule, so a forward-only pass
     never computes it.
     """
-    try:
-        forward, derivative = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ContractError(f"unsupported elementwise kind: {kind!r}") from None
+    forward, derivative = _elementwise_pair(kind)
     out_data = forward(x.data)
 
     def rule(g):
         _accumulate(x, g * derivative(out_data))
 
     return _make(out_data, (x,), rule)
+
+
+def _elementwise_pair(kind: str) -> tuple:
+    try:
+        return _ELEMENTWISE[kind]
+    except KeyError:
+        raise ContractError(f"unsupported elementwise kind: {kind!r}") from None
 
 
 def relu(x: Tensor) -> Tensor:
@@ -404,16 +436,6 @@ def tensor_sum(x: Tensor) -> Tensor:
     return _make(out_data, (x,), rule)
 
 
-def tensor_mean(x: Tensor) -> Tensor:
-    n = x.data.size
-    out_data = np.asarray(x.data.mean())
-
-    def rule(g):
-        _accumulate(x, np.broadcast_to(g / n, x.data.shape).copy())
-
-    return _make(out_data, (x,), rule)
-
-
 # Rows per block when masked_sum forms its masked product.
 MASKED_SUM_BLOCK_ROWS = 256
 
@@ -430,14 +452,14 @@ def masked_sum(x: Tensor, mask: np.ndarray) -> Tensor:
     if mask.shape != x.data.shape:
         raise DimensionError(f"masked_sum: {x.shape} vs mask {mask.shape}")
     block = MASKED_SUM_BLOCK_ROWS
-    out_data = np.asarray(sum(
-        (np.multiply(x.data[i:i + block], mask[i:i + block]).sum()
-         for i in range(0, x.data.shape[0], block)), 0.0))
+    total = 0.0
+    for i in range(0, x.data.shape[0], block):
+        total += np.multiply(x.data[i:i + block], mask[i:i + block]).sum()
 
     def rule(g):
-        _accumulate(x, np.multiply(np.broadcast_to(g, x.data.shape), mask))
+        _accumulate(x, np.multiply(g, mask))
 
-    return _make(out_data, (x,), rule)
+    return _make(total, (x,), rule)
 
 
 def diagonal_sum(x: Tensor) -> Tensor:
@@ -454,27 +476,35 @@ def diagonal_sum(x: Tensor) -> Tensor:
     return _make(out_data, (x,), rule)
 
 
-def unit_normalize(x: Tensor, epsilon: float = 1e-12) -> Tensor:
+def unit_normalize(x: Tensor, epsilon: float = 1e-12,
+                   kind: str | None = None) -> Tensor:
     """Divide each row by max(its Euclidean norm, epsilon).
 
     The epsilon floor keeps zero rows (reachable early in relu training)
-    at zero instead of erroring.
+    at zero instead of erroring.  With ``kind``, the bits of
+    ``unit_normalize(elementwise(x, kind), epsilon)`` in one node.
     """
     if epsilon <= 0:
         raise ContractError("unit_normalize requires epsilon > 0")
     if x.data.ndim != 2:
         raise DimensionError(f"unit_normalize expects n-by-d input, got {x.shape}")
-    norms = np.linalg.norm(x.data, axis=1, keepdims=True)
+    if kind is None:
+        t = x.data
+    else:
+        forward, derivative = _elementwise_pair(kind)
+        t = forward(x.data)
+    # The bits of np.linalg.norm(t, axis=1, keepdims=True), without its wrapper.
+    norms = np.sqrt(np.add.reduce(t * t, axis=1, keepdims=True))
     scale = np.maximum(norms, epsilon)
-    out_data = x.data / scale
+    out_data = t / scale
 
     def rule(g):
         # Above the floor: d(x/|x|) pulls out the radial component.
         # At or below the floor the map is linear with constant 1/epsilon.
-        radial = (g * out_data).sum(axis=1, keepdims=True)
+        radial = np.add.reduce(g * out_data, axis=1, keepdims=True)
         floored = norms <= epsilon
         gx = np.where(floored, g / epsilon, (g - out_data * radial) / scale)
-        _accumulate(x, gx)
+        _accumulate(x, gx if kind is None else gx * derivative(t))
 
     return _make(out_data, (x,), rule)
 
@@ -491,16 +521,18 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     n, C = logits.data.shape
     if labels.shape != (n,):
         raise DimensionError(f"labels shape {labels.shape} does not match n={n}")
-    row_max = logits.data.max(axis=1, keepdims=True)
+    # ufunc reductions give the bits of .max(), .sum() and .mean().
+    row_max = np.maximum.reduce(logits.data, axis=1, keepdims=True)
     exps = np.exp(logits.data - row_max)
-    row_sums = exps.sum(axis=1, keepdims=True)
+    row_sums = np.add.reduce(exps, axis=1, keepdims=True)
     lse = np.log(row_sums[:, 0]) + row_max[:, 0]
-    picked = logits.data[np.arange(n), labels]
-    out_data = np.asarray((lse - picked).mean())
+    rows = np.arange(n)
+    picked = logits.data[rows, labels]
+    out_data = np.add.reduce(lse - picked) / n
 
     def rule(g):
         gz = exps / row_sums
-        gz[np.arange(n), labels] -= 1.0
+        gz[rows, labels] -= 1.0
         _accumulate(logits, g * gz / n)
 
     return _make(out_data, (logits,), rule)
@@ -535,12 +567,14 @@ class SgdMomentumState:
 def sgd_step(params, grads, state: SgdMomentumState) -> None:
     if len(state.velocity) != len(params):
         raise ContractError("optimizer state does not match parameter list")
+    momentum, learning_rate = state.momentum, state.learning_rate
     for p, g, v in zip(params, grads, state.velocity):
-        if v.shape != p.data.shape:
+        data = p.data
+        if v.shape != data.shape:
             raise ContractError("velocity shape does not match parameter")
-        v *= state.momentum
+        v *= momentum
         v += g
-        p.data -= state.learning_rate * v
+        data -= learning_rate * v
 
 
 class SgdMomentum:

@@ -65,10 +65,9 @@ class FeatureMap:
 
     def apply_tensor(self, x: ad.Tensor) -> ad.Tensor:
         """Differentiable version of ``apply`` for n-by-d activations."""
-        feats = ad.elementwise(x, self.nonlinearity)
         if self.normalize:
-            feats = ad.unit_normalize(feats, self.epsilon)
-        return feats
+            return ad.unit_normalize(x, self.epsilon, kind=self.nonlinearity)
+        return ad.elementwise(x, self.nonlinearity)
 
     def bounds(self) -> tuple[float, float]:
         if not self.normalize:
@@ -179,4 +178,4 @@ def conv_patch_feature(fmap: FeatureMap, X, patch: ConvPatchSpec) -> np.ndarray:
 def gram_tensor(feature_map: FeatureMap, activations: ad.Tensor) -> ad.Tensor:
     """Differentiable kernel matrix of a batch of pre-feature activations."""
     feats = feature_map.apply_tensor(activations)
-    return ad.matmul(feats, ad.transpose(feats))
+    return ad.gram(feats)

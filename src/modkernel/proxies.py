@@ -64,11 +64,11 @@ def partition_pairs(labels) -> PairPartition:
     if labels.ndim != 1 or labels.shape[0] < 1:
         raise DegenerateBatchError(f"need a 1-D label list, got {labels.shape}")
     n = labels.shape[0]
-    _, class_sizes = np.unique(labels, return_counts=True)
-    # Ordered equal-label pairs, the diagonal included.
-    same = int(class_sizes @ class_sizes)
-    return PairPartition(n=n, neg_mask=labels[:, None] != labels[None, :],
-                         num_negatives=n * n - same, num_positives=same - n)
+    neg_mask = labels[:, None] != labels[None, :]
+    num_negatives = int(np.count_nonzero(neg_mask))
+    # The rest of the n^2 ordered pairs share a label; n of them are the diagonal.
+    return PairPartition(n=n, neg_mask=neg_mask, num_negatives=num_negatives,
+                         num_positives=n * n - num_negatives - n)
 
 
 def validate_proxy_kind(kind: str) -> str:
@@ -132,10 +132,11 @@ def proxy_tensor(kind: str, K: ad.Tensor, part: PairPartition,
                 "al-neo: inter-class kernel values are all zero")
         num = ad.masked_sum(K, neg) * beta
         return num / (ad.sqrt(sq) * (abs(beta) * num_neg))
+    # sum / -count has the bits of -(sum / count), with one node less.
     if kind == "cts-neo":
-        return -(ad.masked_sum(ad.exp(K), neg) / num_neg)
+        return ad.masked_sum(ad.exp(K), neg) / -num_neg
     if kind == "nmse-neo":
-        return -(ad.masked_sum(ad.square(K - beta), neg) / num_neg)
+        return ad.masked_sum(ad.square(K - beta), neg) / -num_neg
     if kind == "cts":
         e = ad.exp(K)
         off_diagonal = ad.tensor_sum(e) - ad.diagonal_sum(e)
@@ -155,7 +156,7 @@ def proxy_tensor(kind: str, K: ad.Tensor, part: PairPartition,
     inner = same * alpha + inter * beta
     ideal_sq = alpha * alpha * same_pairs + beta * beta * num_neg
     if kind == "nmse":
-        return -((sq - inner * 2.0 + ideal_sq) / float(part.n * part.n))
+        return (sq - inner * 2.0 + ideal_sq) / -float(part.n * part.n)
     if ideal_sq == 0.0 or sq.item() <= 0.0:
         raise DegenerateBatchError(f"{kind}: the kernel or its ideal has norm 0")
     return inner / (ad.sqrt(sq) * np.sqrt(ideal_sq))

@@ -129,10 +129,9 @@ class AffineStack:
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
         out = x
+        last = len(self.layers) - 1
         for i, (W, b) in enumerate(self.layers):
-            out = ad.affine(out, W, b)
-            if i < len(self.layers) - 1:
-                out = ad.elementwise(out, self.nonlinearity)
+            out = ad.affine(out, W, b, self.nonlinearity if i < last else None)
         return out
 
     def params(self) -> list:

@@ -57,6 +57,8 @@ def score_candidate(candidate: CandidateModule, target_data: Dataset,
     """
     validate_proxy_kind(proxy)
     validate_subsample_fraction(subsample_fraction)
+    if seed < 0:
+        raise ConfigurationError(f"scoring seed must be >= 0, got {seed}")
     n = target_data.X_train.shape[0]
     if n < 2:
         raise DegenerateBatchError(

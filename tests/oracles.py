@@ -67,6 +67,29 @@ def proxy_reference(kind, K, labels, alpha, beta):
     raise ValueError(f"unknown proxy kind {kind!r}")
 
 
+def topological_order_reference(root):
+    """Nodes reachable from ``root`` through parents that require
+    gradients, parents first: the stack-based walk that fixes the order in
+    which backward passes accumulate gradients.  It reads only the
+    ``_parents`` and ``requires_grad`` attributes of the nodes."""
+    order = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+    return order
+
+
 def central_difference(f, x0, step=1e-5):
     """Gradient of scalar f at x0 (flat array in, flat array out)."""
     x0 = np.asarray(x0, dtype=np.float64)

@@ -2,11 +2,15 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modkernel.autodiff as ad
+from modkernel import proxies
 from modkernel.errors import ContractError, DimensionError
+from modkernel.kernels import gram_tensor
+from modkernel.training import ArchitectureSpec, TwoModuleModel
 
-from oracles import central_difference, naive_matmul
+from oracles import central_difference, naive_matmul, topological_order_reference
 
 
 def _leaf(arr):
@@ -147,12 +151,12 @@ class TestBackward:
         np.testing.assert_allclose(W.grad, [[8.0]], rtol=0, atol=1e-15)
 
     def test_diamond_reuse_accumulates_both_paths(self):
-        # K = z z^T uses z twice; d(sum K)/dz = 2 * n * z-ish structure
-        z = _leaf([[1.0, 2.0], [3.0, 4.0]])
-        K = ad.matmul(z, ad.transpose(z))
+        # z feeds both factors of the product, through two paths.
+        z = _leaf([[0.1, 0.2], [0.3, 0.4]])
+        K = ad.matmul(ad.exp(z), ad.tanh(z))
         ad.backward(ad.tensor_sum(K))
         fd = central_difference(
-            lambda arr: float((arr @ arr.T).sum()), z.data)
+            lambda arr: float((np.exp(arr) @ np.tanh(arr)).sum()), z.data)
         np.testing.assert_allclose(z.grad, fd, rtol=1e-7, atol=1e-9)
 
 
@@ -175,6 +179,7 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
     b = rng.standard_normal(2) * 0.5
     m = rng.standard_normal((3, 4))
     labels = rng.integers(0, 2, 3)
+    weights = rng.standard_normal((3, 3))
 
     cases = {
         "add": (lambda t: ad.tensor_sum(ad.square(ad.add(t, ad.constant(m)))), x),
@@ -187,9 +192,12 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
             np.abs(m) + 1.0))), x),
         "matmul": (lambda t: ad.tensor_sum(ad.square(
             ad.matmul(t, ad.constant(w)))), x),
-        "transpose": (lambda t: ad.tensor_sum(ad.square(ad.transpose(t))), x),
+        "gram": (lambda t: ad.tensor_sum(ad.mul(
+            ad.gram(t), ad.constant(weights))), x),
         "affine": (lambda t: ad.tensor_sum(ad.square(ad.affine(
             ad.constant(x), t, ad.constant(b)))), w),
+        "affine_tanh": (lambda t: ad.tensor_sum(ad.square(ad.affine(
+            ad.constant(x), t, ad.constant(b), kind="tanh"))), w),
         "relu": (lambda t: ad.tensor_sum(ad.relu(t)), x + 0.05),
         "tanh": (lambda t: ad.tensor_sum(ad.square(ad.tanh(t))), x),
         "sigmoid": (lambda t: ad.tensor_sum(ad.square(ad.sigmoid(t))), x),
@@ -199,10 +207,11 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
         "square": (lambda t: ad.tensor_sum(ad.square(t)), x),
         "softplus": (lambda t: ad.tensor_sum(ad.softplus(t)), x),
         "sum": (lambda t: ad.square(ad.tensor_sum(t)), x),
-        "mean": (lambda t: ad.square(ad.tensor_mean(t)), x),
         "diagonal_sum": (lambda t: ad.square(ad.diagonal_sum(t)), x[:, :3]),
         "unit_normalize": (lambda t: ad.tensor_sum(ad.mul(
             ad.unit_normalize(t), ad.constant(m))), x),
+        "unit_normalize_tanh": (lambda t: ad.tensor_sum(ad.mul(
+            ad.unit_normalize(t, kind="tanh"), ad.constant(m))), x),
         "cross_entropy": (lambda t: ad.cross_entropy_logits(
             ad.matmul(t, ad.constant(w)), labels), x),
     }
@@ -261,14 +270,14 @@ class TestGraph:
     def test_constant_parents_never_receive_gradients(self):
         rng = np.random.default_rng(3)
         x = ad.constant(rng.standard_normal((4, 3)))
-        xt = ad.constant(rng.standard_normal((3, 4)))
+        xt = ad.constant(rng.standard_normal((2, 2)))
         m = ad.constant(rng.standard_normal((4, 2)) ** 2 + 1.0)
         W = _leaf(rng.standard_normal((3, 2)))
         b = _leaf(rng.standard_normal(2))
         h = ad.affine(x, W, b)
         terms = [ad.mul(m, h), ad.div(h, m),
                  ad.div(m, ad.add(ad.square(h), m)), ad.matmul(x, W),
-                 ad.transpose(ad.matmul(ad.transpose(W), xt)), ad.sub(m, h)]
+                 ad.matmul(h, xt), ad.sub(m, h)]
         loss = ad.tensor_sum(functools.reduce(ad.add, terms))
         ad.backward(loss)
         for const in (x, xt, m):
@@ -285,9 +294,9 @@ class TestGraph:
         x = ad.constant(rng.standard_normal((5, 3)))
         h = ad.affine(x, W, b)           # bias broadcast: b gets g summed
         s = ad.add(h, h)                 # both parents get g itself
-        t = ad.transpose(ad.sub(s, h))   # a view of g passes through
-        k = ad.matmul(t, ad.transpose(t))
-        loss = ad.tensor_sum(ad.mul(k, ad.constant(np.ones((3, 3)))))
+        t = ad.sub(s, h)                 # so does the first parent here
+        k = ad.gram(t)
+        loss = ad.tensor_sum(ad.mul(k, ad.constant(np.ones((5, 5)))))
         ad.backward(loss)
         order = ad.topological_order(loss)
         grads = [node.grad for node in order if node.grad is not None]
@@ -300,6 +309,130 @@ class TestGraph:
             g[...] = before[i]
             for node in order:
                 assert not np.shares_memory(g, node.data)
+
+
+class TestTopologicalOrder:
+    """The walk fixes the order in which gradients accumulate, and with it
+    their bits: it must list the nodes exactly as the stack-based
+    reference does."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 99),
+                              st.integers(0, 99)), min_size=1, max_size=30))
+    def test_matches_the_stack_walk_on_random_graphs(self, steps):
+        # Operands are drawn from every node so far, so parents are shared,
+        # diamonds form, constants feed ops, and an op can take one node
+        # twice (a + a).
+        nodes = [_leaf(np.ones((2, 2))), ad.constant(np.full((2, 2), 0.5))]
+        biases = [_leaf(np.ones(2)), ad.constant(np.ones(2))]
+        for op, i, j in steps:
+            a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
+            if op == 0:
+                nodes.append(ad.add(a, b))
+            elif op == 1:
+                nodes.append(ad.mul(a, b))
+            elif op == 2:
+                nodes.append(ad.square(a))
+            elif op == 3:
+                nodes.append(ad.affine(a, b, biases[i % 2]))
+            elif op == 4:
+                nodes.append(ad.constant(np.ones((2, 2))))
+            else:
+                nodes.append(_leaf(np.ones((2, 2))))
+        root = ad.tensor_sum(functools.reduce(ad.add, nodes[-3:]))
+        got = ad.topological_order(root)
+        want = topological_order_reference(root)
+        assert [id(t) for t in got] == [id(t) for t in want]
+
+    # len(topological_order(loss)) of one width-24, batch-64 stage-1 step
+    # per proxy: 4 parameters, the two affine layers, the link and the
+    # gram node, then the proxy's own nodes and the negated loss.
+    STAGE1_NODES = {"al-neo": 16, "cts-neo": 12, "nmse-neo": 13, "al": 20,
+                    "utal": 24, "cts": 16, "nmse": 21}
+
+    def test_step_graphs_keep_their_node_counts(self):
+        rng = np.random.default_rng(0)
+        model = TwoModuleModel(ArchitectureSpec(
+            input_dim=12, hidden_widths=(24,), latent_dim=2, num_classes=2))
+        X = rng.standard_normal((64, 12))
+        y = np.arange(64) % 2
+        part = proxies.partition_pairs(y)
+        alpha, beta = model.link.bounds()
+        for kind, count in self.STAGE1_NODES.items():
+            K = gram_tensor(model.link, model.pre_link(ad.constant(X)))
+            loss = ad.neg(proxies.proxy_tensor(kind, K, part, alpha, beta))
+            assert len(ad.topological_order(loss)) == count, kind
+        logits = ad.affine(ad.constant(model.link_features_np(X)),
+                           model.output_weight, model.output_bias)
+        loss = ad.cross_entropy_logits(logits, y)
+        assert len(ad.topological_order(loss)) == 4
+
+
+def _transpose(a):
+    """The transpose node the gram node replaced, kept as the reference."""
+    def rule(g):
+        ad._accumulate_view(a, g.T)
+
+    return ad._make(a.data.T, (a,), rule)
+
+
+class TestFusedNodes:
+    """Each fused node against the graph of separate nodes it replaces:
+    the same value and the same gradient everywhere, bit for bit."""
+
+    @staticmethod
+    def _twin_leaves(rng, shapes):
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        return [_leaf(a) for a in arrays], [_leaf(a) for a in arrays]
+
+    @staticmethod
+    def _assert_bitwise(outs, nodes, leaves):
+        assert outs[0].data.tobytes() == outs[1].data.tobytes()
+        for out in outs:
+            ad.backward(out)
+        for group in (nodes, leaves):
+            for first, second in zip(*group):
+                assert first.grad.tobytes() == second.grad.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gram_equals_matmul_with_transpose(self, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((9, 9)) < 0.5
+        X = ad.constant(rng.standard_normal((9, 4)))
+        fused, plain = self._twin_leaves(rng, [(4, 3), (3,)])
+        h_fused, h_plain = ad.affine(X, *fused), ad.affine(X, *plain)
+        outs = [ad.square(ad.masked_sum(ad.exp(K), mask)) for K in
+                (ad.gram(h_fused), ad.matmul(h_plain, _transpose(h_plain)))]
+        self._assert_bitwise(outs, ([h_fused], [h_plain]), (fused, plain))
+
+    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid"])
+    def test_affine_with_kind_equals_affine_then_elementwise(self, kind):
+        rng = np.random.default_rng(7)
+        weights = ad.constant(rng.standard_normal((6, 3)))
+        fused, plain = self._twin_leaves(rng, [(6, 5), (5, 3), (3,)])
+        outs = [ad.tensor_sum(ad.mul(ad.affine(*fused, kind=kind), weights)),
+                ad.tensor_sum(ad.mul(ad.elementwise(ad.affine(*plain), kind),
+                                     weights))]
+        self._assert_bitwise(outs, ([], []), (fused, plain))
+
+    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid"])
+    def test_unit_normalize_with_kind_equals_elementwise_then_normalize(
+            self, kind):
+        rng = np.random.default_rng(8)
+        weights = ad.constant(rng.standard_normal((6, 3)))
+        fused, plain = self._twin_leaves(rng, [(6, 3)])
+        for leaf in fused + plain:
+            leaf.data[0] = 0.0      # a zero row takes the epsilon floor
+        outs = [ad.tensor_sum(ad.mul(ad.unit_normalize(fused[0], kind=kind),
+                                     weights)),
+                ad.tensor_sum(ad.mul(ad.unit_normalize(
+                    ad.elementwise(plain[0], kind)), weights))]
+        self._assert_bitwise(outs, ([], []), (fused, plain))
+
+    def test_gram_needs_a_matrix(self):
+        with pytest.raises(DimensionError):
+            ad.gram(_leaf(np.ones(3)))
 
 
 class TestMaskedSum:

@@ -408,7 +408,9 @@ class TestCli:
                      "one-code-degenerate"]) == 0
         assert "pass" in capsys.readouterr().out
 
-    def test_score_transfer(self, tmp_path, capsys):
+    @staticmethod
+    def _score_transfer_inputs(tmp_path) -> list:
+        """A config and two candidate files, as score-transfer arguments."""
         from modkernel.training import ArchitectureSpec, TwoModuleModel
         from modkernel.transfer import CandidateModule
         arch = ArchitectureSpec(input_dim=4, hidden_widths=(8,), latent_dim=2,
@@ -421,12 +423,25 @@ class TestCli:
                            "num_classes": 2, "seed": 0},
                "transfer": {"source_tasks": [[0, 1]], "target_task": [0, 1]}}
         cfg_path = write_config(tmp_path, doc)
+        return [str(cfg_path), str(tmp_path / "c0.json"),
+                str(tmp_path / "c1.json")]
+
+    def test_score_transfer(self, tmp_path, capsys):
         out_path = tmp_path / "ranking.json"
-        code = main(["score-transfer", str(cfg_path),
-                     str(tmp_path / "c0.json"), str(tmp_path / "c1.json"),
+        code = main(["score-transfer", *self._score_transfer_inputs(tmp_path),
                      "--subsample-fraction", "1.0",
                      "--output", str(out_path)])
         assert code == 0
         ranking = read_json(out_path)
         assert {e["rank"] for e in ranking["entries"]} == {1, 2}
         assert "rank 1" in capsys.readouterr().out
+
+    def test_score_transfer_negative_seed_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "ranking.json"
+        code = main(["score-transfer", *self._score_transfer_inputs(tmp_path),
+                     "--seed", "-1", "--output", str(out_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()

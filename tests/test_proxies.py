@@ -85,6 +85,11 @@ class TestPartition:
         assert (part.num_negatives, part.num_positives) == (negatives, positives)
         assert part.num_negatives == len(part.negatives)
         assert part.num_positives == len(part.positives)
+        # The class-size formula: sum of squared sizes counts the ordered
+        # equal-label pairs, the diagonal included.
+        _, sizes = np.unique(arr, return_counts=True)
+        same = int(sizes @ sizes)
+        assert (negatives, positives) == (arr.size ** 2 - same, same - arr.size)
 
 
 class TestPinnedValues:

@@ -417,12 +417,12 @@ def square(x: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    """ln(1 + e^x), computed without overflow for large |x|."""
+    """ln(1 + e^x), computed without overflow for large |x|.  Its
+    derivative, the sigmoid, is built inside the backward rule."""
     out_data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-    local = _sigmoid(x.data)
 
     def rule(g):
-        _accumulate(x, g * local)
+        _accumulate(x, g * _sigmoid(x.data))
 
     return _make(out_data, (x,), rule)
 

@@ -17,7 +17,8 @@ from .config import LEMMA_DEFAULTS, dump_config, load_config
 from .errors import ConfigurationError, IngestionError, ModkernelError
 from .experiments import run_experiment
 from .serialize import write_json
-from .transfer import CandidateModule, rank_candidates, score_candidate
+from .transfer import (SCORING_DEFAULTS, CandidateModule, rank_candidates,
+                       score_candidate)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,9 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="config file whose dataset section is the target")
     p_score.add_argument("candidates", nargs="+",
                          help="candidate module checkpoint files")
-    p_score.add_argument("--proxy", default="al")
-    p_score.add_argument("--subsample-fraction", type=float, default=0.1)
-    p_score.add_argument("--seed", type=int, default=0)
+    p_score.add_argument("--proxy", default=SCORING_DEFAULTS["proxy"])
+    p_score.add_argument("--subsample-fraction", type=float,
+                         default=SCORING_DEFAULTS["subsample_fraction"])
+    p_score.add_argument("--seed", type=int, default=SCORING_DEFAULTS["seed"])
     p_score.add_argument("--output", default=None,
                          help="optional path for the ranking JSON")
 

@@ -18,7 +18,7 @@ from .datasets import DatasetSpec
 from .errors import ConfigurationError
 from .serialize import dump_json
 from .training import ArchitectureSpec, TrainConfig
-from .transfer import validate_subsample_fraction
+from .transfer import SCORING_DEFAULTS, validate_subsample_fraction
 
 EXPERIMENT_KINDS = ("sanity-dynamics", "proxy-sweep", "modular-vs-e2e",
                     "label-efficiency", "transferability", "lemma-suite",
@@ -73,9 +73,9 @@ _LABEL_EFFICIENCY_FIELDS = {
 _TRANSFER_FIELDS = {
     "source_tasks": (list, _REQUIRED),
     "target_task": (list, _REQUIRED),
-    "proxy": (str, "al"),
-    "subsample_fraction": (float, 0.1),
-    "seed": (int, 0),
+    "proxy": (str, SCORING_DEFAULTS["proxy"]),
+    "subsample_fraction": (float, SCORING_DEFAULTS["subsample_fraction"]),
+    "seed": (int, SCORING_DEFAULTS["seed"]),
     "include_random_candidate": (bool, True),
     "candidate_train": ((dict, type(None)), None),
     "oracle_train": ((dict, type(None)), None),

@@ -85,32 +85,20 @@ def kernel_eval(fmap: FeatureMap, u, v) -> float:
     return float(fmap.apply(u) @ fmap.apply(v))
 
 
-# Rows per block when kernel_matrix mirrors its upper triangle in place.
-MIRROR_BLOCK_ROWS = 128
-
-
 def kernel_matrix(fmap: FeatureMap, X) -> np.ndarray:
     """Symmetric n-by-n matrix of pairwise kernel values over a batch.
 
     Allocates one n-by-n array, the product of the features with their
-    transpose, and copies its upper triangle onto its lower one in place,
-    one block of rows at a time.  The result is exactly symmetric whatever
-    rounding the BLAS product used.
+    transpose.  numpy computes a product of a matrix with its own
+    transpose as a symmetric rank-k update (BLAS ``syrk``) and fills the
+    other triangle from the one it computed, so the result is exactly
+    symmetric.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise DimensionError(f"kernel_matrix expects n-by-d batch, got {X.shape}")
     feats = fmap.apply(X)
-    K = feats @ feats.T
-    n = K.shape[0]
-    strict_lower = np.tri(MIRROR_BLOCK_ROWS, k=-1, dtype=bool)
-    for start in range(0, n, MIRROR_BLOCK_ROWS):
-        stop = min(start + MIRROR_BLOCK_ROWS, n)
-        K[start:stop, :start] = K[:start, start:stop].T
-        block = K[start:stop, start:stop]
-        size = stop - start
-        np.copyto(block, block.T, where=strict_lower[:size, :size])
-    return K
+    return feats @ feats.T
 
 
 def rkhs_distance_sq(fmap: FeatureMap, u, v) -> float:

@@ -11,6 +11,12 @@ nondecreasing term on the negative class, and a weight-norm penalty:
 Three concrete instantiations are provided (two-class softmax
 cross-entropy, tanh + squared error, hinge), plus the standard multiclass
 softmax cross-entropy used when training multiclass output modules.
+
+Each loss is defined once, as a pair of graph builders over a score
+tensor.  Training minimizes ``risk_tensor`` over those graphs; the plain
+values (``ell_plus``, ``ell_minus``, ``risk``, ``multiclass_xe``), which
+the theorem oracle and the monotonicity audit read, run the same graphs
+on constants.
 """
 
 from __future__ import annotations
@@ -20,14 +26,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, ContractError, DimensionError
 
-LOSS_KINDS = ("xe2", "tanh-mse", "hinge")
+# kind -> (ell_plus, ell_minus), each a graph builder over a score tensor.
+_TERMS = {
+    "xe2": (lambda s: ad.softplus(ad.neg(s)), ad.softplus),
+    "tanh-mse": (lambda s: ad.square(1.0 - ad.tanh(s)),
+                 lambda s: ad.square(1.0 + ad.tanh(s))),
+    "hinge": (lambda s: ad.relu(1.0 - s), lambda s: ad.relu(1.0 + s)),
+}
 
-
-def _softplus(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+LOSS_KINDS = tuple(_TERMS)
 
 
 def _identity(x):
@@ -38,36 +47,34 @@ def _identity(x):
 class DecomposableLoss:
     """The (ell_plus, ell_minus, g, lambda) quadruple of a decomposable risk.
 
-    ell_plus must be nonincreasing and ell_minus and g nondecreasing;
+    ``plus_term`` and ``minus_term`` build ell_plus and ell_minus,
+    entrywise, as graphs over a score tensor.  ell_plus must be
+    nonincreasing and ell_minus and g nondecreasing;
     ``monotonicity_audit`` verifies this numerically on a grid.
     """
 
     kind: str
-    ell_plus: callable
-    ell_minus: callable
+    plus_term: callable
+    minus_term: callable
     g: callable = _identity
     lam: float = 0.0
+
+    def ell_plus(self, t) -> np.ndarray:
+        return self.plus_term(ad.constant(t)).data
+
+    def ell_minus(self, t) -> np.ndarray:
+        return self.minus_term(ad.constant(t)).data
 
 
 def make_loss(kind: str, lam: float = 0.0, g=None) -> DecomposableLoss:
     kind = kind.replace("_", "-")
     if lam < 0:
         raise ConfigurationError("lambda must be nonnegative")
-    g = g if g is not None else _identity
-    if kind == "xe2":
-        return DecomposableLoss(kind, lambda t: _softplus(-np.asarray(t, float)),
-                                lambda t: _softplus(np.asarray(t, float)),
-                                g, lam)
-    if kind == "tanh-mse":
-        return DecomposableLoss(kind, lambda t: (1.0 - np.tanh(t)) ** 2,
-                                lambda t: (1.0 + np.tanh(t)) ** 2,
-                                g, lam)
-    if kind == "hinge":
-        return DecomposableLoss(kind, lambda t: np.maximum(0.0, 1.0 - np.asarray(t, float)),
-                                lambda t: np.maximum(0.0, 1.0 + np.asarray(t, float)),
-                                g, lam)
-    raise ConfigurationError(
-        f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    if kind not in _TERMS:
+        raise ConfigurationError(
+            f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    return DecomposableLoss(kind, *_TERMS[kind],
+                            g if g is not None else _identity, lam)
 
 
 @dataclass(frozen=True)
@@ -90,19 +97,36 @@ class LabeledSet:
         return cls(X=X, y=y, I_plus=plus, I_minus=minus)
 
 
+def _data_term(loss: DecomposableLoss, scores: ad.Tensor,
+               positive: np.ndarray) -> ad.Tensor:
+    """(1/n) (sum of ell_plus over ``positive`` + sum of ell_minus over
+    the rest), for a boolean mask with one entry per score."""
+    positive = np.asarray(positive, dtype=bool).ravel()
+    n = positive.shape[0]
+    if scores.size != n:
+        raise DimensionError("scores do not align with the positive mask")
+    positive = positive.reshape(scores.shape)
+    return (ad.masked_sum(loss.plus_term(scores), positive)
+            + ad.masked_sum(loss.minus_term(scores), ~positive)) / float(n)
+
+
 def risk(loss: DecomposableLoss, scores, labeled: LabeledSet,
          w_norm: float = 0.0) -> float:
-    """The three-term decomposed empirical risk."""
+    """The three-term decomposed empirical risk; I- is taken to be the
+    complement of I+.
+
+    Scores must be finite: both terms are evaluated at every score and
+    masked, so an infinite score would turn the masked-out term into NaN.
+    """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     if scores.shape[0] != labeled.y.shape[0]:
         raise DimensionError("scores do not align with the labeled set")
-    n = scores.shape[0]
-    total = 0.0
-    if labeled.I_plus.size:
-        total += float(np.sum(loss.ell_plus(scores[labeled.I_plus]))) / n
-    if labeled.I_minus.size:
-        total += float(np.sum(loss.ell_minus(scores[labeled.I_minus]))) / n
-    return total + loss.lam * float(loss.g(w_norm))
+    if not np.isfinite(scores).all():
+        raise ContractError("risk needs finite scores")
+    positive = np.zeros(scores.shape[0], dtype=bool)
+    positive[labeled.I_plus] = True
+    data = _data_term(loss, ad.constant(scores), positive).item()
+    return data + loss.lam * float(loss.g(w_norm))
 
 
 def risk_tensor(loss: DecomposableLoss, scores: ad.Tensor,
@@ -113,26 +137,7 @@ def risk_tensor(loss: DecomposableLoss, scores: ad.Tensor,
     supported for the identity g only; arbitrary g stays on the plain
     ``risk`` path.
     """
-    positive = np.asarray(positive, dtype=bool).ravel()
-    n = positive.shape[0]
-    if scores.size != n:
-        raise DimensionError("scores do not align with the positive mask")
-    pos = ad.constant(positive.astype(np.float64).reshape(scores.shape))
-    negm = ad.constant((~positive).astype(np.float64).reshape(scores.shape))
-    if loss.kind == "xe2":
-        plus_term = ad.softplus(ad.neg(scores))
-        minus_term = ad.softplus(scores)
-    elif loss.kind == "tanh-mse":
-        t = ad.tanh(scores)
-        plus_term = ad.square(1.0 - t)
-        minus_term = ad.square(1.0 + t)
-    elif loss.kind == "hinge":
-        plus_term = ad.relu(1.0 - scores)
-        minus_term = ad.relu(1.0 + scores)
-    else:
-        raise ConfigurationError(f"no differentiable form for {loss.kind!r}")
-    out = (ad.tensor_sum(ad.mul(plus_term, pos))
-           + ad.tensor_sum(ad.mul(minus_term, negm))) / float(n)
+    out = _data_term(loss, scores, positive)
     if loss.lam > 0.0:
         if loss.g is not _identity:
             raise ConfigurationError(
@@ -146,13 +151,9 @@ def risk_tensor(loss: DecomposableLoss, scores: ad.Tensor,
 def multiclass_xe(logits, labels) -> float:
     """Mean softmax cross-entropy of n-by-C logits against integer labels."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise DimensionError(f"expected n-by-C logits with C >= 2, got {logits.shape}")
-    n = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    return float((lse - logits[np.arange(n), labels]).mean())
+    return ad.cross_entropy_logits(ad.constant(logits), labels).item()
 
 
 @dataclass
@@ -175,19 +176,14 @@ def monotonicity_audit(loss: DecomposableLoss, grid,
     if grid.ndim != 1 or grid.shape[0] < 2 or np.any(np.diff(grid) < 0):
         raise ConfigurationError("grid must be a sorted list of >= 2 reals")
     report = MonotonicityReport(grid_points=grid.shape[0])
-    plus = np.asarray(loss.ell_plus(grid), dtype=np.float64)
-    minus = np.asarray(loss.ell_minus(grid), dtype=np.float64)
-    gvals = np.asarray([loss.g(t) for t in grid], dtype=np.float64)
-    for t1, t2, v1, v2 in zip(grid, grid[1:], plus, plus[1:]):
-        if v1 < v2 - slack:
-            report.violations.append(("ell_plus", float(t1), float(t2),
-                                      float(v1), float(v2)))
-    for t1, t2, v1, v2 in zip(grid, grid[1:], minus, minus[1:]):
-        if v1 > v2 + slack:
-            report.violations.append(("ell_minus", float(t1), float(t2),
-                                      float(v1), float(v2)))
-    for t1, t2, v1, v2 in zip(grid, grid[1:], gvals, gvals[1:]):
-        if v1 > v2 + slack:
-            report.violations.append(("g", float(t1), float(t2),
-                                      float(v1), float(v2)))
+    sweeps = (("ell_plus", loss.ell_plus(grid), -1.0),
+              ("ell_minus", loss.ell_minus(grid), 1.0),
+              ("g", [loss.g(t) for t in grid], 1.0))
+    for name, values, direction in sweeps:
+        values = np.asarray(values, dtype=np.float64)
+        for t1, t2, v1, v2 in zip(grid, grid[1:], values, values[1:]):
+            # Negation is exact: -v1 > -v2 + slack is v1 < v2 - slack.
+            if direction * v1 > direction * v2 + slack:
+                report.violations.append((name, float(t1), float(t2),
+                                          float(v1), float(v2)))
     return report

@@ -87,18 +87,10 @@ def validate_proxy_for_bounds(kind: str, beta: float) -> None:
             "use one of 'al', 'utal', 'cts', 'nmse'")
 
 
-def required_pair_types(kind: str) -> frozenset:
-    validate_proxy_kind(kind)
-    return frozenset("NP") if kind == "cts" else frozenset("N")
-
-
 def is_degenerate_for(kind: str, part: PairPartition) -> bool:
-    need = required_pair_types(kind)
-    if "N" in need and part.num_negatives == 0:
-        return True
-    if "P" in need and part.num_positives == 0:
-        return True
-    return False
+    """Whether the batch lacks a pair type the proxy reads: every proxy
+    needs an inter-class pair, and cts an intra-class one as well."""
+    return part.num_negatives == 0 or (kind == "cts" and part.num_positives == 0)
 
 
 def proxy_tensor(kind: str, K: ad.Tensor, part: PairPartition,

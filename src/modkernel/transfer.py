@@ -47,9 +47,16 @@ class CandidateModule:
             meta={"id": self.id, "source_task": self.source_task}))
 
 
+# The scoring defaults, also read by the config's 'transfer' section and
+# the score-transfer command line.
+SCORING_DEFAULTS = {"proxy": "al", "subsample_fraction": 0.1, "seed": 0}
+
+
 def score_candidate(candidate: CandidateModule, target_data: Dataset,
-                    proxy: str = "al", subsample_fraction: float = 0.1,
-                    seed: int = 0, max_retries: int = 20) -> float:
+                    proxy: str = SCORING_DEFAULTS["proxy"],
+                    subsample_fraction: float = SCORING_DEFAULTS["subsample_fraction"],
+                    seed: int = SCORING_DEFAULTS["seed"],
+                    max_retries: int = 20) -> float:
     """Proxy value of the frozen module on a seeded target subsample.
 
     Degenerate subsamples (missing a pair type the proxy needs) are redrawn

@@ -90,6 +90,24 @@ def topological_order_reference(root):
     return order
 
 
+def _softplus(z):
+    z = np.asarray(z, dtype=np.float64)
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def loss_terms_reference(kind):
+    """(ell_plus, ell_minus) of a built-in decomposable loss, as numpy
+    functions of a score array written straight from their formulas."""
+    return {
+        "xe2": (lambda t: _softplus(-np.asarray(t, float)),
+                lambda t: _softplus(np.asarray(t, float))),
+        "tanh-mse": (lambda t: (1.0 - np.tanh(t)) ** 2,
+                     lambda t: (1.0 + np.tanh(t)) ** 2),
+        "hinge": (lambda t: np.maximum(0.0, 1.0 - np.asarray(t, float)),
+                  lambda t: np.maximum(0.0, 1.0 + np.asarray(t, float))),
+    }[kind]
+
+
 def central_difference(f, x0, step=1e-5):
     """Gradient of scalar f at x0 (flat array in, flat array out)."""
     x0 = np.asarray(x0, dtype=np.float64)

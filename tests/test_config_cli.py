@@ -436,6 +436,20 @@ class TestCli:
         assert {e["rank"] for e in ranking["entries"]} == {1, 2}
         assert "rank 1" in capsys.readouterr().out
 
+    def test_score_transfer_defaults_match_transfer_section(self):
+        from modkernel.cli import _build_parser
+        from modkernel.config import resolve_config
+        from modkernel.transfer import score_candidate
+        section = resolve_config({
+            "experiment": "transferability",
+            "transfer": {"source_tasks": [[0, 1]], "target_task": [0, 1]},
+        }).section("transfer")
+        signature = inspect.signature(score_candidate).parameters
+        flags = _build_parser().parse_args(["score-transfer", "c.json", "m.json"])
+        for key in ("proxy", "subsample_fraction", "seed"):
+            assert signature[key].default == section[key], key
+            assert getattr(flags, key) == section[key], key
+
     def test_score_transfer_negative_seed_exits_2(self, tmp_path, capsys):
         out_path = tmp_path / "ranking.json"
         code = main(["score-transfer", *self._score_transfer_inputs(tmp_path),

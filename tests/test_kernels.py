@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from modkernel.errors import ConfigurationError, DimensionError
-from modkernel.kernels import (MIRROR_BLOCK_ROWS, ConvPatchSpec, FeatureMap,
-                               conv_patch_feature, kernel_bounds, kernel_eval,
-                               kernel_matrix, rkhs_distance_sq)
+from modkernel.kernels import (ConvPatchSpec, FeatureMap, conv_patch_feature,
+                               kernel_bounds, kernel_eval, kernel_matrix,
+                               rkhs_distance_sq)
 
 from oracles import jacobi_eigenvalues, naive_patch_extract
 
@@ -75,20 +75,15 @@ class TestKernelMatrix:
         M = kernel_matrix(spec_for("sigmoid"), rng.standard_normal((7, 4)))
         np.testing.assert_array_equal(M, M.T)
 
-    @pytest.mark.parametrize("n", [1, MIRROR_BLOCK_ROWS - 1, MIRROR_BLOCK_ROWS,
-                                   MIRROR_BLOCK_ROWS + 1,
-                                   2 * MIRROR_BLOCK_ROWS - 1,
-                                   2 * MIRROR_BLOCK_ROWS,
-                                   2 * MIRROR_BLOCK_ROWS + 1])
+    # Sizes on either side of 128 and 256 rows, and one large batch.
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257, 3000])
     def test_mirrors_upper_triangle_exactly_at_block_edges(self, n):
         rng = np.random.default_rng(n)
         spec = spec_for("tanh")
         X = rng.standard_normal((n, 5))
         M = kernel_matrix(spec, X)
         feats = spec.apply(X)
-        product = feats @ feats.T
-        np.testing.assert_array_equal(
-            M, np.triu(product) + np.triu(product, 1).T)
+        np.testing.assert_array_equal(M, feats @ feats.T)
         np.testing.assert_array_equal(M, M.T)
 
     def test_psd_against_jacobi_oracle(self):

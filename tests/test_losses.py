@@ -2,10 +2,25 @@ import numpy as np
 import pytest
 
 import modkernel.autodiff as ad
-from modkernel.errors import ConfigurationError
-from modkernel.losses import (DecomposableLoss, LabeledSet, make_loss,
-                              monotonicity_audit, multiclass_xe, risk,
-                              risk_tensor)
+from modkernel.errors import ConfigurationError, ContractError
+from modkernel.losses import (LOSS_KINDS, DecomposableLoss, LabeledSet,
+                              make_loss, monotonicity_audit, multiclass_xe,
+                              risk, risk_tensor)
+
+from oracles import loss_terms_reference
+
+# A grid with the hinge corners, signed zeros, the tanh-mse saturation
+# point and the extremes of the float range.
+SCORE_GRID = np.concatenate([
+    np.linspace(-40.0, 40.0, 1331),
+    [0.0, -0.0, 1.0, -1.0, 30.0, -30.0, 1e300, -1e300,
+     np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)],
+])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestMakeLoss:
@@ -34,6 +49,21 @@ class TestMakeLoss:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigurationError):
             make_loss("hinge", lam=-0.1)
+
+    def test_kinds_are_the_builtin_losses(self):
+        assert LOSS_KINDS == ("xe2", "tanh-mse", "hinge")
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_terms_match_reference_bit_for_bit(self, kind):
+        loss = make_loss(kind)
+        ref_plus, ref_minus = loss_terms_reference(kind)
+        assert same_bits(loss.ell_plus(SCORE_GRID), ref_plus(SCORE_GRID))
+        assert same_bits(loss.ell_minus(SCORE_GRID), ref_minus(SCORE_GRID))
+        block = SCORE_GRID[:1330].reshape(10, 133)
+        assert same_bits(loss.ell_plus(block), ref_plus(block))
+        for t in SCORE_GRID[-10:]:
+            assert same_bits(loss.ell_plus(t), ref_plus(t)), t
+            assert same_bits(loss.ell_minus(t), ref_minus(t)), t
 
 
 class TestRisk:
@@ -85,6 +115,11 @@ class TestRisk:
         assert risk(loss, scores, labeled, w_norm=0.0) == risk(
             loss, scores, labeled, w_norm=1e6)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ContractError, match="finite"):
+            risk(make_loss("xe2"), np.array([bad, -1.0]), self._set([1, 0]))
+
     def test_lambda_scales_penalty(self):
         labeled = self._set([1, 0])
         loss = make_loss("hinge", lam=0.5)
@@ -127,16 +162,21 @@ class TestMulticlassXe:
 
 
 class TestRiskTensor:
-    @pytest.mark.parametrize("kind", ("xe2", "tanh-mse", "hinge"))
-    def test_matches_plain_risk(self, kind):
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_matches_oracle_loop(self, kind):
         rng = np.random.default_rng(4)
         y = rng.integers(0, 2, 9)
-        scores = rng.standard_normal((9, 1))
+        scores = rng.standard_normal((9, 1)) * 2.0
+        scores[:3, 0] = (1.0, -1.0, 0.0)
+        ref_plus, ref_minus = loss_terms_reference(kind)
+        total = 0.0
+        for s, label in zip(scores[:, 0], y):
+            total += float(ref_plus(s) if label == 1 else ref_minus(s)) / 9
         labeled = LabeledSet.from_binary_labels(np.zeros((9, 1)), y)
-        loss = make_loss(kind)
-        plain = risk(loss, scores, labeled)
-        graph = risk_tensor(loss, ad.Tensor(scores), y == 1)
-        assert graph.item() == pytest.approx(plain, abs=1e-12)
+        graph = risk_tensor(make_loss(kind), ad.Tensor(scores), y == 1)
+        assert graph.item() == pytest.approx(total, abs=1e-12)
+        plain = risk(make_loss(kind, lam=0.3), scores, labeled, w_norm=1.7)
+        assert plain == pytest.approx(total + 0.3 * 1.7, abs=1e-12)
 
     def test_penalty_needs_weights(self):
         loss = make_loss("hinge", lam=0.1)
@@ -148,13 +188,13 @@ class TestRiskTensor:
 class TestMonotonicityAudit:
     def test_builtin_losses_clean_on_dense_grid(self):
         grid = np.arange(-10.0, 10.0 + 1e-9, 0.01)
-        for kind in ("xe2", "tanh-mse", "hinge"):
+        for kind in LOSS_KINDS:
             report = monotonicity_audit(make_loss(kind), grid)
             assert report.passed, report.violations[:3]
 
     def test_broken_loss_is_reported(self):
-        broken = DecomposableLoss("broken", ell_plus=lambda t: np.asarray(t),
-                                  ell_minus=lambda t: np.asarray(t))
+        broken = DecomposableLoss("broken", plus_term=lambda s: s,
+                                  minus_term=lambda s: s)
         report = monotonicity_audit(broken, np.linspace(-1, 1, 11))
         assert not report.passed
         assert all(v[0] == "ell_plus" for v in report.violations)

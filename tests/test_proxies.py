@@ -365,6 +365,20 @@ class TestSharedProperties:
         with pytest.raises(ConfigurationError):
             proxies.validate_proxy_kind("mmd")
 
+    def test_unknown_kind_rejected_by_proxy_value(self):
+        part = proxies.partition_pairs([0, 1, 1])
+        with pytest.raises(ConfigurationError, match="mmd"):
+            proxies.proxy_value("mmd", np.eye(3), part, 1.0, -1.0)
+
+    def test_degenerate_batches(self):
+        no_positives = proxies.partition_pairs([0, 1])
+        no_negatives = proxies.partition_pairs([2, 2, 2])
+        for kind in proxies.PROXY_KINDS:
+            assert proxies.is_degenerate_for(kind, no_positives) == (kind == "cts")
+            assert proxies.is_degenerate_for(kind, no_negatives)
+            assert not proxies.is_degenerate_for(
+                kind, proxies.partition_pairs([0, 0, 1]))
+
     def test_neo_requires_nonzero_beta(self):
         with pytest.raises(ConfigurationError):
             proxies.validate_proxy_for_bounds("nmse-neo", beta=0.0)

@@ -84,6 +84,10 @@ class TestScoreCandidate:
         with pytest.raises(ConfigurationError, match="subsample_fraction"):
             score_candidate(fresh_candidate(), target_blobs(), "al", fraction)
 
+    def test_unknown_proxy_rejected(self):
+        with pytest.raises(ConfigurationError, match="mmd"):
+            score_candidate(fresh_candidate(), target_blobs(), "mmd", 1.0)
+
     @pytest.mark.parametrize("fraction", [0.0, 1.5])
     def test_config_rejects_fraction_outside_unit_interval(self, fraction):
         doc = {"experiment": "transferability",

@@ -462,18 +462,93 @@ def masked_sum(x: Tensor, mask: np.ndarray) -> Tensor:
     return _make(total, (x,), rule)
 
 
-def diagonal_sum(x: Tensor) -> Tensor:
-    """Sum of the diagonal entries of a square matrix (its trace)."""
-    if x.data.ndim != 2 or x.data.shape[0] != x.data.shape[1]:
-        raise DimensionError(f"diagonal_sum expects a square matrix, got {x.shape}")
-    out_data = np.asarray(np.trace(x.data))
+# Rows per block when pair_sum maps and sums a large matrix.
+PAIR_SUM_BLOCK_ROWS = 128
+
+PAIR_MAPS = ("identity", "square", "exp")
+
+
+def _pair_map(x: np.ndarray, kind: str, shift: float) -> np.ndarray:
+    """f(x - shift) for f in PAIR_MAPS, with one temporary of x's size."""
+    out = None
+    if shift:
+        x = out = x - shift
+    if kind == "square":
+        return np.multiply(x, x, out=out)
+    if kind == "exp":
+        return np.exp(x, out=out)
+    return x
+
+
+def _class_sums(rows: np.ndarray, onehot: np.ndarray, classes: np.ndarray,
+                diagonal_offset: int) -> tuple:
+    """(inter-class, intra-class, diagonal) sums of a block of rows of a
+    square matrix, whose diagonal starts at column ``diagonal_offset``."""
+    per_class = rows @ onehot
+    own = (np.arange(per_class.shape[0]), classes)
+    same = per_class[own].sum()
+    per_class[own] = 0.0
+    return per_class.sum(), same, np.trace(rows, offset=diagonal_offset)
+
+
+def pair_sum(x: Tensor, classes: np.ndarray, kind: str = "identity",
+             weights: tuple = (1.0, 0.0, 0.0), shift: float = 0.0) -> Tensor:
+    """Class-weighted sum of a map of a square matrix over its index pairs.
+
+    With f(t) = kind(t - shift) and ``weights`` (w_neg, w_same, w_diag),
+    the value is w_neg sum_{c_i != c_j} f(x_ij) + w_same sum_{c_i = c_j}
+    f(x_ij) + w_diag sum_i f(x_ii) for the class indices ``classes``
+    (0 .. C-1, one per row).  The same-class sum includes the diagonal.
+
+    A matrix of at most ``PAIR_SUM_BLOCK_ROWS`` rows is summed through its
+    boolean same-class mask: with weights (1, 0, 0), the value and the
+    gradient have the bits of ``masked_sum`` of the mapped matrix over the
+    inter-class mask.  A larger one is mapped one block of rows at a time,
+    and each block meets the n-by-C one-hot class matrix in one matrix
+    product, so the forward pass holds nothing of n-by-n size but x.  The
+    backward pass weighs the same-class mask (kept from the forward pass
+    for one block, built for more) and then applies f'.
+    """
+    xd = x.data
+    n = classes.shape[0]
+    if xd.shape != (n, n):
+        raise DimensionError(f"pair_sum: {x.shape} vs {n} class indices")
+    if kind not in PAIR_MAPS:
+        raise ContractError(f"unsupported pair map: {kind!r}")
+    w_neg, w_same, w_diag = weights
+    block = PAIR_SUM_BLOCK_ROWS
+    same = fx = None
+    if n <= block:
+        same = classes[:, None] == classes[None, :]
+        fx = _pair_map(xd, kind, shift)
+        sums = (np.multiply(fx, ~same).sum() if w_neg else 0.0,
+                np.multiply(fx, same).sum() if w_same else 0.0,
+                np.trace(fx) if w_diag else 0.0)
+    else:
+        onehot = np.zeros((n, int(classes.max()) + 1))
+        onehot[np.arange(n), classes] = 1.0
+        sums = (0.0, 0.0, 0.0)
+        for i0 in range(0, n, block):
+            # Passed straight in, so that each mapped block is freed
+            # before the next one is made.
+            sums = [a + b for a, b in zip(sums, _class_sums(
+                _pair_map(xd[i0:i0 + block], kind, shift), onehot,
+                classes[i0:i0 + block], i0))]
+    out_data = sum(w * s for w, s in zip(weights, sums) if w)
 
     def rule(g):
-        grad = np.zeros_like(x.data)
-        np.fill_diagonal(grad, g)
+        mask = same if same is not None else classes[:, None] == classes[None, :]
+        grad = np.where(mask, g * w_same, g * w_neg)
+        if w_diag:
+            grad.flat[::n + 1] += g * w_diag
+        if kind == "square":
+            grad *= 2.0
+            grad *= xd - shift if shift else xd
+        elif kind == "exp":
+            grad *= fx if fx is not None else _pair_map(xd, kind, shift)
         _accumulate(x, grad)
 
-    return _make(out_data, (x,), rule)
+    return _make(np.float64(out_data), (x,), rule)
 
 
 def unit_normalize(x: Tensor, epsilon: float = 1e-12,

@@ -79,12 +79,12 @@ def make_loss(kind: str, lam: float = 0.0, g=None) -> DecomposableLoss:
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Inputs with a binary view: disjoint positive/negative index sets."""
+    """Inputs with a binary view: the positive index set I+; every other
+    example is in I-."""
 
     X: np.ndarray
     y: np.ndarray
     I_plus: np.ndarray
-    I_minus: np.ndarray
 
     @classmethod
     def from_binary_labels(cls, X, y, positive_label=1) -> "LabeledSet":
@@ -92,9 +92,7 @@ class LabeledSet:
         y = np.asarray(y)
         if y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise DimensionError("inputs and labels must align")
-        plus = np.flatnonzero(y == positive_label)
-        minus = np.flatnonzero(y != positive_label)
-        return cls(X=X, y=y, I_plus=plus, I_minus=minus)
+        return cls(X=X, y=y, I_plus=np.flatnonzero(y == positive_label))
 
 
 def _data_term(loss: DecomposableLoss, scores: ad.Tensor,

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import proxies
 from .datasets import Dataset
 from .errors import ConfigurationError, DegenerateBatchError, IngestionError
-from .kernels import FeatureMap, gram_tensor
+from .kernels import FeatureMap, gram_tensor, kernel_matrix
 from .losses import LOSS_KINDS, make_loss, risk_tensor
 from .serialize import (MODULE_FORMAT, entries_to_params, params_to_entries,
                         write_csv)
@@ -379,8 +379,7 @@ def full_proxy_value(model: TwoModuleModel, X: np.ndarray, y: np.ndarray,
     part = proxies.partition_pairs(y)
     if proxies.is_degenerate_for(kind, part):
         return float("nan")
-    feats = model.link_features_np(X)
-    K = feats @ feats.T
+    K = kernel_matrix(model.link, model.pre_link(ad.constant(X)).data)
     return proxies.proxy_value(kind, K, part, alpha, beta)
 
 

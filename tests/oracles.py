@@ -24,47 +24,71 @@ def naive_matmul(A, B):
     return out
 
 
-def proxy_reference(kind, K, labels, alpha, beta):
-    """One of the seven pairwise proxies by its textbook formula, looping
-    over the ordered pairs: an explicit ideal kernel (alpha on equal labels
-    and the diagonal, beta elsewhere) for the full family and an explicit
-    strict upper triangle for utal."""
+def proxy_references(K, labels, alpha, beta):
+    """The seven pairwise proxies by their textbook formulas, as a dict.
+
+    Row by row: an explicit row of the ideal kernel (alpha on equal labels
+    and the diagonal, beta elsewhere), explicit inter-class, intra-class
+    and strict-upper-triangle selections, and every sum taken exactly
+    (``math.fsum``) over the entrywise values of a row, then over rows.
+    """
     K = np.asarray(K, dtype=np.float64)
-    n = len(labels)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    target = {(i, j): alpha if labels[i] == labels[j] else beta
-              for i, j in pairs}
-    neg = [(i, j) for i, j in pairs if labels[i] != labels[j]]
-    pos = [(i, j) for i, j in pairs if i != j and labels[i] == labels[j]]
-    upper = [(i, j) for i, j in pairs if i < j]
+    labels = np.asarray(labels)
+    n = labels.shape[0]
+    rows = {name: [] for name in (
+        "neg", "neg_sq", "neg_exp", "neg_dev", "kt", "kk", "tt", "up_kt",
+        "up_kk", "up_tt", "pos_exp", "pair_exp", "dev")}
+    num_neg = 0
+    for i in range(n):
+        k = K[i]
+        same = labels == labels[i]
+        off_diagonal = np.arange(n) != i
+        target = np.where(same, alpha, beta)
+        neg = k[~same]
+        num_neg += neg.size
+        kt, kk, tt = k * target, k * k, target * target
+        for name, values in (
+                ("neg", neg), ("neg_sq", neg * neg), ("neg_exp", np.exp(neg)),
+                ("neg_dev", (neg - beta) ** 2), ("kt", kt), ("kk", kk),
+                ("tt", tt), ("up_kt", kt[i + 1:]), ("up_kk", kk[i + 1:]),
+                ("up_tt", tt[i + 1:]),
+                ("pos_exp", np.exp(k[same & off_diagonal])),
+                ("pair_exp", np.exp(k[off_diagonal])),
+                ("dev", (k - target) ** 2)):
+            rows[name].append(math.fsum(values.tolist()))
+    s = {name: math.fsum(sums) for name, sums in rows.items()}
+    out = {
+        "cts-neo": -s["neg_exp"] / num_neg if num_neg else None,
+        "nmse-neo": -s["neg_dev"] / num_neg if num_neg else None,
+        "al": s["kt"] / math.sqrt(s["kk"] * s["tt"]),
+        "utal": (s["up_kt"] / math.sqrt(s["up_kk"] * s["up_tt"])
+                 if s["up_kk"] * s["up_tt"] > 0 else None),
+        "cts": s["pos_exp"] / s["pair_exp"] if n > 1 else None,
+        "nmse": -s["dev"] / (n * n),
+    }
+    out["al-neo"] = (beta * s["neg"]
+                     / (abs(beta) * num_neg * math.sqrt(s["neg_sq"]))
+                     if s["neg_sq"] > 0 else None)
+    return out
 
-    def total(f, over):
-        return math.fsum(f(K[i, j], target[i, j]) for i, j in over)
 
-    def cosine(over):
-        kt = total(lambda k, t: k * t, over)
-        kk = total(lambda k, t: k * k, over)
-        tt = total(lambda k, t: t * t, over)
-        return kt / math.sqrt(kk * tt)
+def proxy_reference(kind, K, labels, alpha, beta):
+    """One proxy of ``proxy_references``; raises on an unknown kind."""
+    if kind not in ("al-neo", "cts-neo", "nmse-neo", "al", "utal", "cts", "nmse"):
+        raise ValueError(f"unknown proxy kind {kind!r}")
+    return proxy_references(K, labels, alpha, beta)[kind]
 
-    if kind == "al-neo":
-        return (beta * total(lambda k, t: k, neg)
-                / (abs(beta) * len(neg)
-                   * math.sqrt(total(lambda k, t: k * k, neg))))
-    if kind == "cts-neo":
-        return -total(lambda k, t: math.exp(k), neg) / len(neg)
-    if kind == "nmse-neo":
-        return -total(lambda k, t: (k - beta) ** 2, neg) / len(neg)
-    if kind == "al":
-        return cosine(pairs)
-    if kind == "utal":
-        return cosine(upper)
-    if kind == "cts":
-        return (total(lambda k, t: math.exp(k), pos)
-                / total(lambda k, t: math.exp(k), pos + neg))
-    if kind == "nmse":
-        return -total(lambda k, t: (k - t) ** 2, pairs) / (n * n)
-    raise ValueError(f"unknown proxy kind {kind!r}")
+
+def masked_chain_reference(K, neg_mask, kind, beta=0.0):
+    """The graph the negative-only proxies built before ``ad.pair_sum``:
+    ``masked_sum(exp(K), neg_mask)`` for kind "exp" and
+    ``masked_sum(square(K - beta), neg_mask)`` for kind "square".  Unlike
+    the rest of this module it is made of the package's own graph ops,
+    since it pins down the bits a fused op must keep."""
+    import modkernel.autodiff as ad
+    if kind == "exp":
+        return ad.masked_sum(ad.exp(K), neg_mask)
+    return ad.masked_sum(ad.square(K - beta), neg_mask)
 
 
 def topological_order_reference(root):

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from modkernel.errors import ContractError, DimensionError
 from modkernel.kernels import gram_tensor
 from modkernel.training import ArchitectureSpec, TwoModuleModel
 
-from oracles import central_difference, naive_matmul, topological_order_reference
+from oracles import (central_difference, masked_chain_reference, naive_matmul,
+                     topological_order_reference)
 
 
 def _leaf(arr):
@@ -180,6 +182,7 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
     m = rng.standard_normal((3, 4))
     labels = rng.integers(0, 2, 3)
     weights = rng.standard_normal((3, 3))
+    classes = np.array([0, 1, 0])
 
     cases = {
         "add": (lambda t: ad.tensor_sum(ad.square(ad.add(t, ad.constant(m)))), x),
@@ -207,7 +210,10 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
         "square": (lambda t: ad.tensor_sum(ad.square(t)), x),
         "softplus": (lambda t: ad.tensor_sum(ad.softplus(t)), x),
         "sum": (lambda t: ad.square(ad.tensor_sum(t)), x),
-        "diagonal_sum": (lambda t: ad.square(ad.diagonal_sum(t)), x[:, :3]),
+        "pair_sum_exp": (lambda t: ad.square(ad.pair_sum(
+            t, classes, "exp", (0.6, -1.1, 1.7), 0.3)), x[:, :3]),
+        "pair_sum_square": (lambda t: ad.square(ad.pair_sum(
+            t, classes, "square", (-0.8, 0.5, 2.0), -1.0)), x[:, :3]),
         "unit_normalize": (lambda t: ad.tensor_sum(ad.mul(
             ad.unit_normalize(t), ad.constant(m))), x),
         "unit_normalize_tanh": (lambda t: ad.tensor_sum(ad.mul(
@@ -348,8 +354,8 @@ class TestTopologicalOrder:
     # len(topological_order(loss)) of one width-24, batch-64 stage-1 step
     # per proxy: 4 parameters, the two affine layers, the link and the
     # gram node, then the proxy's own nodes and the negated loss.
-    STAGE1_NODES = {"al-neo": 16, "cts-neo": 12, "nmse-neo": 13, "al": 20,
-                    "utal": 24, "cts": 16, "nmse": 21}
+    STAGE1_NODES = {"al-neo": 15, "cts-neo": 11, "nmse-neo": 11, "al": 14,
+                    "utal": 14, "cts": 12, "nmse": 15}
 
     def test_step_graphs_keep_their_node_counts(self):
         rng = np.random.default_rng(0)
@@ -483,11 +489,91 @@ class TestMaskedSum:
             ad.masked_sum(_leaf(np.ones((2, 2))), np.ones((2, 3), dtype=bool))
 
 
-class TestDiagonalSum:
-    def test_is_the_trace(self):
-        x = np.arange(9.0).reshape(3, 3)
-        assert ad.diagonal_sum(ad.constant(x)).item() == 12.0
+class TestPairSum:
+    """ad.pair_sum against finite differences, against the masked-sum
+    chains it replaces, and against exact sums."""
 
-    def test_needs_a_square_matrix(self):
+    MAPS = [("identity", 0.0), ("square", 0.0), ("exp", 0.0),
+            ("square", -1.0)]
+    WEIGHTS = (0.7, -1.3, 0.4)
+
+    @staticmethod
+    def _classes(rng, b, labels):
+        pool = ["cat", "dog", "emu"] if labels == "str" else ["one"]
+        return proxies.partition_pairs(rng.choice(pool, b)).classes
+
+    @pytest.mark.parametrize("labels", ["str", "single-class"])
+    @pytest.mark.parametrize("b", [1, 2, 127, 128, 129, 300])
+    def test_matches_finite_differences(self, b, labels):
+        """Every map and pair type: diagonal entries, random entries and a
+        random direction, by central differences."""
+        rng = np.random.default_rng(b)
+        classes = self._classes(rng, b, labels)
+        x = rng.uniform(-1.0, 1.0, (b, b))
+        cells = {(0, 0), (b - 1, b - 1), (b // 2, b // 2)}
+        cells |= {tuple(c) for c in rng.integers(0, b, (9, 2))}
+        direction = rng.standard_normal((b, b))
+        step = 1e-5
+        for kind, shift in self.MAPS:
+            def value(arr):
+                return ad.pair_sum(ad.constant(arr), classes, kind,
+                                   self.WEIGHTS, shift).item() * 0.37
+
+            leaf = _leaf(x)
+            ad.backward(ad.pair_sum(leaf, classes, kind, self.WEIGHTS,
+                                    shift) * 0.37)
+            for i, j in sorted(cells):
+                bump = np.zeros((b, b))
+                bump[i, j] = step
+                fd = (value(x + bump) - value(x - bump)) / (2 * step)
+                assert leaf.grad[i, j] == pytest.approx(
+                    fd, rel=1e-5, abs=1e-6), (kind, shift, i, j)
+            fd = (value(x + step * direction)
+                  - value(x - step * direction)) / (2 * step)
+            assert float((leaf.grad * direction).sum()) == pytest.approx(
+                fd, rel=1e-5, abs=1e-6), (kind, shift)
+
+    @pytest.mark.parametrize("b", [1, 2, 64, 127, 128])
+    @pytest.mark.parametrize("kind, beta", [("exp", 0.0), ("square", -1.0)])
+    def test_one_block_has_the_bits_of_the_masked_chain(self, kind, beta, b):
+        """Up to one block, the inter-class sum that cts-neo and nmse-neo
+        read has the value and the gradient of the masked-sum chain, bit
+        for bit, divided by the count as the proxies divide it."""
+        assert b <= ad.PAIR_SUM_BLOCK_ROWS
+        rng = np.random.default_rng(b)
+        part = proxies.partition_pairs(rng.integers(0, 3, b))
+        x = rng.uniform(-1.0, 1.0, (b, b))
+        fused, plain = _leaf(x), _leaf(x)
+        count = -float(max(part.num_negatives, 1))
+        out = ad.pair_sum(fused, part.classes, kind, shift=beta) / count
+        ref = masked_chain_reference(plain, part.neg_mask, kind, beta) / count
+        assert out.data.tobytes() == ref.data.tobytes()
+        ad.backward(out)
+        ad.backward(ref)
+        assert fused.grad.tobytes() == plain.grad.tobytes()
+
+    @pytest.mark.parametrize("n", [129, 600])
+    def test_blocked_sums_match_exact_sums(self, n):
+        rng = np.random.default_rng(n)
+        classes = proxies.partition_pairs(rng.integers(0, 4, n)).classes
+        x = rng.uniform(-1.0, 1.0, (n, n))
+        same = classes[:, None] == classes[None, :]
+        diagonal = np.eye(n, dtype=bool)
+        for kind, shift in self.MAPS:
+            mapped = {"identity": x, "square": (x - shift) ** 2,
+                      "exp": np.exp(x)}[kind]
+            for weights, pairs in (((1.0, 0.0, 0.0), ~same),
+                                   ((0.0, 1.0, 0.0), same),
+                                   ((0.0, 0.0, 1.0), diagonal)):
+                got = ad.pair_sum(ad.constant(x), classes, kind, weights,
+                                  shift).item()
+                want = math.fsum(mapped[pairs].tolist())
+                assert got == pytest.approx(want, rel=1e-13), (kind, weights)
+
+    def test_rejects_a_mismatched_shape_and_an_unknown_map(self):
         with pytest.raises(DimensionError):
-            ad.diagonal_sum(_leaf(np.ones((2, 3))))
+            ad.pair_sum(_leaf(np.ones((2, 3))), np.array([0, 1]))
+        with pytest.raises(DimensionError):
+            ad.pair_sum(_leaf(np.ones((3, 3))), np.array([0, 1]))
+        with pytest.raises(ContractError):
+            ad.pair_sum(_leaf(np.ones((2, 2))), np.array([0, 1]), "log")

@@ -96,6 +96,20 @@ class TestRisk:
             assert risk(loss, scores, labeled, w_norm=1.7) == pytest.approx(
                 total, abs=1e-12)
 
+    def test_depends_on_the_positive_set_only(self):
+        """I- is the complement of I+: the labels of the other examples,
+        and how many distinct ones there are, do not matter."""
+        rng = np.random.default_rng(5)
+        scores = rng.standard_normal(8)
+        y = np.array([1, 0, 2, 1, 3, 0, 1, 2])
+        others = np.where(y == 1, 1, -7)
+        binary = np.where(y == 1, 1, 0)
+        loss = make_loss("tanh-mse", lam=0.2)
+        values = {risk(loss, scores, self._set(labels), w_norm=0.5)
+                  for labels in (y, others, binary)}
+        assert len(values) == 1
+        assert not hasattr(self._set(y), "I_minus")
+
     def test_permutation_invariance_within_sets(self):
         rng = np.random.default_rng(1)
         y = np.array([1, 1, 1, 0, 0])

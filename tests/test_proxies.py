@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,9 +9,9 @@ import modkernel.autodiff as ad
 from modkernel import proxies
 from modkernel.errors import (ConfigurationError, DegenerateBatchError,
                               UndefinedProxyError)
-from modkernel.kernels import FeatureMap, gram_tensor
+from modkernel.kernels import FeatureMap, gram_tensor, kernel_matrix
 
-from oracles import central_difference, proxy_reference
+from oracles import central_difference, proxy_reference, proxy_references
 
 
 def sym_kernel(rng, n, lo=-1.0, hi=1.0):
@@ -87,7 +89,9 @@ class TestPartition:
         assert part.num_positives == len(part.positives)
         # The class-size formula: sum of squared sizes counts the ordered
         # equal-label pairs, the diagonal included.
-        _, sizes = np.unique(arr, return_counts=True)
+        distinct, sizes = np.unique(arr, return_counts=True)
+        np.testing.assert_array_equal(distinct[part.classes], arr)
+        np.testing.assert_array_equal(part.counts, sizes)
         same = int(sizes @ sizes)
         assert (negatives, positives) == (arr.size ** 2 - same, same - arr.size)
 
@@ -97,12 +101,12 @@ class TestPinnedValues:
     change in the proxies' arithmetic or summation order moves them."""
 
     EXPECTED = {
-        "al-neo": "-0x1.c2b48e19cfae3p-20",
+        "al-neo": "-0x1.c2b48e19cfad6p-20",
         "cts-neo": "-0x1.161cf295a2237p+0",
         "nmse-neo": "-0x1.2ac3dc493ed9dp+0",
-        "al": "0x1.3605bc310afe7p-8",
-        "utal": "0x1.5f5110ae3a64cp-11",
-        "cts": "0x1.5569101d8fd3ep-2",
+        "al": "0x1.3605bc310afeap-8",
+        "utal": "0x1.5f5110ae3a661p-11",
+        "cts": "0x1.5569101d8fd3cp-2",
         "nmse": "-0x1.2a0dfcf20f0a2p+0",
     }
 
@@ -116,6 +120,49 @@ class TestPinnedValues:
                for kind in proxies.PROXY_KINDS}
         assert got == self.EXPECTED
         np.testing.assert_array_equal(K, before)
+
+
+class TestAgainstReference:
+    """Blocked values against the exact-sum reference on link-feature
+    kernels: relative for the proxies of order one, absolute for al and
+    utal, whose values of about 1e-4 come from cancelling sums."""
+
+    ABSOLUTE = ("al", "utal")
+
+    @pytest.mark.parametrize("n", [600, 3000])
+    def test_blocked_values_match_exact_sums(self, n):
+        rng = np.random.default_rng(n)
+        K = kernel_matrix(FeatureMap("tanh"), rng.standard_normal((n, 2)))
+        labels = rng.integers(0, 3, n)
+        part = proxies.partition_pairs(labels)
+        want = proxy_references(K, labels, 1.0, -1.0)
+        for kind in proxies.PROXY_KINDS:
+            got = proxies.proxy_value(kind, K, part, 1.0, -1.0)
+            if kind in self.ABSOLUTE:
+                assert got == pytest.approx(want[kind], rel=0, abs=1e-13), kind
+            else:
+                assert got == pytest.approx(want[kind], rel=1e-13), kind
+
+
+class TestProxyMemory:
+    N = 1000
+
+    @pytest.mark.parametrize("kind", proxies.PROXY_KINDS)
+    def test_peak_besides_the_kernel_under_a_quarter_of_it(self, kind):
+        """Besides K, a proxy value holds arrays of one block of rows and
+        the class vector, never an n-by-n temporary."""
+        rng = np.random.default_rng(1)
+        K = kernel_matrix(FeatureMap("tanh"), rng.standard_normal((self.N, 2)))
+        part = proxies.partition_pairs(rng.integers(0, 2, self.N))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            proxies.proxy_value(kind, K, part, 1.0, -1.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * K.nbytes, f"{kind}: peak {peak} bytes"
 
 
 class TestAlNeo:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import modkernel.autodiff as ad
+from modkernel import proxies
 from modkernel.datasets import Dataset, DatasetSpec, make_dataset
 from modkernel.errors import ConfigurationError
+from modkernel.kernels import kernel_matrix
 from modkernel.losses import LabeledSet, make_loss, risk
 from modkernel.training import (ArchitectureSpec, TrainConfig, TwoModuleModel,
                                 accuracy, freeze_and_train_output,
@@ -230,6 +232,24 @@ class TestProxyAccuracySweep:
         model = TwoModuleModel(small_arch(), seed=0)
         with pytest.raises(ConfigurationError):
             proxy_accuracy_sweep(model, data, [10 ** 6], quick_cfg())
+
+
+class TestFullProxyValue:
+    def test_reads_the_kernel_matrix_of_the_link_features(self):
+        """full_proxy_value scores the kernel_matrix of the pre-link
+        activations, which has the bits of the link features times their
+        transpose."""
+        data = blob_data(classes=3)
+        model = TwoModuleModel(small_arch(classes=3), seed=2)
+        X, y = data.X_train, data.y_train
+        K = kernel_matrix(model.link, model.pre_link(ad.constant(X)).data)
+        feats = model.link_features_np(X)
+        assert K.tobytes() == (feats @ feats.T).tobytes()
+        part = proxies.partition_pairs(y)
+        for kind in proxies.PROXY_KINDS:
+            got = full_proxy_value(model, X, y, kind)
+            want = proxies.proxy_value(kind, K, part, *model.link.bounds())
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), kind
 
 
 class TestTraceAndModel:

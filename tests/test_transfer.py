@@ -119,8 +119,8 @@ class TestScoringMemory:
 
     @pytest.mark.parametrize("kind", PROXY_KINDS)
     def test_peak_within_four_kernel_matrices(self, target, kind):
-        """Scoring holds K, its boolean pair masks and a few proxy
-        temporaries, never more than four n-by-n float64 arrays at once."""
+        """Scoring holds K and arrays of a block of rows, never more than
+        four n-by-n float64 arrays at once."""
         cand = fresh_candidate()
         tracemalloc.start()
         try:

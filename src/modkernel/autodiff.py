@@ -468,11 +468,13 @@ PAIR_SUM_BLOCK_ROWS = 128
 PAIR_MAPS = ("identity", "square", "exp")
 
 
-def _pair_map(x: np.ndarray, kind: str, shift: float) -> np.ndarray:
-    """f(x - shift) for f in PAIR_MAPS, with one temporary of x's size."""
-    out = None
+def _pair_map(x: np.ndarray, kind: str, shift: float,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """f(x - shift) for f in PAIR_MAPS, written into ``out`` (which may be
+    x itself) when given, else into one new array of x's size.  The
+    identity with no shift returns x."""
     if shift:
-        x = out = x - shift
+        x = out = np.subtract(x, shift, out=out)
     if kind == "square":
         return np.multiply(x, x, out=out)
     if kind == "exp":
@@ -491,6 +493,36 @@ def _class_sums(rows: np.ndarray, onehot: np.ndarray, classes: np.ndarray,
     return per_class.sum(), same, np.trace(rows, offset=diagonal_offset)
 
 
+def _blocked_pair_sums(classes: np.ndarray, kind: str, shift: float,
+                       rows) -> list:
+    """(inter-class, intra-class, diagonal) sums of f(x - shift) over a
+    square matrix x read ``PAIR_SUM_BLOCK_ROWS`` rows at a time.
+
+    ``rows(i0, out)`` returns the rows of x from row i0 on, as many as
+    ``out`` has: either a view of x or ``out`` filled with them.  ``out``
+    is one buffer of a block of rows, reused for every block; the block is
+    mapped into it in place and then meets the n-by-C one-hot class matrix
+    in one matrix product.  Nothing of n-by-n size is allocated.
+    """
+    n = classes.shape[0]
+    block = PAIR_SUM_BLOCK_ROWS
+    onehot = np.zeros((n, int(classes.max()) + 1))
+    onehot[np.arange(n), classes] = 1.0
+    buffer = np.empty((min(block, n), n))
+    sums = (0.0, 0.0, 0.0)
+    for i0 in range(0, n, block):
+        out = buffer[:n - i0]
+        mapped = _pair_map(rows(i0, out), kind, shift, out)
+        sums = [a + b for a, b in zip(sums, _class_sums(
+            mapped, onehot, classes[i0:i0 + block], i0))]
+    return sums
+
+
+def _check_pair_map(kind: str) -> None:
+    if kind not in PAIR_MAPS:
+        raise ContractError(f"unsupported pair map: {kind!r}")
+
+
 def pair_sum(x: Tensor, classes: np.ndarray, kind: str = "identity",
              weights: tuple = (1.0, 0.0, 0.0), shift: float = 0.0) -> Tensor:
     """Class-weighted sum of a map of a square matrix over its index pairs.
@@ -503,37 +535,28 @@ def pair_sum(x: Tensor, classes: np.ndarray, kind: str = "identity",
     A matrix of at most ``PAIR_SUM_BLOCK_ROWS`` rows is summed through its
     boolean same-class mask: with weights (1, 0, 0), the value and the
     gradient have the bits of ``masked_sum`` of the mapped matrix over the
-    inter-class mask.  A larger one is mapped one block of rows at a time,
-    and each block meets the n-by-C one-hot class matrix in one matrix
-    product, so the forward pass holds nothing of n-by-n size but x.  The
-    backward pass weighs the same-class mask (kept from the forward pass
-    for one block, built for more) and then applies f'.
+    inter-class mask.  A larger one is read by the blocked reader, which
+    maps one block of rows at a time into one reused buffer, so the
+    forward pass holds nothing of n-by-n size but x.  The backward pass
+    weighs the same-class mask (kept from the forward pass for one block,
+    built for more) and then applies f'.
     """
     xd = x.data
     n = classes.shape[0]
     if xd.shape != (n, n):
         raise DimensionError(f"pair_sum: {x.shape} vs {n} class indices")
-    if kind not in PAIR_MAPS:
-        raise ContractError(f"unsupported pair map: {kind!r}")
+    _check_pair_map(kind)
     w_neg, w_same, w_diag = weights
-    block = PAIR_SUM_BLOCK_ROWS
     same = fx = None
-    if n <= block:
+    if n <= PAIR_SUM_BLOCK_ROWS:
         same = classes[:, None] == classes[None, :]
         fx = _pair_map(xd, kind, shift)
         sums = (np.multiply(fx, ~same).sum() if w_neg else 0.0,
                 np.multiply(fx, same).sum() if w_same else 0.0,
                 np.trace(fx) if w_diag else 0.0)
     else:
-        onehot = np.zeros((n, int(classes.max()) + 1))
-        onehot[np.arange(n), classes] = 1.0
-        sums = (0.0, 0.0, 0.0)
-        for i0 in range(0, n, block):
-            # Passed straight in, so that each mapped block is freed
-            # before the next one is made.
-            sums = [a + b for a, b in zip(sums, _class_sums(
-                _pair_map(xd[i0:i0 + block], kind, shift), onehot,
-                classes[i0:i0 + block], i0))]
+        sums = _blocked_pair_sums(classes, kind, shift,
+                                  lambda i0, out: xd[i0:i0 + out.shape[0]])
     out_data = sum(w * s for w, s in zip(weights, sums) if w)
 
     def rule(g):
@@ -549,6 +572,33 @@ def pair_sum(x: Tensor, classes: np.ndarray, kind: str = "identity",
         _accumulate(x, grad)
 
     return _make(np.float64(out_data), (x,), rule)
+
+
+def gram_pair_sum(feats: np.ndarray, classes: np.ndarray,
+                  kind: str = "identity", weights: tuple = (1.0, 0.0, 0.0),
+                  shift: float = 0.0) -> Tensor:
+    """``pair_sum`` of the gram matrix feats @ feats.T of n-by-d features,
+    forward only, as a constant.
+
+    Up to ``PAIR_SUM_BLOCK_ROWS`` rows it is ``pair_sum`` of the constant
+    gram matrix, bit for bit.  A larger gram matrix is never formed: the
+    blocked reader fills its buffer with the product of a block of
+    features and the transpose of all of them, so the sums hold the
+    features, one block of gram rows and the one-hot class matrix.
+    """
+    feats = np.asarray(feats, dtype=np.float64)
+    n = classes.shape[0]
+    if feats.ndim != 2 or feats.shape[0] != n:
+        raise DimensionError(
+            f"gram_pair_sum: features {feats.shape} vs {n} class indices")
+    if n <= PAIR_SUM_BLOCK_ROWS:
+        return pair_sum(constant(feats @ feats.T), classes, kind, weights,
+                        shift)
+    _check_pair_map(kind)
+    sums = _blocked_pair_sums(classes, kind, shift, lambda i0, out: np.matmul(
+        feats[i0:i0 + out.shape[0]], feats.T, out=out))
+    return _make(np.float64(sum(w * s for w, s in zip(weights, sums) if w)),
+                 (), None)
 
 
 def unit_normalize(x: Tensor, epsilon: float = 1e-12,

@@ -1,17 +1,22 @@
-"""Pairwise proxy objectives over kernel matrices of labeled batches.
+"""Pairwise proxy objectives over the kernel matrices of labeled batches.
 
 Each objective is a scalar function of the batch kernel matrix meant to be
-*maximized* by the input module.  Each is defined once, as a graph on
-autodiff tensors: training builds it over a gram tensor, and
-``proxy_value`` runs the same graph on a constant kernel matrix.  Pairs
-are ordered: both (i, j) and (j, i) are enumerated.
+*maximized* by the input module.  Each is defined once, by ``_proxy``,
+over the weighted pair sums it reads; the entry points only choose where
+those sums come from:
 
-A proxy reads K only through ``ad.pair_sum``: class-weighted sums of K,
-K^2, (K - beta)^2 or e^K over the inter-class pairs, the intra-class pairs
-and the diagonal, at most two per proxy.  The sums over the strict upper
-triangle and against the ideal kernel follow from those in closed form for
-a symmetric K, so no n-by-n target matrix or pair mask is built: scoring a
-large K holds K, the class vector and arrays of a block of rows.
+- ``proxy_tensor``: ``ad.pair_sum`` of a kernel tensor, the differentiable
+  graph training descends;
+- ``proxy_value``: the same over a precomputed constant kernel matrix;
+- ``feature_proxy_value``: ``ad.gram_pair_sum`` of frozen features F, for
+  the kernel F F^T.  Scoring takes this route and never forms the kernel:
+  it holds F, one block of kernel rows and the one-hot class matrix.
+
+Pairs are ordered: both (i, j) and (j, i) are enumerated.  The sums are of
+K, K^2, (K - beta)^2 or e^K over the inter-class pairs, the intra-class
+pairs and the diagonal, at most two per proxy.  The sums over the strict
+upper triangle and against the ideal kernel follow from those in closed
+form for a symmetric K, so no n-by-n target matrix or pair mask is built.
 
 All functions here are pure and safe for concurrent evaluation.
 """
@@ -19,6 +24,7 @@ All functions here are pure and safe for concurrent evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -104,10 +110,12 @@ def is_degenerate_for(kind: str, part: PairPartition) -> bool:
     return part.num_negatives == 0 or (kind == "cts" and part.num_positives == 0)
 
 
-def proxy_tensor(kind: str, K: ad.Tensor, part: PairPartition,
-                 alpha: float, beta: float) -> ad.Tensor:
-    """Build the differentiable value of any proxy over a symmetric kernel
-    tensor, for kernel supremum ``alpha`` and infimum ``beta``.
+def _proxy(kind: str, pairs, part: PairPartition, alpha: float,
+           beta: float) -> ad.Tensor:
+    """The value of any proxy for kernel supremum ``alpha`` and infimum
+    ``beta``, from ``pairs(f, weights, shift)``: the weighted sums of a
+    map f of the kernel over (inter-class, intra-class, diagonal) pairs,
+    as ``ad.pair_sum`` takes them.
 
     The negative-only proxies, over the inter-class pairs N:
     al-neo = beta sum_N k / (|beta| |N| sqrt(sum_N k^2)),
@@ -127,10 +135,6 @@ def proxy_tensor(kind: str, K: ad.Tensor, part: PairPartition,
         raise DegenerateBatchError(
             f"{kind} needs both pair types in the batch" if kind == "cts"
             else f"{kind} needs at least one inter-class pair")
-
-    def pairs(f, weights=(1.0, 0.0, 0.0), shift=0.0):
-        """Weighted sums of f over (inter-class, intra-class, diagonal)."""
-        return ad.pair_sum(K, part.classes, f, weights, shift)
 
     if kind == "al-neo":
         sq = pairs("square")
@@ -162,7 +166,22 @@ def proxy_tensor(kind: str, K: ad.Tensor, part: PairPartition,
     return inner / (ad.sqrt(sq) * np.sqrt(ideal_sq))
 
 
+def proxy_tensor(kind: str, K: ad.Tensor, part: PairPartition,
+                 alpha: float, beta: float) -> ad.Tensor:
+    """The differentiable value of a proxy over a symmetric kernel tensor."""
+    return _proxy(kind, partial(ad.pair_sum, K, part.classes), part, alpha,
+                  beta)
+
+
 def proxy_value(kind: str, K: np.ndarray, part: PairPartition,
                 alpha: float, beta: float) -> float:
     """Evaluate any proxy by name on a precomputed symmetric kernel matrix."""
     return proxy_tensor(kind, ad.constant(K), part, alpha, beta).item()
+
+
+def feature_proxy_value(kind: str, feats: np.ndarray, part: PairPartition,
+                        alpha: float, beta: float) -> float:
+    """Evaluate any proxy by name on the kernel feats @ feats.T of n-by-d
+    features, without forming the n-by-n kernel."""
+    return _proxy(kind, partial(ad.gram_pair_sum, feats, part.classes), part,
+                  alpha, beta).item()

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import IngestionError
+
 MODULE_FORMAT = "modkernel-module-v1"
 
 
@@ -35,8 +37,11 @@ def entries_to_params(entries: list) -> list:
     out = []
     for entry in entries:
         arr = np.asarray(entry["values"], dtype=np.float64)
-        arr = arr.reshape(entry["shape"])
-        out.append((entry["name"], arr))
+        if arr.size != math.prod(entry["shape"]):
+            raise IngestionError(
+                f"tensor {entry['name']!r} declares shape {entry['shape']} "
+                f"but holds {arr.size} values")
+        out.append((entry["name"], arr.reshape(entry["shape"])))
     return out
 
 

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import proxies
 from .datasets import Dataset
 from .errors import ConfigurationError, DegenerateBatchError, IngestionError
-from .kernels import FeatureMap, gram_tensor, kernel_matrix
+from .kernels import FeatureMap, gram_tensor
 from .losses import LOSS_KINDS, make_loss, risk_tensor
 from .serialize import (MODULE_FORMAT, entries_to_params, params_to_entries,
                         write_csv)
@@ -231,7 +231,16 @@ class TwoModuleModel:
                     output_dim=doc.get("output_dim"))
         loaded = dict(entries_to_params(doc["tensors"]))
         for name, tensor in model.named_params():
-            tensor.data = loaded[name].copy()
+            if name not in loaded:
+                raise IngestionError(f"module checkpoint lacks tensor {name!r}")
+            data = loaded[name]
+            if data.shape != tensor.data.shape:
+                raise IngestionError(
+                    f"tensor {name!r} has shape {data.shape}; the "
+                    f"architecture needs {tensor.data.shape}")
+            if not np.isfinite(data).all():
+                raise IngestionError(f"tensor {name!r} holds non-finite values")
+            tensor.data = data.copy()
         return model
 
 
@@ -379,8 +388,8 @@ def full_proxy_value(model: TwoModuleModel, X: np.ndarray, y: np.ndarray,
     part = proxies.partition_pairs(y)
     if proxies.is_degenerate_for(kind, part):
         return float("nan")
-    K = kernel_matrix(model.link, model.pre_link(ad.constant(X)).data)
-    return proxies.proxy_value(kind, K, part, alpha, beta)
+    return proxies.feature_proxy_value(kind, model.link_features_np(X), part,
+                                       alpha, beta)
 
 
 def _record_activations(trace: DynamicsTrace, model: TwoModuleModel,

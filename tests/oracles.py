@@ -79,6 +79,26 @@ def proxy_reference(kind, K, labels, alpha, beta):
     return proxy_references(K, labels, alpha, beta)[kind]
 
 
+def gram_pair_sum_reference(feats, labels, kind, weights, shift=0.0):
+    """w_neg, w_same and w_diag times the exact (``math.fsum``) sums of
+    f(k - shift), f in {identity, square, exp}, over the inter-class
+    pairs, the intra-class pairs (diagonal included) and the diagonal of
+    the gram matrix k = feats feats^T, whose rows are formed one at a
+    time."""
+    f = {"identity": lambda t: t, "square": lambda t: t * t,
+         "exp": np.exp}[kind]
+    feats = np.asarray(feats, dtype=np.float64)
+    labels = np.asarray(labels)
+    terms = []
+    for i in range(labels.shape[0]):
+        mapped = f(feats @ feats[i] - shift)
+        same = labels == labels[i]
+        terms += (weights[0] * mapped[~same]).tolist()
+        terms += (weights[1] * mapped[same]).tolist()
+        terms.append(weights[2] * mapped[i])
+    return math.fsum(terms)
+
+
 def masked_chain_reference(K, neg_mask, kind, beta=0.0):
     """The graph the negative-only proxies built before ``ad.pair_sum``:
     ``masked_sum(exp(K), neg_mask)`` for kind "exp" and

@@ -11,7 +11,8 @@ from modkernel.errors import ContractError, DimensionError
 from modkernel.kernels import gram_tensor
 from modkernel.training import ArchitectureSpec, TwoModuleModel
 
-from oracles import (central_difference, masked_chain_reference, naive_matmul,
+from oracles import (central_difference, gram_pair_sum_reference,
+                     masked_chain_reference, naive_matmul,
                      topological_order_reference)
 
 
@@ -577,3 +578,42 @@ class TestPairSum:
             ad.pair_sum(_leaf(np.ones((3, 3))), np.array([0, 1]))
         with pytest.raises(ContractError):
             ad.pair_sum(_leaf(np.ones((2, 2))), np.array([0, 1]), "log")
+
+
+class TestGramPairSum:
+    """ad.gram_pair_sum against pair_sum of the gram matrix up to one
+    block, and against exact sums beyond."""
+
+    MAPS = [(kind, shift) for kind in ad.PAIR_MAPS for shift in (0.0, -1.0)]
+    WEIGHTS = TestPairSum.WEIGHTS
+
+    @pytest.mark.parametrize("labels", ["str", "single-class"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300, 600])
+    def test_matches_the_gram_matrix(self, n, d, labels):
+        rng = np.random.default_rng(10 * n + d)
+        names = rng.choice(["cat", "dog", "emu"] if labels == "str"
+                           else ["one"], n)
+        classes = proxies.partition_pairs(names).classes
+        feats = rng.uniform(-1.0, 1.0, (n, d))
+        for kind, shift in self.MAPS:
+            got = ad.gram_pair_sum(feats, classes, kind, self.WEIGHTS, shift)
+            assert not got.requires_grad
+            if n <= ad.PAIR_SUM_BLOCK_ROWS:
+                want = ad.pair_sum(ad.constant(feats @ feats.T), classes,
+                                   kind, self.WEIGHTS, shift)
+                assert got.data.tobytes() == want.data.tobytes(), (kind, shift)
+            else:
+                want = gram_pair_sum_reference(feats, names, kind,
+                                               self.WEIGHTS, shift)
+                assert got.item() == pytest.approx(want, rel=1e-13), (kind,
+                                                                      shift)
+
+    def test_rejects_mismatched_features_and_an_unknown_map(self):
+        with pytest.raises(DimensionError):
+            ad.gram_pair_sum(np.ones(3), np.array([0, 1, 0]))
+        with pytest.raises(DimensionError):
+            ad.gram_pair_sum(np.ones((3, 2)), np.array([0, 1]))
+        with pytest.raises(ContractError):
+            ad.gram_pair_sum(np.ones((200, 2)), np.zeros(200, dtype=int),
+                             "log")

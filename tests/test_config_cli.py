@@ -450,6 +450,22 @@ class TestCli:
             assert signature[key].default == section[key], key
             assert getattr(flags, key) == section[key], key
 
+    def test_score_transfer_non_finite_candidate_exits_2(self, tmp_path,
+                                                          capsys):
+        config, candidate, _ = self._score_transfer_inputs(tmp_path)
+        doc = read_json(candidate)
+        doc["tensors"][0]["values"][0] = float("nan")
+        Path(candidate).write_text(json.dumps(doc))
+        out_path = tmp_path / "ranking.json"
+        code = main(["score-transfer", config, candidate,
+                     "--output", str(out_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "'input.0.weight'" in captured.err
+        assert "Traceback" not in captured.err and "rank" not in captured.out
+        assert not out_path.exists()
+
     def test_score_transfer_negative_seed_exits_2(self, tmp_path, capsys):
         out_path = tmp_path / "ranking.json"
         code = main(["score-transfer", *self._score_transfer_inputs(tmp_path),

@@ -123,25 +123,30 @@ class TestPinnedValues:
 
 
 class TestAgainstReference:
-    """Blocked values against the exact-sum reference on link-feature
-    kernels: relative for the proxies of order one, absolute for al and
-    utal, whose values of about 1e-4 come from cancelling sums."""
+    """Blocked values, from the kernel matrix and from the features, against
+    the exact-sum reference on link-feature kernels: relative for the
+    proxies of order one, absolute for al and utal, whose values of about
+    1e-4 come from cancelling sums."""
 
     ABSOLUTE = ("al", "utal")
 
     @pytest.mark.parametrize("n", [600, 3000])
     def test_blocked_values_match_exact_sums(self, n):
         rng = np.random.default_rng(n)
-        K = kernel_matrix(FeatureMap("tanh"), rng.standard_normal((n, 2)))
+        feats = FeatureMap("tanh").apply(rng.standard_normal((n, 2)))
+        K = feats @ feats.T
         labels = rng.integers(0, 3, n)
         part = proxies.partition_pairs(labels)
         want = proxy_references(K, labels, 1.0, -1.0)
         for kind in proxies.PROXY_KINDS:
-            got = proxies.proxy_value(kind, K, part, 1.0, -1.0)
-            if kind in self.ABSOLUTE:
-                assert got == pytest.approx(want[kind], rel=0, abs=1e-13), kind
-            else:
-                assert got == pytest.approx(want[kind], rel=1e-13), kind
+            for got in (proxies.proxy_value(kind, K, part, 1.0, -1.0),
+                        proxies.feature_proxy_value(kind, feats, part, 1.0,
+                                                    -1.0)):
+                if kind in self.ABSOLUTE:
+                    assert got == pytest.approx(want[kind], rel=0,
+                                                abs=1e-13), kind
+                else:
+                    assert got == pytest.approx(want[kind], rel=1e-13), kind
 
 
 class TestProxyMemory:
@@ -163,6 +168,33 @@ class TestProxyMemory:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * K.nbytes, f"{kind}: peak {peak} bytes"
+
+
+class TestFeatureRouteErrors:
+    """Past one block of rows, the proxies read from the features raise the
+    typed errors they raise on the kernel matrix."""
+
+    @pytest.mark.parametrize("n", [129, 300])
+    def test_orthogonal_inter_class_features_fail_al_neo(self, n):
+        """Inter-class kernel values are exactly 0, and so is their
+        blocked sum of squares."""
+        labels = np.arange(n) % 2
+        feats = np.zeros((n, 2))
+        feats[np.arange(n), labels] = np.random.default_rng(n).uniform(
+            0.5, 2.0, n)
+        part = proxies.partition_pairs(labels)
+        with pytest.raises(DegenerateBatchError, match="all zero"):
+            proxies.feature_proxy_value("al-neo", feats, part, 1.0, -1.0)
+        with pytest.raises(DegenerateBatchError, match="all zero"):
+            proxies.proxy_value("al-neo", feats @ feats.T, part, 1.0, -1.0)
+
+    @pytest.mark.parametrize("n", [129, 300])
+    @pytest.mark.parametrize("kind", ["al", "utal"])
+    def test_zero_features_have_no_alignment(self, kind, n):
+        part = proxies.partition_pairs(np.arange(n) % 3)
+        with pytest.raises(DegenerateBatchError, match="norm 0"):
+            proxies.feature_proxy_value(kind, np.zeros((n, 2)), part, 1.0,
+                                        -1.0)
 
 
 class TestAlNeo:

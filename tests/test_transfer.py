@@ -7,11 +7,13 @@ import pytest
 from modkernel.config import resolve_config
 from modkernel.datasets import Dataset, DatasetSpec, make_dataset
 from modkernel.errors import (ConfigurationError, ContractError,
-                              DegenerateBatchError, DimensionError)
+                              DegenerateBatchError, DimensionError,
+                              IngestionError)
 from modkernel.kernels import FeatureMap, kernel_matrix
 from modkernel.proxies import PROXY_KINDS, partition_pairs, proxy_value
-from modkernel.serialize import dump_json
-from modkernel.training import ArchitectureSpec, TrainConfig, TwoModuleModel, train_input_module
+from modkernel.serialize import dump_json, write_json
+from modkernel.training import (ArchitectureSpec, TrainConfig, TwoModuleModel,
+                                full_proxy_value, train_input_module)
 from modkernel.transfer import (CandidateModule, attach_oracle, rank_candidates,
                                 rank_correlation, retrain_oracle,
                                 score_candidate)
@@ -79,6 +81,14 @@ class TestScoreCandidate:
         with pytest.raises(DegenerateBatchError, match="at least 2"):
             score_candidate(fresh_candidate(), tiny, "al", 0.5, seed=0)
 
+    @pytest.mark.parametrize("n", [129, 300])
+    def test_single_class_target_fails_after_its_retries(self, n):
+        X = np.random.default_rng(n).standard_normal((n, 6))
+        one_class = Dataset(X, np.zeros(n, dtype=np.int64), X[:0],
+                            np.zeros(0, dtype=np.int64))
+        with pytest.raises(DegenerateBatchError, match="after 20 retries"):
+            score_candidate(fresh_candidate(), one_class, "al", 1.0, seed=0)
+
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
     def test_fraction_outside_unit_interval_rejected(self, fraction):
         with pytest.raises(ConfigurationError, match="subsample_fraction"):
@@ -117,20 +127,27 @@ class TestScoringMemory:
                                         num_classes=2, seed=3,
                                         split_fraction=1.0))
 
+    @pytest.mark.parametrize("scorer", ["score_candidate", "full_proxy_value"])
     @pytest.mark.parametrize("kind", PROXY_KINDS)
-    def test_peak_within_four_kernel_matrices(self, target, kind):
-        """Scoring holds K and arrays of a block of rows, never more than
-        four n-by-n float64 arrays at once."""
-        cand = fresh_candidate()
+    def test_peak_under_a_quarter_of_a_kernel_matrix(self, target, kind,
+                                                     scorer):
+        """Scoring holds the link features, one buffer of a block of
+        kernel rows and the one-hot class matrix, and never forms the
+        n-by-n kernel."""
+        model = fresh_candidate().model
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            score_candidate(cand, target, kind, subsample_fraction=1.0, seed=0)
+            if scorer == "score_candidate":
+                score_candidate(CandidateModule(id="c", model=model), target,
+                                kind, subsample_fraction=1.0, seed=0)
+            else:
+                full_proxy_value(model, target.X_train, target.y_train, kind)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * self.N ** 2 * 8, f"{kind}: peak {peak} bytes"
+        assert peak < 0.25 * self.N ** 2 * 8, f"{kind}: peak {peak} bytes"
 
 
 class TestRanking:
@@ -243,9 +260,29 @@ class TestCheckpointFiles:
         assert dump_json(loaded.model.to_checkpoint()) == dump_json(
             cand.model.to_checkpoint())
 
+    @pytest.mark.parametrize("fault", ["missing", "shape", "count", "nan",
+                                       "inf"])
+    def test_bad_tensor_rejected_by_name(self, tmp_path, fault):
+        """A missing tensor, one whose shape is not the architecture's or
+        does not fit its values, and a non-finite value all fail to load."""
+        doc = fresh_candidate().model.to_checkpoint()
+        entry = doc["tensors"][2]
+        assert entry["name"] == "input.1.weight" and entry["shape"] == [12, 2]
+        if fault == "missing":
+            del doc["tensors"][2]
+        elif fault == "shape":
+            entry["shape"] = [2, 12]
+        elif fault == "count":
+            entry["values"].pop()
+        else:
+            entry["values"][5] = float(fault)
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        with pytest.raises(IngestionError, match="'input.1.weight'"):
+            CandidateModule.from_checkpoint_file(path)
+
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "something-else"}))
-        from modkernel.errors import IngestionError
         with pytest.raises(IngestionError):
             CandidateModule.from_checkpoint_file(path)

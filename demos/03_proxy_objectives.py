@@ -15,8 +15,8 @@ rng = np.random.default_rng(2)
 
 labels = np.array([0, 0, 1, 1, 2, 2])
 part = proxies.partition_pairs(labels)
-print(f"batch of {len(labels)}: {len(part.negatives)} inter-class ordered pairs, "
-      f"{len(part.positives)} intra-class")
+print(f"batch of {len(labels)}: {part.num_negatives} inter-class ordered pairs, "
+      f"{part.num_positives} intra-class")
 
 fmap = FeatureMap("tanh")
 alpha, beta = fmap.bounds()
@@ -25,7 +25,7 @@ alpha, beta = fmap.bounds()
 random_feats = fmap.apply(rng.standard_normal((6, 4)))
 K_random = random_feats @ random_feats.T
 # the ideal kernel: alpha within a class (and on the diagonal), beta across
-K_ideal = np.where(part.neg_mask, beta, alpha)
+K_ideal = np.where(labels[:, None] != labels[None, :], beta, alpha)
 
 print(f"\n{'proxy':>10s} {'random':>10s} {'ideal':>10s}")
 for kind in proxies.PROXY_KINDS:
@@ -33,7 +33,7 @@ for kind in proxies.PROXY_KINDS:
     v_ideal = proxies.proxy_value(kind, K_ideal, part, alpha, beta)
     print(f"{kind:>10s} {v_rand:>+10.4f} {v_ideal:>+10.4f}")
 
-n_neg = len(part.negatives)
+n_neg = part.num_negatives
 print(f"\nanalytic maxima: nmse-neo 0, cts-neo {-np.exp(beta):.6f}, "
       f"al-neo 1/sqrt(|N|) = {1 / np.sqrt(n_neg):.6f}")
 print("(the ideal layout needs every inter-class pair antipodal, which more")

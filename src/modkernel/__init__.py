@@ -8,8 +8,8 @@ claim, a two-stage trainer with an end-to-end baseline, and a
 training-free transferability estimator.
 """
 
-from .autodiff import (SgdMomentum, SgdMomentumState, Tensor, affine, backward,
-                       elementwise, sgd_step, unit_normalize, zero_gradients)
+from .autodiff import (SgdMomentum, Tensor, affine, backward, elementwise,
+                       sgd_step, unit_normalize, zero_gradients)
 from .datasets import Dataset, DatasetSpec, make_dataset
 from .errors import (ConfigurationError, ContractError, DegenerateBatchError,
                      DimensionError, IngestionError, ModkernelError,

@@ -13,13 +13,9 @@ threads whenever no backward pass is in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ContractError, DimensionError
-
-ArrayLike = "np.ndarray | list | tuple | float | int"
 
 
 class Tensor:
@@ -86,9 +82,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
 
 
 def _lift(value) -> Tensor:
@@ -391,15 +384,6 @@ def exp(x: Tensor) -> Tensor:
     return _make(out_data, (x,), rule)
 
 
-def log(x: Tensor) -> Tensor:
-    out_data = np.log(x.data)
-
-    def rule(g):
-        _accumulate(x, g / x.data)
-
-    return _make(out_data, (x,), rule)
-
-
 def sqrt(x: Tensor) -> Tensor:
     out_data = np.sqrt(x.data)
 
@@ -436,30 +420,19 @@ def tensor_sum(x: Tensor) -> Tensor:
     return _make(out_data, (x,), rule)
 
 
-# Rows per block when masked_sum forms its masked product.
-MASKED_SUM_BLOCK_ROWS = 256
-
-
 def masked_sum(x: Tensor, mask: np.ndarray) -> Tensor:
     """Sum of the entries of ``x`` where the boolean ``mask`` is set.
 
-    The masked product is formed and summed one block of
-    ``MASKED_SUM_BLOCK_ROWS`` rows at a time, so the forward pass holds no
-    float temporary of the size of a large ``x``.  Up to that many rows,
-    the value and gradient are, bit for bit, those of
+    The value and gradient are, bit for bit, those of
     ``tensor_sum(mul(x, constant(mask)))``, with no float copy of the mask.
     """
     if mask.shape != x.data.shape:
         raise DimensionError(f"masked_sum: {x.shape} vs mask {mask.shape}")
-    block = MASKED_SUM_BLOCK_ROWS
-    total = 0.0
-    for i in range(0, x.data.shape[0], block):
-        total += np.multiply(x.data[i:i + block], mask[i:i + block]).sum()
 
     def rule(g):
         _accumulate(x, np.multiply(g, mask))
 
-    return _make(total, (x,), rule)
+    return _make(np.multiply(x.data, mask).sum(), (x,), rule)
 
 
 # Rows per block when pair_sum maps and sums a large matrix.
@@ -667,29 +640,9 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
 # SGD with momentum
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SgdMomentumState:
-    """Per-parameter velocity plus the step hyperparameters.
-
-    Update: v <- momentum * v + grad; p <- p - learning_rate * v.
-    """
-
-    learning_rate: float
-    momentum: float = 0.0
-    velocity: list = field(default_factory=list)
-
-    @classmethod
-    def for_params(cls, params, learning_rate: float,
-                   momentum: float = 0.0) -> "SgdMomentumState":
-        if not 0.0 <= momentum < 1.0:
-            raise ContractError(f"momentum must be in [0, 1), got {momentum}")
-        if learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
-        return cls(learning_rate=learning_rate, momentum=momentum,
-                   velocity=[np.zeros_like(p.data) for p in params])
-
-
-def sgd_step(params, grads, state: SgdMomentumState) -> None:
+def sgd_step(params, grads, state: "SgdMomentum") -> None:
+    """v <- momentum * v + grad; p <- p - learning_rate * v, in place, for
+    each parameter and its velocity in ``state.velocity``."""
     if len(state.velocity) != len(params):
         raise ContractError("optimizer state does not match parameter list")
     momentum, learning_rate = state.momentum, state.learning_rate
@@ -703,24 +656,22 @@ def sgd_step(params, grads, state: SgdMomentumState) -> None:
 
 
 class SgdMomentum:
-    """Convenience wrapper reading gradients straight off the parameters."""
+    """SGD with momentum over a parameter list, reading the gradients
+    straight off the parameters; it holds the step hyperparameters and one
+    velocity per parameter."""
 
     def __init__(self, params, learning_rate: float, momentum: float = 0.0):
+        if not 0.0 <= momentum < 1.0:
+            raise ContractError(f"momentum must be in [0, 1), got {momentum}")
+        if learning_rate <= 0:
+            raise ContractError("learning_rate must be positive")
         self.params = list(params)
-        self.state = SgdMomentumState.for_params(
-            self.params, learning_rate, momentum)
-
-    @property
-    def learning_rate(self) -> float:
-        return self.state.learning_rate
-
-    @learning_rate.setter
-    def learning_rate(self, value: float) -> None:
-        self.state.learning_rate = value
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        grads = [p.grad for p in self.params]
-        sgd_step(self.params, grads, self.state)
+        sgd_step(self.params, [p.grad for p in self.params], self)
 
     def zero_grad(self) -> None:
         zero_gradients(self.params)

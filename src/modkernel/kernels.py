@@ -1,7 +1,7 @@
 """Feature maps, their induced kernels, kernel bounds, and RKHS distances.
 
-A feature map here is an elementwise nonlinearity optionally followed by
-unit normalization.  Its kernel is always evaluated through the explicit
+A feature map here is an elementwise nonlinearity followed by unit
+normalization.  Its kernel is always evaluated through the explicit
 features (an inner product of feature vectors), never through a
 center-based expansion, which keeps evaluation linear in sample size.
 
@@ -40,14 +40,13 @@ def kernel_bounds(nonlinearity: str) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Elementwise nonlinearity plus optional row-wise unit normalization.
+    """Elementwise nonlinearity plus row-wise unit normalization.
 
-    The kernel it induces is the inner product of feature vectors; when
-    normalized, the kernel's sup and inf are ``bounds()``.
+    The kernel it induces is the inner product of feature vectors; its sup
+    and inf are ``bounds()``.
     """
 
     nonlinearity: str = "tanh"
-    normalize: bool = True
     epsilon: float = 1e-12
 
     def __post_init__(self):
@@ -65,14 +64,9 @@ class FeatureMap:
 
     def apply_tensor(self, x: ad.Tensor) -> ad.Tensor:
         """Differentiable version of ``apply`` for n-by-d activations."""
-        if self.normalize:
-            return ad.unit_normalize(x, self.epsilon, kind=self.nonlinearity)
-        return ad.elementwise(x, self.nonlinearity)
+        return ad.unit_normalize(x, self.epsilon, kind=self.nonlinearity)
 
     def bounds(self) -> tuple[float, float]:
-        if not self.normalize:
-            raise ConfigurationError(
-                "kernel bounds are only declared for normalized feature maps")
         return kernel_bounds(self.nonlinearity)
 
 

@@ -128,22 +128,17 @@ def risk(loss: DecomposableLoss, scores, labeled: LabeledSet,
 
 
 def risk_tensor(loss: DecomposableLoss, scores: ad.Tensor,
-                positive: np.ndarray, weights: ad.Tensor | None = None) -> ad.Tensor:
-    """Differentiable decomposed risk over a score tensor.
+                positive: np.ndarray) -> ad.Tensor:
+    """Differentiable data term of the decomposed risk over a score tensor.
 
-    ``positive`` is a boolean array marking I+.  The penalty term is
-    supported for the identity g only; arbitrary g stays on the plain
-    ``risk`` path.
+    ``positive`` is a boolean array marking I+.  Training sets no weight
+    penalty, so a loss with lambda > 0 is rejected; the penalty stays on
+    the plain ``risk`` path.
     """
-    out = _data_term(loss, scores, positive)
     if loss.lam > 0.0:
-        if loss.g is not _identity:
-            raise ConfigurationError(
-                "the differentiable penalty supports the identity g only")
-        if weights is None:
-            raise ConfigurationError("lambda > 0 requires the weight tensor")
-        out = out + ad.sqrt(ad.tensor_sum(ad.square(weights))) * loss.lam
-    return out
+        raise ConfigurationError(
+            "the differentiable risk has no weight penalty; lambda must be 0")
+    return _data_term(loss, scores, positive)
 
 
 def multiclass_xe(logits, labels) -> float:

@@ -42,13 +42,10 @@ class PairPartition:
     """Ordered index pairs of a labeled batch, split by label agreement.
 
     ``classes`` gives each example the index of its label among the
-    sorted distinct labels, and ``counts`` the size of each class.
-    ``negatives`` holds every (i, j) with distinct labels, ``positives``
-    every (i, j), i != j, with equal labels; together with the diagonal
-    they partition all ordered pairs.  Pair order is row-major.
-    ``neg_mask`` is the boolean n-by-n array marking the negatives.  The
-    mask and the pair lists are built on demand; the proxies read the
-    class indices and the counts.
+    sorted distinct labels, and ``counts`` the size of each class.  The
+    negatives are the ordered pairs (i, j) with distinct labels, the
+    positives those with i != j and equal labels; with the diagonal they
+    partition all n^2 ordered pairs.  Only their counts are kept.
     """
 
     n: int
@@ -56,20 +53,6 @@ class PairPartition:
     counts: np.ndarray = field(repr=False)
     num_negatives: int
     num_positives: int
-
-    @property
-    def neg_mask(self) -> np.ndarray:
-        return self.classes[:, None] != self.classes[None, :]
-
-    @property
-    def negatives(self) -> tuple:
-        return tuple(map(tuple, np.argwhere(self.neg_mask)))
-
-    @property
-    def positives(self) -> tuple:
-        same = ~self.neg_mask
-        np.fill_diagonal(same, False)
-        return tuple(map(tuple, np.argwhere(same)))
 
 
 def partition_pairs(labels) -> PairPartition:

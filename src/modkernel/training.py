@@ -156,7 +156,7 @@ class TwoModuleModel:
         dims = [arch.input_dim, *arch.hidden_widths, arch.latent_dim]
         self.input_module = AffineStack(dims, arch.hidden_nonlinearity, rng)
         self.link = FeatureMap(nonlinearity=arch.link_nonlinearity,
-                               normalize=True, epsilon=arch.link_epsilon)
+                               epsilon=arch.link_epsilon)
         self.output_dim = arch.num_classes if output_dim is None else output_dim
         self.output_weight, self.output_bias = _init_affine(
             rng, arch.latent_dim, self.output_dim)
@@ -226,7 +226,12 @@ class TwoModuleModel:
         if doc.get("format") != MODULE_FORMAT:
             raise IngestionError(
                 f"unexpected module checkpoint format: {doc.get('format')!r}")
-        arch = ArchitectureSpec.from_dict(doc["architecture"])
+        if not isinstance(doc.get("architecture"), dict):
+            raise IngestionError("module checkpoint lacks an architecture object")
+        try:
+            arch = ArchitectureSpec.from_dict(doc["architecture"])
+        except TypeError as exc:  # an unknown or missing field
+            raise IngestionError(f"module checkpoint architecture: {exc}") from None
         model = cls(arch, seed=doc.get("seed", 0),
                     output_dim=doc.get("output_dim"))
         loaded = dict(entries_to_params(doc["tensors"]))

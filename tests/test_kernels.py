@@ -192,11 +192,6 @@ class TestConvPatch:
 
 
 class TestFeatureMap:
-    def test_unnormalized_map_has_no_declared_bounds(self):
-        fm = FeatureMap("tanh", normalize=False)
-        with pytest.raises(ConfigurationError):
-            fm.bounds()
-
     def test_bad_nonlinearity(self):
         with pytest.raises(ConfigurationError):
             FeatureMap("swish")

@@ -198,6 +198,20 @@ class TestRiskTensor:
             risk_tensor(loss, ad.Tensor(np.zeros((2, 1))),
                         np.array([True, False]))
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_positive_lambda_raises(self, kind):
+        """The differentiable risk has no penalty term: any lambda > 0 is
+        refused, with or without a custom g; lambda 0 is the data term."""
+        scores = ad.Tensor(np.array([[0.5], [-0.3]]))
+        positive = np.array([True, False])
+        for loss in (make_loss(kind, lam=1e-9), make_loss(kind, lam=2.0,
+                                                          g=np.square)):
+            with pytest.raises(ConfigurationError, match="lambda"):
+                risk_tensor(loss, scores, positive)
+        plain = risk(make_loss(kind), scores.data, LabeledSet.from_binary_labels(
+            np.zeros((2, 1)), np.array([1, 0])))
+        assert risk_tensor(make_loss(kind), scores, positive).item() == plain
+
 
 class TestMonotonicityAudit:
     def test_builtin_losses_clean_on_dense_grid(self):

@@ -8,9 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@pytest.mark.slow
 def test_perfbench_smoke_exits_zero():
     result = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT,
                             capture_output=True, text=True, timeout=600)

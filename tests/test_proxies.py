@@ -33,42 +33,74 @@ def value(kind, K, labels, alpha=1.0, beta=-1.0):
                                alpha, beta)
 
 
+def ordered_pairs(labels):
+    """(inter-class, intra-class) ordered pairs (i, j), i != j, of a label
+    list, by direct enumeration, row-major."""
+    labels = list(labels)
+    neg, pos = [], []
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            if i != j:
+                (neg if a != b else pos).append((i, j))
+    return neg, pos
+
+
+def inter_class_mask(labels):
+    """Boolean n-by-n mask of the inter-class pairs of a label list."""
+    labels = np.asarray(labels)
+    return labels[:, None] != labels[None, :]
+
+
 class TestPartition:
+    """``classes``, ``counts``, ``num_negatives`` and ``num_positives``
+    against an enumeration of the ordered pairs of the labels."""
+
+    @staticmethod
+    def check(part, labels):
+        neg, pos = ordered_pairs(labels)
+        assert part.n == len(labels)
+        assert (part.num_negatives, part.num_positives) == (len(neg), len(pos))
+        # The class indices put two examples in one class exactly when
+        # their labels agree.
+        same_class = part.classes[:, None] == part.classes[None, :]
+        np.testing.assert_array_equal(same_class, ~inter_class_mask(labels))
+        np.testing.assert_array_equal(part.counts, np.bincount(part.classes))
+        return neg, pos
+
     def test_two_distinct(self):
-        part = proxies.partition_pairs(["+", "-"])
-        assert set(part.negatives) == {(0, 1), (1, 0)}
-        assert part.positives == ()
+        neg, pos = self.check(proxies.partition_pairs(["+", "-"]), ["+", "-"])
+        assert set(neg) == {(0, 1), (1, 0)} and pos == []
 
     def test_two_equal(self):
         part = proxies.partition_pairs(["+", "+"])
-        assert part.negatives == ()
-        assert set(part.positives) == {(0, 1), (1, 0)}
+        neg, pos = self.check(part, ["+", "+"])
+        assert neg == [] and set(pos) == {(0, 1), (1, 0)}
+        np.testing.assert_array_equal(part.counts, [2])
 
     def test_three_labels_exhaustive(self):
         labels = [0, 1, 1]
         part = proxies.partition_pairs(labels)
-        # independent enumeration over all ordered pairs
-        neg, pos = set(), set()
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                (neg if labels[i] != labels[j] else pos).add((i, j))
-        assert set(part.negatives) == neg and len(part.negatives) == 4
-        assert set(part.positives) == pos and len(part.positives) == 2
+        self.check(part, labels)
+        assert (part.num_negatives, part.num_positives) == (4, 2)
+        np.testing.assert_array_equal(part.classes, [0, 1, 1])
+        np.testing.assert_array_equal(part.counts, [1, 2])
 
     def test_partition_covers_all_ordered_pairs(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 3, 7)
         part = proxies.partition_pairs(labels)
+        self.check(part, labels)
         n = len(labels)
-        assert len(part.negatives) + len(part.positives) + n == n * n
-        assert all((j, i) in part.negatives for i, j in part.negatives)
+        assert part.num_negatives + part.num_positives + n == n * n
 
     def test_symmetric_masks(self):
-        part = proxies.partition_pairs([0, 1, 0, 2])
-        np.testing.assert_array_equal(part.neg_mask, part.neg_mask.T)
-        assert all((j, i) in part.positives for i, j in part.positives)
+        labels = [0, 1, 0, 2]
+        part = proxies.partition_pairs(labels)
+        neg, pos = self.check(part, labels)
+        same_class = part.classes[:, None] == part.classes[None, :]
+        np.testing.assert_array_equal(same_class, same_class.T)
+        assert all((j, i) in neg for i, j in neg)
+        assert all((j, i) in pos for i, j in pos)
 
     @pytest.mark.parametrize("labels, negatives, positives", [
         ([2, 0, 2, 1, 0, 2], 22, 8),
@@ -78,15 +110,9 @@ class TestPartition:
     ], ids=["int", "str", "one-class", "n=1"])
     def test_boolean_masks_and_counts(self, labels, negatives, positives):
         part = proxies.partition_pairs(labels)
+        self.check(part, labels)
         arr = np.asarray(labels)
-        same = arr[:, None] == arr[None, :]
-        assert part.neg_mask.dtype == bool
-        np.testing.assert_array_equal(part.neg_mask, ~same)
-        assert set(part.positives) == set(map(tuple, np.argwhere(
-            same & ~np.eye(len(labels), dtype=bool))))
         assert (part.num_negatives, part.num_positives) == (negatives, positives)
-        assert part.num_negatives == len(part.negatives)
-        assert part.num_positives == len(part.positives)
         # The class-size formula: sum of squared sizes counts the ordered
         # equal-label pairs, the diagonal included.
         distinct, sizes = np.unique(arr, return_counts=True)
@@ -201,7 +227,7 @@ class TestAlNeo:
     def test_all_beta_attains_inverse_sqrt(self):
         # |N| = 4 ordered inter-class pairs; all kernel values at -1
         part = proxies.partition_pairs([0, 1, 1])
-        assert len(part.negatives) == 4
+        assert part.num_negatives == 4
         assert value("al-neo", ideal_kernel([0, 1, 1]), [0, 1, 1]) == \
             pytest.approx(0.5)
 
@@ -238,7 +264,8 @@ class TestCtsNeo:
         rng = np.random.default_rng(2)
         part = proxies.partition_pairs([0, 0, 1, 1])
         K = sym_kernel(rng, 4)
-        direct = -np.mean([np.exp(K[i, j]) for i, j in part.negatives])
+        negatives, _ = ordered_pairs([0, 0, 1, 1])
+        direct = -np.mean([np.exp(K[i, j]) for i, j in negatives])
         assert proxies.proxy_value("cts-neo", K, part, 1.0, -1.0) == \
             pytest.approx(direct, abs=1e-12)
 
@@ -254,7 +281,8 @@ class TestNmseNeo:
         rng = np.random.default_rng(3)
         part = proxies.partition_pairs([0, 1, 2, 0])
         K = sym_kernel(rng, 4)
-        direct = -np.mean([(K[i, j] + 1.0) ** 2 for i, j in part.negatives])
+        negatives, _ = ordered_pairs([0, 1, 2, 0])
+        direct = -np.mean([(K[i, j] + 1.0) ** 2 for i, j in negatives])
         assert proxies.proxy_value("nmse-neo", K, part, 1.0, -1.0) == \
             pytest.approx(direct, abs=1e-12)
 
@@ -304,8 +332,8 @@ class TestCts:
     def test_equal_kernel_values_give_pair_fraction(self):
         part = proxies.partition_pairs([0, 0, 1, 1])
         K = np.full((4, 4), 0.3)
-        expected = len(part.positives) / (len(part.positives)
-                                          + len(part.negatives))
+        expected = part.num_positives / (part.num_positives
+                                         + part.num_negatives)
         assert proxies.proxy_value("cts", K, part, 1.0, -1.0) == \
             pytest.approx(expected, abs=1e-12)
 
@@ -379,7 +407,7 @@ class TestSharedProperties:
     def test_neo_maxima_never_exceeded_by_perturbations(self):
         rng = np.random.default_rng(11)
         part = proxies.partition_pairs([0, 0, 1, 1, 2, 2])
-        n_neg = len(part.negatives)
+        n_neg = part.num_negatives
         maxima = {"al-neo": 1.0 / np.sqrt(n_neg), "cts-neo": -np.exp(-1.0),
                   "nmse-neo": 0.0}
         for _ in range(500):
@@ -427,7 +455,8 @@ class TestSharedProperties:
                   "nmse": (-spread, 0.0)}
         # The pairs whose kernel values make up the norm each cosine
         # divides by; a cosine of all-zero values is undefined.
-        norm_pairs = {"al-neo": part.neg_mask, "utal": off_diagonal}
+        norm_pairs = {"al-neo": inter_class_mask(labels),
+                      "utal": off_diagonal}
         for kind, (lo, hi) in bounds.items():
             try:
                 v = proxies.proxy_value(kind, K, part, 1.0, -1.0)

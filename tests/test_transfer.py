@@ -168,6 +168,18 @@ class TestRanking:
         with pytest.raises(ContractError):
             rank_candidates({})
 
+    @pytest.mark.parametrize("bad, value", [
+        ("a", float("nan")), ("b", float("nan")), ("b", float("inf")),
+        ("b", float("-inf")),
+    ], ids=["nan-first", "nan-middle", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, bad, value):
+        """A non-finite score raises, naming its candidate, wherever it
+        falls in the input order."""
+        scores = {"a": 0.5, "b": 0.6, "c": 0.7}
+        scores[bad] = value
+        with pytest.raises(ContractError, match=f"'{bad}'"):
+            rank_candidates(scores)
+
     def test_rank_invariant_under_increasing_transform(self):
         scores = {"a": 0.2, "b": 1.4, "c": -0.3, "d": 0.9}
         base = rank_candidates(scores)
@@ -279,6 +291,27 @@ class TestCheckpointFiles:
         path = tmp_path / "bad.json"
         write_json(path, doc)
         with pytest.raises(IngestionError, match="'input.1.weight'"):
+            CandidateModule.from_checkpoint_file(path)
+
+    @pytest.mark.parametrize("fault", ["missing", "null", "list",
+                                       "unknown-field", "missing-field"])
+    def test_bad_architecture_rejected(self, tmp_path, fault):
+        """A header without an architecture object, or with an unknown or
+        missing field, fails to load with a typed error."""
+        doc = fresh_candidate().model.to_checkpoint()
+        if fault == "missing":
+            del doc["architecture"]
+        elif fault == "null":
+            doc["architecture"] = None
+        elif fault == "list":
+            doc["architecture"] = [6, 12, 2]
+        elif fault == "unknown-field":
+            doc["architecture"]["depth"] = 3
+        else:
+            del doc["architecture"]["input_dim"]
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        with pytest.raises(IngestionError, match="architecture"):
             CandidateModule.from_checkpoint_file(path)
 
     def test_bad_format_rejected(self, tmp_path):

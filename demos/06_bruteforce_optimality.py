@@ -7,12 +7,11 @@ distances all reach the grid-wide maximum attain the family-wide risk
 minimum after optimizing the readout.
 """
 
-from modkernel.geometry import committed_bruteforce_instances
+from modkernel.geometry import BRUTEFORCE_INSTANCES, committed_bruteforce_reports
 
-for name, build in committed_bruteforce_instances().items():
-    report = build()
+for report in committed_bruteforce_reports(list(BRUTEFORCE_INSTANCES)):
     status = "pass" if report.passed else "FAIL"
-    print(f"{status}  {name}")
+    print(f"{status}  {report.name}")
     print(f"      {report.assignments} input maps enumerated, "
           f"{report.satisfying} satisfy the separation condition")
     print(f"      family-wide min risk {report.global_min:.6f}, "

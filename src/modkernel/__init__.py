@@ -17,8 +17,8 @@ from .errors import (ConfigurationError, ContractError, DegenerateBatchError,
 from .kernels import (ConvPatchSpec, FeatureMap, conv_patch_feature,
                       kernel_bounds, kernel_eval, kernel_matrix,
                       rkhs_distance_sq)
-from .losses import (DecomposableLoss, LabeledSet, make_loss,
-                     monotonicity_audit, multiclass_xe, risk)
+from .losses import (DecomposableLoss, make_loss, monotonicity_audit,
+                     multiclass_xe, risk)
 from .proxies import (PairPartition, PROXY_KINDS, partition_pairs,
                       proxy_tensor, proxy_value)
 from .training import (ArchitectureSpec, DynamicsTrace, TrainConfig,

@@ -84,12 +84,7 @@ def _cmd_verify_lemma(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    registry = geometry.committed_bruteforce_instances()
-    names = args.instance or sorted(registry)
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        raise ConfigurationError(f"unknown instances: {unknown}")
-    reports = [registry[name]() for name in names]
+    reports = geometry.committed_bruteforce_reports(args.instance)
     ok = True
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"

@@ -17,7 +17,7 @@ from pathlib import Path
 from .datasets import DatasetSpec
 from .errors import ConfigurationError
 from .serialize import dump_json
-from .training import ArchitectureSpec, TrainConfig
+from .training import ArchitectureSpec, TrainConfig, _is_integer
 from .transfer import SCORING_DEFAULTS, validate_subsample_fraction
 
 EXPERIMENT_KINDS = ("sanity-dynamics", "proxy-sweep", "modular-vs-e2e",
@@ -91,11 +91,6 @@ _LEMMA_FIELDS = {
 # The lemma defaults, also read by geometry.run_lemma_suite and the
 # verify-lemma command line.
 LEMMA_DEFAULTS = {key: default for key, (_, default) in _LEMMA_FIELDS.items()}
-
-
-def _is_integer(value, least: int) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least)
 
 
 def check_lemma_settings(instances, dims, seed, tolerance) -> None:

@@ -8,6 +8,7 @@ magic/dims IDX format, so real digit datasets can be run optionally.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,37 +153,34 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 
-def read_idx_images(path) -> np.ndarray:
-    if path is None:
-        raise ConfigurationError("idx-file dataset needs a path")
+def _read_idx(path, magic: int, what: str) -> tuple:
+    """(dimension sizes, uint8 body) of an IDX file whose magic number must
+    be ``magic``; its last byte is the number of dimensions."""
     blob = Path(path).read_bytes()
-    if len(blob) < 16:
+    header = 4 * (1 + (magic & 0xFF))
+    if len(blob) < header:
         raise IngestionError(f"{path}: truncated idx header (byte offset 0)")
-    magic, count, rows, cols = struct.unpack(">IIII", blob[:16])
-    if magic != _IDX_IMAGES_MAGIC:
+    found, *dims = struct.unpack(f">{header // 4}I", blob[:header])
+    if found != magic:
         raise IngestionError(
-            f"{path}: bad idx image magic 0x{magic:08x} (byte offset 0)")
-    expected = 16 + count * rows * cols
+            f"{path}: bad idx {what} magic 0x{found:08x} (byte offset 0)")
+    expected = header + math.prod(dims)
     if len(blob) != expected:
         raise IngestionError(
             f"{path}: expected {expected} bytes, found {len(blob)} "
             f"(byte offset {min(expected, len(blob))})")
-    data = np.frombuffer(blob, dtype=np.uint8, offset=16)
+    return dims, np.frombuffer(blob, dtype=np.uint8, offset=header)
+
+
+def read_idx_images(path) -> np.ndarray:
+    if path is None:
+        raise ConfigurationError("idx-file dataset needs a path")
+    (count, rows, cols), data = _read_idx(path, _IDX_IMAGES_MAGIC, "image")
     return data.reshape(count, rows * cols).astype(np.float64) / 255.0
 
 
 def read_idx_labels(path) -> np.ndarray:
     if path is None:
         raise ConfigurationError("idx-file dataset needs a labels_path")
-    blob = Path(path).read_bytes()
-    if len(blob) < 8:
-        raise IngestionError(f"{path}: truncated idx header (byte offset 0)")
-    magic, count = struct.unpack(">II", blob[:8])
-    if magic != _IDX_LABELS_MAGIC:
-        raise IngestionError(
-            f"{path}: bad idx label magic 0x{magic:08x} (byte offset 0)")
-    if len(blob) != 8 + count:
-        raise IngestionError(
-            f"{path}: expected {8 + count} bytes, found {len(blob)} "
-            f"(byte offset {min(8 + count, len(blob))})")
-    return np.frombuffer(blob, dtype=np.uint8, offset=8).astype(np.int64)
+    _, data = _read_idx(path, _IDX_LABELS_MAGIC, "label")
+    return data.astype(np.int64)

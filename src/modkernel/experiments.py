@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +180,8 @@ def _run_modular_vs_e2e(cfg: ExperimentConfig, outdir: Path):
     trace_out = freeze_and_train_output(modular, data, train_cfg)
     modular.unfreeze_input()
 
-    baseline = TwoModuleModel(arch, seed=train_cfg.seed)
+    baseline = TwoModuleModel(arch, seed=train_cfg.seed,
+                              output_dim=arch.output_width(train_cfg.loss))
     trace_e2e = train_end_to_end(baseline, data, train_cfg)
 
     artifacts = _write_dataset_summary(outdir, data)
@@ -262,7 +264,8 @@ def _run_transferability(cfg: ExperimentConfig, outdir: Path):
     if section is None:
         raise ConfigurationError("transferability needs a 'transfer' section")
     base = make_dataset(cfg.dataset_spec())
-    arch = cfg.architecture_spec()
+    # Every source and target task is a two-class subtask.
+    arch = replace(cfg.architecture_spec(), num_classes=2)
     candidate_cfg = cfg.train_config("transfer.candidate_train")
     oracle_cfg = cfg.train_config("transfer.oracle_train")
 
@@ -273,14 +276,13 @@ def _run_transferability(cfg: ExperimentConfig, outdir: Path):
     for i, pair in enumerate(section["source_tasks"]):
         a, b = (int(pair[0]), int(pair[1]))
         task = binary_subtask(base, (a, b))
-        model = TwoModuleModel(_binary_arch(arch), seed=candidate_cfg.seed + i)
+        model = TwoModuleModel(arch, seed=candidate_cfg.seed + i)
         train_input_module(model, task, candidate_cfg)
         cand = CandidateModule(id=f"src-{a}-{b}", model=model,
                                source_task=f"{a}-vs-{b}")
         candidates.append(cand)
     if section["include_random_candidate"]:
-        model = TwoModuleModel(_binary_arch(arch),
-                               seed=candidate_cfg.seed + 10_000)
+        model = TwoModuleModel(arch, seed=candidate_cfg.seed + 10_000)
         candidates.append(CandidateModule(id="random-init", model=model,
                                           source_task="none"))
     for cand in candidates:
@@ -326,11 +328,6 @@ def _run_transferability(cfg: ExperimentConfig, outdir: Path):
     return metrics, artifacts, _check(cfg.thresholds, metrics), timing
 
 
-def _binary_arch(arch):
-    from dataclasses import replace
-    return replace(arch, num_classes=2)
-
-
 def binary_subtask(base: Dataset, pair: tuple) -> Dataset:
     """Restrict a labeled dataset to two classes, relabeled {0, 1}."""
     a, b = pair
@@ -363,19 +360,8 @@ def _run_lemma_suite(cfg: ExperimentConfig, outdir: Path):
 
 def _run_theorem_oracle(cfg: ExperimentConfig, outdir: Path):
     section = cfg.section_or_defaults("theorem")
-    registry = geometry.committed_bruteforce_instances()
-    wanted = section.get("instances")
-    if wanted:
-        unknown = set(wanted) - set(registry)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown theorem-oracle instances: {sorted(unknown)}")
-        names = list(wanted)
-    else:
-        names = sorted(registry)
-    reports = []
-    for name in names:
-        reports.append(registry[name]().as_dict())
+    reports = [r.as_dict() for r in
+               geometry.committed_bruteforce_reports(section["instances"])]
     write_json(outdir / "theorem_report.json", {"instances": reports})
     counterexamples = sum(len(r["counterexamples"]) for r in reports)
     metrics = {"instances": float(len(reports)),

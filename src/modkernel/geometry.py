@@ -24,7 +24,6 @@ Everything here is pure and deterministic given its inputs.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -483,38 +482,34 @@ def optimality_bruteforce(labels, grid, feature: FeatureMap,
 
     plus_idx = np.flatnonzero(plus)
     minus_idx = np.flatnonzero(minus)
-    global_min = np.inf
-    satisfying: list[tuple] = []
-    min_by_assignment: dict[tuple, float] = {}
-    for assign in itertools.product(range(m), repeat=n):
-        codes = np.asarray(assign)
+    # Each assignment's readout-minimized risk and separation condition.
+    assignments = np.array(list(itertools.product(range(m), repeat=n)))
+    best = np.empty(m ** n)
+    satisfying = np.empty(m ** n, dtype=bool)
+    for k, codes in enumerate(assignments):
         total = (loss_plus[codes[plus_idx]].sum(axis=0)
                  + loss_minus[codes[minus_idx]].sum(axis=0)) / n + penalty
-        best = float(total.min())
-        min_by_assignment[assign] = best
-        global_min = min(global_min, best)
+        best[k] = total.min()
         pair_d = dists[np.ix_(codes[plus_idx], codes[minus_idx])]
-        if pair_d.min() >= dist_max - 1e-12:
-            satisfying.append(assign)
+        satisfying[k] = pair_d.min() >= dist_max - 1e-12
 
-    counterexamples = []
-    min_over_sat = np.inf
-    for assign in satisfying:
-        best = min_by_assignment[assign]
-        min_over_sat = min(min_over_sat, best)
-        if best > global_min + tol:
-            counterexamples.append({"assignment": list(assign),
-                                    "min_risk": best,
-                                    "gap": best - global_min})
+    global_min = float(best.min())
+    min_over_sat = float(best[satisfying].min(initial=np.inf))
+    counterexamples = [{"assignment": assignments[k].tolist(),
+                        "min_risk": float(best[k]),
+                        "gap": float(best[k]) - global_min}
+                       for k in np.flatnonzero(satisfying
+                                               & (best > global_min + tol))]
     return BruteforceReport(
-        name=name, assignments=m ** n, satisfying=len(satisfying),
-        global_min=float(global_min), min_over_satisfying=float(min_over_sat),
+        name=name, assignments=m ** n, satisfying=int(satisfying.sum()),
+        global_min=global_min, min_over_satisfying=min_over_sat,
         counterexamples=counterexamples)
 
 
-# name: (labels, code grid, loss kind, lattice points per axis); every
-# lattice spans [-2, 2] in each weight and in the bias.
-_BRUTEFORCE_INSTANCES = {
+# The theorem oracle's instances.  name: (labels, code grid, loss kind,
+# lattice points per axis); every lattice spans [-2, 2] in each weight and
+# in the bias.
+BRUTEFORCE_INSTANCES = {
     "two-point-hinge-1d": ([1, 0], [[-3.0], [3.0]], "hinge", 21),
     "four-point-xe2-1d": ([1, 1, 0, 0], [[-3.0], [-1.0], [1.0], [3.0]],
                           "xe2", 21),
@@ -526,24 +521,26 @@ _BRUTEFORCE_INSTANCES = {
 }
 
 
-def _run_bruteforce_instance(name: str, labels, grid, loss: str,
-                             resolution: int) -> BruteforceReport:
-    w, b = weight_lattice(2.0, resolution, len(grid[0]))
-    return optimality_bruteforce(
-        labels=labels, grid=grid, feature=FeatureMap("tanh"),
-        loss=make_loss(loss), weights=w, biases=b, name=name)
-
-
-def committed_bruteforce_instances() -> dict:
-    """The fixed tiny-instance registry exercised by the theorem oracle.
+def committed_bruteforce_reports(names=None) -> list:
+    """Reports of the named committed instances, in the order named, or
+    of every one by name when ``names`` is empty or None.
 
     All instances use the unit-normalized tanh feature map and symmetric
     weight lattices, so a maximally separated assignment can always match
-    any competitor's scores within the lattice.  Values are zero-argument
-    callables returning a ``BruteforceReport``.
+    any competitor's scores within the lattice.
     """
-    return {name: functools.partial(_run_bruteforce_instance, name, *spec)
-            for name, spec in _BRUTEFORCE_INSTANCES.items()}
+    names = list(names or sorted(BRUTEFORCE_INSTANCES))
+    unknown = [name for name in names if name not in BRUTEFORCE_INSTANCES]
+    if unknown:
+        raise ConfigurationError(f"unknown theorem-oracle instances: {unknown}")
+    reports = []
+    for name in names:
+        labels, grid, loss, resolution = BRUTEFORCE_INSTANCES[name]
+        w, b = weight_lattice(2.0, resolution, len(grid[0]))
+        reports.append(optimality_bruteforce(
+            labels=labels, grid=grid, feature=FeatureMap("tanh"),
+            loss=make_loss(loss), weights=w, biases=b, name=name))
+    return reports
 
 
 def check_distance_kernel_equivalence(fmap: FeatureMap, pairs,

@@ -24,6 +24,8 @@ _KERNEL_BOUNDS = {
     "sigmoid": (1.0, 0.0),
 }
 
+NONLINEARITIES = tuple(_KERNEL_BOUNDS)
+
 
 def kernel_bounds(nonlinearity: str) -> tuple[float, float]:
     """Supremum and infimum of the induced kernel, assuming normalization.

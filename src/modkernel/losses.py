@@ -77,24 +77,6 @@ def make_loss(kind: str, lam: float = 0.0, g=None) -> DecomposableLoss:
                             g if g is not None else _identity, lam)
 
 
-@dataclass(frozen=True)
-class LabeledSet:
-    """Inputs with a binary view: the positive index set I+; every other
-    example is in I-."""
-
-    X: np.ndarray
-    y: np.ndarray
-    I_plus: np.ndarray
-
-    @classmethod
-    def from_binary_labels(cls, X, y, positive_label=1) -> "LabeledSet":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise DimensionError("inputs and labels must align")
-        return cls(X=X, y=y, I_plus=np.flatnonzero(y == positive_label))
-
-
 def _data_term(loss: DecomposableLoss, scores: ad.Tensor,
                positive: np.ndarray) -> ad.Tensor:
     """(1/n) (sum of ell_plus over ``positive`` + sum of ell_minus over
@@ -108,21 +90,17 @@ def _data_term(loss: DecomposableLoss, scores: ad.Tensor,
             + ad.masked_sum(loss.minus_term(scores), ~positive)) / float(n)
 
 
-def risk(loss: DecomposableLoss, scores, labeled: LabeledSet,
+def risk(loss: DecomposableLoss, scores, positive: np.ndarray,
          w_norm: float = 0.0) -> float:
-    """The three-term decomposed empirical risk; I- is taken to be the
-    complement of I+.
+    """The three-term decomposed empirical risk.  ``positive`` is a boolean
+    array marking I+, one entry per score; I- is its complement.
 
     Scores must be finite: both terms are evaluated at every score and
     masked, so an infinite score would turn the masked-out term into NaN.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    if scores.shape[0] != labeled.y.shape[0]:
-        raise DimensionError("scores do not align with the labeled set")
     if not np.isfinite(scores).all():
         raise ContractError("risk needs finite scores")
-    positive = np.zeros(scores.shape[0], dtype=bool)
-    positive[labeled.I_plus] = True
     data = _data_term(loss, ad.constant(scores), positive).item()
     return data + loss.lam * float(loss.g(w_norm))
 

@@ -14,6 +14,7 @@ run in parallel processes.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import asdict, dataclass, field
 
@@ -23,7 +24,7 @@ from . import autodiff as ad
 from . import proxies
 from .datasets import Dataset
 from .errors import ConfigurationError, DegenerateBatchError, IngestionError
-from .kernels import FeatureMap, gram_tensor
+from .kernels import NONLINEARITIES, FeatureMap, gram_tensor
 from .losses import LOSS_KINDS, make_loss, risk_tensor
 from .serialize import (MODULE_FORMAT, entries_to_params, params_to_entries,
                         write_csv)
@@ -32,14 +33,18 @@ TRACE_HEADER = ("stage", "epoch", "lr", "objective",
                 "train_accuracy", "test_accuracy", "resamples")
 
 
+def _is_integer(value, least: int) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
+
+
 @dataclass(frozen=True)
 class ArchitectureSpec:
     """Layer widths of the two-module backbone.
 
     The input module is a fully-connected stack ending in ``latent_dim``
     pre-link activations; the output module is one affine map from the
-    link features to ``num_classes`` logits (or to a single score when the
-    overall loss is a binary decomposable one).
+    link features to ``output_width(loss)`` columns.
     """
 
     input_dim: int
@@ -49,6 +54,35 @@ class ArchitectureSpec:
     hidden_nonlinearity: str = "relu"
     link_nonlinearity: str = "tanh"
     link_epsilon: float = 1e-12
+
+    def __post_init__(self):
+        widths = (self.input_dim, self.latent_dim, *self.hidden_widths)
+        if not all(_is_integer(w, 1) for w in widths):
+            raise ConfigurationError("input_dim, latent_dim and hidden widths "
+                                     f"must be integers >= 1, got {widths!r}")
+        if not _is_integer(self.num_classes, 2):
+            raise ConfigurationError(
+                f"num_classes must be an integer >= 2, got {self.num_classes!r}")
+        for name in ("hidden_nonlinearity", "link_nonlinearity"):
+            if getattr(self, name) not in NONLINEARITIES:
+                raise ConfigurationError(
+                    f"unknown {name} {getattr(self, name)!r}; expected one "
+                    f"of {NONLINEARITIES}")
+        eps = self.link_epsilon
+        if (isinstance(eps, bool) or not isinstance(eps, numbers.Real)
+                or not eps > 0):
+            raise ConfigurationError(f"link_epsilon must be > 0, got {eps!r}")
+
+    def output_width(self, loss: str) -> int:
+        """Columns of the output module under ``loss``: one score for a
+        binary decomposable loss, one logit per class for ``"xe"``."""
+        if loss == "xe":
+            return self.num_classes
+        if self.num_classes != 2:
+            raise ConfigurationError(
+                f"the binary loss {loss!r} needs 2 classes, got "
+                f"{self.num_classes}")
+        return 1
 
     def as_dict(self) -> dict:
         return dict(asdict(self), hidden_widths=list(self.hidden_widths))
@@ -205,7 +239,9 @@ class TwoModuleModel:
                 p.requires_grad = True
                 p.grad = np.zeros_like(p.data)
 
-    def reinit_output(self, seed: int) -> None:
+    def reinit_output(self, seed, loss: str) -> None:
+        """A fresh output module, as wide as ``loss`` needs."""
+        self.output_dim = self.arch.output_width(loss)
         rng = np.random.default_rng(seed)
         W, b = _init_affine(rng, self.arch.latent_dim, self.output_dim)
         self.output_weight, self.output_bias = W, b
@@ -230,11 +266,23 @@ class TwoModuleModel:
             raise IngestionError("module checkpoint lacks an architecture object")
         try:
             arch = ArchitectureSpec.from_dict(doc["architecture"])
-        except TypeError as exc:  # an unknown or missing field
+        except (TypeError, ConfigurationError) as exc:  # a bad field
             raise IngestionError(f"module checkpoint architecture: {exc}") from None
-        model = cls(arch, seed=doc.get("seed", 0),
-                    output_dim=doc.get("output_dim"))
-        loaded = dict(entries_to_params(doc["tensors"]))
+        seed, output_dim = doc.get("seed", 0), doc.get("output_dim")
+        if not _is_integer(seed, 0):
+            raise IngestionError(
+                f"module checkpoint seed must be an integer >= 0, got {seed!r}")
+        if output_dim is not None and not _is_integer(output_dim, 1):
+            raise IngestionError("module checkpoint output_dim must be an "
+                                 f"integer >= 1, got {output_dim!r}")
+        tensors = doc.get("tensors")
+        if not isinstance(tensors, list) or not all(
+                isinstance(e, dict) and {"name", "shape", "values"} <= e.keys()
+                for e in tensors):
+            raise IngestionError("module checkpoint tensors must be a list of "
+                                 "entries with a name, shape and values")
+        model = cls(arch, seed=seed, output_dim=output_dim)
+        loaded = dict(entries_to_params(tensors))
         for name, tensor in model.named_params():
             if name not in loaded:
                 raise IngestionError(f"module checkpoint lacks tensor {name!r}")
@@ -276,17 +324,17 @@ class DynamicsTrace:
         return self.rows[-1][key] if self.rows else None
 
 
-def _predict(logits: np.ndarray, binary_score: bool) -> np.ndarray:
-    if binary_score:
-        return (logits.ravel() > 0).astype(np.int64)
+def _predict(logits: np.ndarray) -> np.ndarray:
+    """Class predictions; a one-column logit matrix is a binary score."""
+    if logits.shape[1] == 1:
+        return (logits[:, 0] > 0).astype(np.int64)
     return logits.argmax(axis=1)
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray,
-             binary_score: bool = False) -> float:
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     if labels.size == 0:
         return float("nan")
-    return float((_predict(logits, binary_score) == labels).mean())
+    return float((_predict(logits) == labels).mean())
 
 
 def _schedule_epochs(cfg: TrainConfig):
@@ -416,10 +464,6 @@ def _loss_and_logits(model: TwoModuleModel, feats: ad.Tensor,
     return risk_tensor(loss, logits, labels == 1), logits
 
 
-def _binary_score_mode(cfg: TrainConfig) -> bool:
-    return cfg.loss != "xe"
-
-
 def _output_logits(model: TwoModuleModel, feats: np.ndarray) -> np.ndarray:
     return ad.affine(ad.constant(feats), model.output_weight,
                      model.output_bias).data
@@ -434,10 +478,9 @@ def freeze_and_train_output(model: TwoModuleModel, data: Dataset,
     when the full-train loss plateaus.
     """
     model.freeze_input()
-    model.reinit_output(_derived_seed(cfg.seed, "output-init"))
+    model.reinit_output(_derived_seed(cfg.seed, "output-init"), cfg.loss)
     feats_train = model.link_features_np(data.X_train)
-    feats_test = (model.link_features_np(data.X_test)
-                  if data.X_test.size else np.zeros((0, model.arch.latent_dim)))
+    feats_test = model.link_features_np(data.X_test)
     return _train_output_on_features(model, feats_train, data.y_train,
                                      feats_test, data.y_test, cfg)
 
@@ -446,7 +489,6 @@ def _train_output_on_features(model: TwoModuleModel, feats_train, y_train,
                               feats_test, y_test,
                               cfg: TrainConfig) -> DynamicsTrace:
     trace = DynamicsTrace()
-    binary = _binary_score_mode(cfg)
     best_loss = np.inf
     stale = 0
 
@@ -466,10 +508,8 @@ def _train_output_on_features(model: TwoModuleModel, feats_train, y_train,
         stop = stale >= cfg.plateau_patience
         best_loss = min(best_loss, full_loss.item())
         if _trace_due(cfg, done) or stop:
-            train_acc = accuracy(logits.data, y_train, binary)
-            test_acc = (accuracy(_output_logits(model, feats_test), y_test,
-                                 binary)
-                        if y_test.size else float("nan"))
+            train_acc = accuracy(logits.data, y_train)
+            test_acc = accuracy(_output_logits(model, feats_test), y_test)
             trace.add("output", done, lr, float(full_loss.item()),
                       train_acc, test_acc)
         return stop
@@ -493,7 +533,6 @@ def train_end_to_end(model: TwoModuleModel, data: Dataset,
                      cfg: TrainConfig) -> DynamicsTrace:
     """Joint SGD on the overall loss; same trace format as the stages."""
     trace = DynamicsTrace()
-    binary = _binary_score_mode(cfg)
 
     def batch_loss(idx):
         feats = model.link_features(ad.constant(data.X_train[idx]))
@@ -505,9 +544,8 @@ def train_end_to_end(model: TwoModuleModel, data: Dataset,
             feats_full = model.link_features(ad.constant(data.X_train))
             full_loss, logits = _loss_and_logits(model, feats_full,
                                                  data.y_train, cfg)
-            train_acc = accuracy(logits.data, data.y_train, binary)
-            test_acc = (accuracy(model.logits_np(data.X_test), data.y_test, binary)
-                        if data.y_test.size else float("nan"))
+            train_acc = accuracy(logits.data, data.y_train)
+            test_acc = accuracy(model.logits_np(data.X_test), data.y_test)
             trace.add("e2e", done, lr, float(full_loss.item()),
                       train_acc, test_acc)
             _record_activations(trace, model, data, done)
@@ -535,7 +573,6 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
     feats_test = model.link_features_np(data.X_test)
     n = data.X_train.shape[0]
     num_classes = data.num_classes
-    binary = _binary_score_mode(cfg)
     rows = []
     for budget in label_budgets:
         budget = int(budget)
@@ -562,13 +599,13 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
             chosen = np.concatenate(picks)
         else:
             chosen = rng.choice(n, size=budget, replace=False)
-        model.reinit_output(_derived_seed(cfg.seed, "output-init"))
+        model.reinit_output(_derived_seed(cfg.seed, "output-init"), cfg.loss)
         _train_output_on_features(model, feats_train[chosen],
                                   data.y_train[chosen], feats_test,
                                   data.y_test, cfg)
         logits = _output_logits(model, feats_test)
-        acc = accuracy(logits, data.y_test, binary)
-        pred = _predict(logits, binary)
+        acc = accuracy(logits, data.y_test)
+        pred = _predict(logits)
         recall = []
         for c in range(num_classes):
             mask = data.y_test == c

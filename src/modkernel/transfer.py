@@ -12,7 +12,8 @@ Candidates score independently; report assembly is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -169,29 +170,23 @@ def attach_oracle(report: TransferReport, accuracies: dict) -> TransferReport:
 def retrain_oracle(candidate: CandidateModule, target_data: Dataset,
                    cfg: TrainConfig) -> float:
     """Held-out accuracy of a fresh output module trained on the frozen
-    candidate.  Works on a clone; the candidate itself never changes."""
-    output_dim = (1 if cfg.loss != "xe" else target_data.num_classes)
-    clone = TwoModuleModel(candidate.model.arch, seed=candidate.model.seed,
-                           output_dim=output_dim)
-    for (_, src), (_, dst) in zip(candidate.model.input_module.named_params("input"),
-                                  clone.input_module.named_params("input")):
-        dst.data = src.data.copy()
+    candidate.  Works on a copy whose architecture counts the target's
+    classes; the candidate itself never changes."""
+    clone = copy.deepcopy(candidate.model)
+    clone.arch = replace(clone.arch, num_classes=target_data.num_classes)
     trace = freeze_and_train_output(clone, target_data, cfg)
     return float(trace.final("test_accuracy"))
 
 
 def _average_ranks(values) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0])
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, ties sharing their mean rank; each NaN ranks alone,
+    after every number."""
+    # return_index makes the sort stable, which orders the NaNs by position.
+    _, _, inverse, counts = np.unique(
+        np.asarray(values, dtype=np.float64), return_index=True,
+        return_inverse=True, return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
+    return ((ends - counts + ends - 1) / 2.0 + 1.0)[inverse]
 
 
 def rank_correlation(first, second) -> float:

@@ -218,3 +218,19 @@ def nearest_centroid_accuracy(X_train, y_train, X_test, y_test):
     d = ((X_test[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     pred = classes[d.argmin(axis=1)]
     return float((pred == y_test).mean())
+
+
+def average_ranks_reference(values):
+    """1-based ranks with ties sharing their mean rank, by a walk over the
+    stably sorted values; NaN equals nothing, so each NaN ranks alone."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.shape[0])
+    i = 0
+    while i < values.shape[0]:
+        j = i
+        while j + 1 < values.shape[0] and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks

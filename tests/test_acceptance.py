@@ -16,7 +16,7 @@ import modkernel.autodiff as ad
 from modkernel import proxies
 from modkernel.config import load_config
 from modkernel.experiments import run_experiment
-from modkernel.geometry import (LemmaInstance, committed_bruteforce_instances,
+from modkernel.geometry import (LemmaInstance, committed_bruteforce_reports,
                                 construct_e_star, lemma_checks,
                                 random_lemma_instance)
 from modkernel.kernels import FeatureMap, kernel_eval, kernel_matrix, rkhs_distance_sq
@@ -109,7 +109,7 @@ def test_criterion_3_theorem_oracle():
     """Every committed tiny instance: separation-condition input maps attain
     the family-wide risk minimum within 1e-9; zero counterexamples."""
     t0 = time.perf_counter()
-    reports = [build() for build in committed_bruteforce_instances().values()]
+    reports = committed_bruteforce_reports()
     elapsed = time.perf_counter() - t0
     for report in reports:
         assert report.satisfying > 0, report.name

@@ -192,6 +192,60 @@ class TestConfigLoading:
         load_config(path)
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("latent_dim", 0), ("hidden_widths", [0]), ("num_classes", 1),
+        ("hidden_nonlinearity", "foo"), ("link_epsilon", 0.0)])
+    def test_bad_architecture_value_rejected_at_load(self, tmp_path, key,
+                                                     value, capsys):
+        doc = {"experiment": "sanity-dynamics",
+               "dataset": {"kind": "gaussian-blobs", "n": 20, "d": 3},
+               "architecture": {key: value}}
+        assert main(["dump-config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestConfigSchemaFile:
+    """configs/config-schema.json describes what the loader accepts."""
+
+    SCHEMA = read_json(CONFIG_DIR / "config-schema.json")
+
+    def test_sections_list_the_loader_fields(self):
+        from modkernel.config import _TOP_SECTIONS
+        props = self.SCHEMA["properties"]
+        assert props.keys() == {"experiment", "output_dir", "thresholds",
+                                *_TOP_SECTIONS}
+        for section, fields in _TOP_SECTIONS.items():
+            assert props[section]["properties"].keys() == fields.keys(), section
+            assert props[section]["additionalProperties"] is False, section
+
+    def test_enums_match_the_code(self):
+        from modkernel.config import EXPERIMENT_KINDS
+        from modkernel.datasets import DATASET_KINDS
+        from modkernel.kernels import NONLINEARITIES
+        from modkernel.losses import LOSS_KINDS
+        from modkernel.proxies import PROXY_KINDS
+        props = self.SCHEMA["properties"]
+        assert props["experiment"]["enum"] == list(EXPERIMENT_KINDS)
+        assert props["dataset"]["properties"]["kind"]["enum"] == list(
+            DATASET_KINDS)
+        train = props["train"]["properties"]
+        assert train["proxy"]["enum"] == list(PROXY_KINDS)
+        assert train["loss"]["enum"] == ["xe", *LOSS_KINDS]
+        assert props["transfer"]["properties"]["proxy"]["enum"] == list(
+            PROXY_KINDS)
+        arch = props["architecture"]["properties"]
+        for key in ("hidden_nonlinearity", "link_nonlinearity"):
+            assert arch[key]["enum"] == list(NONLINEARITIES), key
+
+    def test_thresholds_are_the_known_ones(self):
+        from modkernel.config import _KNOWN_THRESHOLDS
+        thresholds = self.SCHEMA["properties"]["thresholds"]
+        assert thresholds["additionalProperties"] is False
+        assert thresholds["properties"] == {
+            name: {"type": "number"} for name in _KNOWN_THRESHOLDS}
+
+
 class TestSchemaValidation:
     def test_report_schema_file_matches_embedded(self):
         committed = read_json(Path(__file__).parent.parent
@@ -311,6 +365,48 @@ class TestModularVsE2eSchedules:
         assert self._lr(traces["trace_modular_input"]) == [0.02, 0.02, 0.01]
         assert self._lr(traces["trace_e2e"]) == [0.05] * 4
         assert set(self._lr(traces["trace_modular_output"])) == {0.05}
+
+
+class TestBinaryLosses:
+    """A binary decomposable loss trains a one-column output module, so
+    every training experiment runs on a two-class task under it."""
+
+    BASE = {
+        "dataset": {"kind": "gaussian-blobs", "n": 48, "d": 4,
+                    "num_classes": 2, "seed": 3, "split_fraction": 0.75},
+        "architecture": {"hidden_widths": [8], "latent_dim": 2},
+        "train": {"batch_size": 16, "lr_schedule": [[0.05, 3]], "seed": 1,
+                  "proxy": "nmse-neo"},
+    }
+    EXTRA = {
+        "sanity-dynamics": {},
+        "modular-vs-e2e": {},
+        "proxy-sweep": {"sweep": {"checkpoint_epochs": [0, 1, 3]}},
+        "label-efficiency": {"label_efficiency": {"budgets": [4, 10],
+                                                  "balanced": True}},
+    }
+
+    @pytest.mark.parametrize("loss", ["xe2", "tanh-mse", "hinge"])
+    @pytest.mark.parametrize("experiment", list(EXTRA))
+    def test_two_class_run_writes_a_valid_report(self, tmp_path, experiment,
+                                                 loss):
+        doc = dict(self.BASE, experiment=experiment,
+                   output_dir=str(tmp_path / "out"), **self.EXTRA[experiment])
+        doc["train"] = dict(doc["train"], loss=loss)
+        assert main(["run", str(write_config(tmp_path, doc))]) == 0
+        report = read_json(tmp_path / "out" / "report.json")
+        validate_schema(report, REPORT_SCHEMA)
+        assert report["experiment"] == experiment and report["passed"]
+
+    def test_binary_loss_on_four_classes_exits_2(self, tmp_path, capsys):
+        doc = dict(self.BASE, experiment="sanity-dynamics",
+                   output_dir=str(tmp_path / "out"))
+        doc["dataset"] = dict(doc["dataset"], num_classes=4)
+        doc["train"] = dict(doc["train"], loss="hinge")
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "'hinge'" in err and "4" in err
 
 
 class TestCli:
@@ -480,6 +576,24 @@ class TestCli:
         assert captured.err.startswith("error: ") and "depth" in captured.err
         assert "Traceback" not in captured.err and "rank" not in captured.out
         assert not out_path.exists()
+
+    def test_score_transfer_bad_header_value_exits_2(self, tmp_path, capsys):
+        config, candidate, _ = self._score_transfer_inputs(tmp_path)
+        doc = read_json(candidate)
+        doc["output_dim"] = "x"
+        Path(candidate).write_text(json.dumps(doc))
+        out_path = tmp_path / "ranking.json"
+        code = main(["score-transfer", config, candidate,
+                     "--output", str(out_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "output_dim" in captured.err
+        assert "Traceback" not in captured.err and "rank" not in captured.out
+        assert not out_path.exists()
+
+    def test_verify_theorem_unknown_instance_exits_2(self, capsys):
+        assert main(["verify-theorem", "--instance", "martingale"]) == 2
+        assert "martingale" in capsys.readouterr().err
 
     def test_score_transfer_negative_seed_exits_2(self, tmp_path, capsys):
         out_path = tmp_path / "ranking.json"

@@ -112,6 +112,28 @@ class TestIdxIngestion:
         with pytest.raises(IngestionError, match="expected"):
             read_idx_images(img)
 
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    @pytest.mark.parametrize("fault", ["short-header", "magic", "payload"])
+    def test_error_messages_carry_byte_offsets(self, tmp_path, which, fault):
+        img, lbl, _, _ = write_idx_pair(tmp_path)
+        path, header = (img, 16) if which == "images" else (lbl, 8)
+        blob = path.read_bytes()
+        if fault == "short-header":
+            path.write_bytes(blob[:header - 1])
+            message = "truncated idx header (byte offset 0)"
+        elif fault == "magic":
+            path.write_bytes(b"\0\0\x08\x02" + blob[4:])
+            kind = "image" if which == "images" else "label"
+            message = f"bad idx {kind} magic 0x00000802 (byte offset 0)"
+        else:
+            path.write_bytes(blob[:-5])
+            message = (f"expected {len(blob)} bytes, found {len(blob) - 5} "
+                       f"(byte offset {len(blob) - 5})")
+        reader = read_idx_images if which == "images" else read_idx_labels
+        with pytest.raises(IngestionError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_full_dataset_load(self, tmp_path):
         img, lbl, _, labels = write_idx_pair(tmp_path)
         spec = DatasetSpec(kind="idx-file", path=str(img),

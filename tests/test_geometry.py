@@ -4,7 +4,7 @@ import pytest
 from modkernel.errors import ConfigurationError, ContractError
 from modkernel.geometry import (LemmaInstance, LemmaSolution,
                                 check_distance_kernel_equivalence,
-                                committed_bruteforce_instances,
+                                committed_bruteforce_reports,
                                 construct_e_star, optimality_bruteforce,
                                 random_lemma_instance, run_lemma_suite,
                                 verify_lemma_solution, weight_lattice)
@@ -286,10 +286,9 @@ class TestBruteforce:
         assert report.satisfying == report.assignments == 1
 
     def test_committed_registry_all_pass(self):
-        for name, build in committed_bruteforce_instances().items():
-            report = build()
-            assert report.passed, name
-            assert report.counterexamples == [], name
+        for report in committed_bruteforce_reports():
+            assert report.passed, report.name
+            assert report.counterexamples == [], report.name
 
     def test_infeasible_sizes_rejected(self):
         weights, biases = weight_lattice(1.0, 3, 1)

@@ -3,9 +3,9 @@ import pytest
 
 import modkernel.autodiff as ad
 from modkernel.errors import ConfigurationError, ContractError
-from modkernel.losses import (LOSS_KINDS, DecomposableLoss, LabeledSet,
-                              make_loss, monotonicity_audit, multiclass_xe,
-                              risk, risk_tensor)
+from modkernel.losses import (LOSS_KINDS, DecomposableLoss, make_loss,
+                              monotonicity_audit, multiclass_xe, risk,
+                              risk_tensor)
 
 from oracles import loss_terms_reference
 
@@ -68,8 +68,7 @@ class TestMakeLoss:
 
 class TestRisk:
     def _set(self, y):
-        y = np.asarray(y)
-        return LabeledSet.from_binary_labels(np.zeros((y.size, 1)), y)
+        return np.asarray(y) == 1
 
     def test_satisfied_hinge_margins(self):
         labeled = self._set([1, 1, 0, 0])
@@ -108,7 +107,6 @@ class TestRisk:
         values = {risk(loss, scores, self._set(labels), w_norm=0.5)
                   for labels in (y, others, binary)}
         assert len(values) == 1
-        assert not hasattr(self._set(y), "I_minus")
 
     def test_permutation_invariance_within_sets(self):
         rng = np.random.default_rng(1)
@@ -169,8 +167,7 @@ class TestMulticlassXe:
         rng = np.random.default_rng(3)
         scores = rng.standard_normal(10) * 2
         y = rng.integers(0, 2, 10)
-        labeled = LabeledSet.from_binary_labels(np.zeros((10, 1)), y)
-        decomposed = risk(make_loss("xe2"), scores, labeled)
+        decomposed = risk(make_loss("xe2"), scores, y == 1)
         logits = np.stack([np.zeros(10), scores], axis=1)
         assert decomposed == pytest.approx(multiclass_xe(logits, y), abs=1e-12)
 
@@ -186,10 +183,9 @@ class TestRiskTensor:
         total = 0.0
         for s, label in zip(scores[:, 0], y):
             total += float(ref_plus(s) if label == 1 else ref_minus(s)) / 9
-        labeled = LabeledSet.from_binary_labels(np.zeros((9, 1)), y)
         graph = risk_tensor(make_loss(kind), ad.Tensor(scores), y == 1)
         assert graph.item() == pytest.approx(total, abs=1e-12)
-        plain = risk(make_loss(kind, lam=0.3), scores, labeled, w_norm=1.7)
+        plain = risk(make_loss(kind, lam=0.3), scores, y == 1, w_norm=1.7)
         assert plain == pytest.approx(total + 0.3 * 1.7, abs=1e-12)
 
     def test_penalty_needs_weights(self):
@@ -208,8 +204,7 @@ class TestRiskTensor:
                                                           g=np.square)):
             with pytest.raises(ConfigurationError, match="lambda"):
                 risk_tensor(loss, scores, positive)
-        plain = risk(make_loss(kind), scores.data, LabeledSet.from_binary_labels(
-            np.zeros((2, 1)), np.array([1, 0])))
+        plain = risk(make_loss(kind), scores.data, positive)
         assert risk_tensor(make_loss(kind), scores, positive).item() == plain
 
 

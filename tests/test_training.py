@@ -6,7 +6,7 @@ from modkernel import proxies
 from modkernel.datasets import Dataset, DatasetSpec, make_dataset
 from modkernel.errors import ConfigurationError
 from modkernel.kernels import kernel_matrix
-from modkernel.losses import LabeledSet, make_loss, risk
+from modkernel.losses import make_loss, risk
 from modkernel.training import (ArchitectureSpec, TrainConfig, TwoModuleModel,
                                 accuracy, freeze_and_train_output,
                                 label_efficiency_run, proxy_accuracy_sweep,
@@ -129,15 +129,33 @@ class TestFreezeAndTrainOutput:
     def test_stage_two_objective_equals_decomposed_risk(self):
         data = blob_data(classes=2)
         arch = small_arch(classes=2)
-        model = TwoModuleModel(arch, seed=0, output_dim=1)
+        model = TwoModuleModel(arch, seed=0)
         cfg = quick_cfg(loss="xe2", lr_schedule=((0.05, 3),))
         trace = freeze_and_train_output(model, data, cfg)
         model.unfreeze_input()
         feats = model.link_features_np(data.X_train)
         scores = feats @ model.output_weight.data + model.output_bias.data
-        labeled = LabeledSet.from_binary_labels(data.X_train, data.y_train)
-        expected = risk(make_loss("xe2"), scores, labeled)
+        expected = risk(make_loss("xe2"), scores, data.y_train == 1)
         assert trace.final("objective") == pytest.approx(expected, abs=1e-12)
+
+
+    @pytest.mark.parametrize("loss", ["xe", "xe2", "tanh-mse", "hinge"])
+    def test_loss_sets_output_width(self, loss):
+        """A binary decomposable loss trains one score column; xe trains
+        one logit per class.  The constructor's width does not matter."""
+        data = blob_data(classes=2)
+        model = TwoModuleModel(small_arch(classes=2), seed=0)
+        trace = freeze_and_train_output(model, data, quick_cfg(loss=loss))
+        width = 2 if loss == "xe" else 1
+        assert model.output_weight.data.shape == (3, width)
+        assert model.output_bias.data.shape == (width,)
+        assert model.to_checkpoint()["output_dim"] == width
+        assert 0.0 <= trace.final("test_accuracy") <= 1.0
+
+    def test_binary_loss_needs_two_classes(self):
+        model = TwoModuleModel(small_arch(classes=4), seed=0)
+        with pytest.raises(ConfigurationError, match="'hinge'.*4"):
+            freeze_and_train_output(model, blob_data(), quick_cfg(loss="hinge"))
 
 
 class TestEndToEnd:
@@ -269,11 +287,24 @@ class TestTraceAndModel:
         clone = TwoModuleModel.from_checkpoint(doc)
         assert param_bytes(clone.params()) == param_bytes(model.params())
 
+    @pytest.mark.parametrize("field,value", [
+        ("input_dim", 0), ("input_dim", "3"), ("input_dim", 2.0),
+        ("latent_dim", 0), ("hidden_widths", (16, 0)), ("hidden_widths", (-1,)),
+        ("num_classes", 1), ("num_classes", True),
+        ("hidden_nonlinearity", "foo"), ("link_nonlinearity", "foo"),
+        ("link_epsilon", 0.0), ("link_epsilon", -1e-3),
+        ("link_epsilon", float("nan")), ("link_epsilon", "1e-12")])
+    def test_bad_architecture_value_rejected(self, field, value):
+        doc = small_arch().as_dict()
+        doc[field] = value
+        with pytest.raises(ConfigurationError, match=field.split("_")[-1]):
+            ArchitectureSpec.from_dict(doc)
+
     def test_accuracy_helper(self):
         logits = np.array([[2.0, -1.0], [0.5, 3.0]])
         assert accuracy(logits, np.array([0, 1])) == 1.0
         scores = np.array([[0.4], [-0.2]])
-        assert accuracy(scores, np.array([1, 0]), binary_score=True) == 1.0
+        assert accuracy(scores, np.array([1, 0])) == 1.0
 
     def test_bad_schedule_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -13,12 +13,13 @@ from modkernel.kernels import FeatureMap, kernel_matrix
 from modkernel.proxies import PROXY_KINDS, partition_pairs, proxy_value
 from modkernel.serialize import dump_json, write_json
 from modkernel.training import (ArchitectureSpec, TrainConfig, TwoModuleModel,
-                                full_proxy_value, train_input_module)
-from modkernel.transfer import (CandidateModule, attach_oracle, rank_candidates,
-                                rank_correlation, retrain_oracle,
-                                score_candidate)
+                                freeze_and_train_output, full_proxy_value,
+                                train_input_module)
+from modkernel.transfer import (CandidateModule, _average_ranks, attach_oracle,
+                                rank_candidates, rank_correlation,
+                                retrain_oracle, score_candidate)
 
-from oracles import spearman_from_ranks
+from oracles import average_ranks_reference, spearman_from_ranks
 
 
 def target_blobs(seed=21):
@@ -233,6 +234,35 @@ class TestRetrainOracle:
         oracle = retrain_oracle(cand, data, cfg)
         assert abs(direct - oracle) <= 0.01 + 1e-12
 
+    @pytest.mark.parametrize("loss", ["xe2", "tanh-mse", "hinge"])
+    def test_binary_loss_on_two_class_target(self, loss):
+        """A binary decomposable loss trains a one-column head on the copy,
+        matches stage 2 on an equal model, and leaves the candidate as is."""
+        data = target_blobs()
+        cfg = TrainConfig(batch_size=32, lr_schedule=((0.1, 10),),
+                          momentum=0.9, seed=4, proxy="al", loss=loss,
+                          trace_every=5)
+        cand = fresh_candidate("bin", seed=8)
+        before = dump_json(cand.model.to_checkpoint())
+        oracle = retrain_oracle(cand, data, cfg)
+        assert dump_json(cand.model.to_checkpoint()) == before
+        twin = fresh_candidate("twin", seed=8).model
+        trace = freeze_and_train_output(twin, data, cfg)
+        assert twin.output_weight.data.shape == (2, 1)
+        assert oracle == trace.final("test_accuracy")
+
+    def test_head_counts_the_target_classes(self):
+        """The copy's head is sized for the target, not the source."""
+        data = make_dataset(DatasetSpec(kind="gaussian-blobs", n=120, d=6,
+                                        num_classes=3, seed=2))
+        cfg = TrainConfig(batch_size=32, lr_schedule=((0.1, 5),), seed=1,
+                          loss="xe", trace_every=5)
+        assert 0.0 <= retrain_oracle(fresh_candidate(), data, cfg) <= 1.0
+        with pytest.raises(ConfigurationError, match="'hinge'.*3"):
+            retrain_oracle(fresh_candidate(), data,
+                           TrainConfig(batch_size=32, lr_schedule=((0.1, 5),),
+                                       loss="hinge"))
+
 
 class TestRankCorrelation:
     def test_identical(self):
@@ -260,6 +290,20 @@ class TestRankCorrelation:
     def test_too_short(self):
         with pytest.raises(ContractError):
             rank_correlation([1, 2], [2, 1])
+
+    def test_average_ranks_match_loop_oracle(self):
+        """Bit for bit, on vectors with ties, signed zeros, infinities and
+        several NaNs."""
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(1, 60))
+            values = (rng.integers(-3, 4, n).astype(np.float64) if trial % 2
+                      else rng.standard_normal(n))
+            values[rng.random(n) < 0.15] = np.nan
+            values[rng.random(n) < 0.1] = -0.0
+            values[rng.random(n) < 0.05] = np.inf
+            assert (_average_ranks(values).tobytes()
+                    == average_ranks_reference(values).tobytes()), values
 
 
 class TestCheckpointFiles:
@@ -309,6 +353,42 @@ class TestCheckpointFiles:
             doc["architecture"]["depth"] = 3
         else:
             del doc["architecture"]["input_dim"]
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        with pytest.raises(IngestionError, match="architecture"):
+            CandidateModule.from_checkpoint_file(path)
+
+    @pytest.mark.parametrize("fault", ["output_dim-str", "output_dim-negative",
+                                       "seed-negative", "tensors-null",
+                                       "entry-without-shape"])
+    def test_bad_header_value_rejected(self, tmp_path, fault):
+        """Header values of the wrong type or range fail to load with a
+        typed error that names the field."""
+        doc = fresh_candidate().model.to_checkpoint()
+        field = fault.split("-")[0]
+        if fault == "output_dim-str":
+            doc["output_dim"] = "x"
+        elif fault == "output_dim-negative":
+            doc["output_dim"] = -1
+        elif fault == "seed-negative":
+            doc["seed"] = -3
+        elif fault == "tensors-null":
+            doc["tensors"] = None
+        else:
+            del doc["tensors"][1]["shape"]
+            field = "shape"
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        with pytest.raises(IngestionError, match=field):
+            CandidateModule.from_checkpoint_file(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("input_dim", "3"), ("latent_dim", 0), ("hidden_widths", [0]),
+        ("num_classes", 1), ("hidden_nonlinearity", "foo"),
+        ("link_nonlinearity", "foo"), ("link_epsilon", 0.0)])
+    def test_bad_architecture_value_rejected(self, tmp_path, field, value):
+        doc = fresh_candidate().model.to_checkpoint()
+        doc["architecture"][field] = value
         path = tmp_path / "bad.json"
         write_json(path, doc)
         with pytest.raises(IngestionError, match="architecture"):

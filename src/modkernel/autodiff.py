@@ -491,6 +491,12 @@ def _blocked_pair_sums(classes: np.ndarray, kind: str, shift: float,
     return sums
 
 
+def weighted_pair_sum(weights: tuple, sums) -> float:
+    """w_neg, w_same and w_diag times the (inter-class, intra-class,
+    diagonal) ``sums``, the zero weights skipped."""
+    return sum(w * s for w, s in zip(weights, sums) if w)
+
+
 def _check_pair_map(kind: str) -> None:
     if kind not in PAIR_MAPS:
         raise ContractError(f"unsupported pair map: {kind!r}")
@@ -530,7 +536,7 @@ def pair_sum(x: Tensor, classes: np.ndarray, kind: str = "identity",
     else:
         sums = _blocked_pair_sums(classes, kind, shift,
                                   lambda i0, out: xd[i0:i0 + out.shape[0]])
-    out_data = sum(w * s for w, s in zip(weights, sums) if w)
+    out_data = weighted_pair_sum(weights, sums)
 
     def rule(g):
         mask = same if same is not None else classes[:, None] == classes[None, :]
@@ -547,31 +553,130 @@ def pair_sum(x: Tensor, classes: np.ndarray, kind: str = "identity",
     return _make(np.float64(out_data), (x,), rule)
 
 
-def gram_pair_sum(feats: np.ndarray, classes: np.ndarray,
-                  kind: str = "identity", weights: tuple = (1.0, 0.0, 0.0),
-                  shift: float = 0.0) -> Tensor:
-    """``pair_sum`` of the gram matrix feats @ feats.T of n-by-d features,
-    forward only, as a constant.
+# Orders of the Jacobi-Anger series e^{cos t} = I_0(1) + 2 sum_{m >= 1}
+# I_m(1) cos(m t) that the e^k sums read; I_17(1) < 3e-20 is below
+# float64 resolution.
+SERIES_ORDERS = 16
 
-    Up to ``PAIR_SUM_BLOCK_ROWS`` rows it is ``pair_sum`` of the constant
-    gram matrix, bit for bit.  A larger gram matrix is never formed: the
-    blocked reader fills its buffer with the product of a block of
-    features and the transpose of all of them, so the sums hold the
-    features, one block of gram rows and the one-hot class matrix.
+
+def _bessel_i_at_one(orders: int) -> np.ndarray:
+    """I_m(1) for m = 0 .. orders, from the power series
+    sum_k 1 / (k! (k + m)! 2^(2k + m)), of which 20 terms reach float64."""
+    factorial = np.concatenate(([1.0], np.cumprod(np.arange(1.0, orders + 20))))
+    k = np.arange(20)[:, None]
+    m = np.arange(orders + 1)
+    return (1.0 / (factorial[k] * factorial[k + m] * 2.0 ** (2 * k + m))).sum(
+        axis=0)
+
+
+_BESSEL_I = _bessel_i_at_one(SERIES_ORDERS)
+
+# The e^k series needs each feature row to be zero or of unit norm, this
+# close to 1.
+UNIT_NORM_TOLERANCE = 1e-12
+
+
+def _class_pair_sums(class_sums: np.ndarray) -> np.ndarray:
+    """For the C-by-p class sums s of p row moments, real or complex, the
+    sums of Re(conj(s_c) s_c') over the ordered pairs of distinct classes
+    (row 0) and of equal classes (row 1), per moment.  The distinct pairs
+    are taken as 2 sum_c Re(conj(s_c) sum_{c' < c} s_c'), never as a
+    difference of two larger sums."""
+    earlier = np.cumsum(class_sums[:-1], axis=0)
+    conj = class_sums.conj()
+    return np.stack((2.0 * np.add.reduce((conj[1:] * earlier).real, axis=0),
+                     np.add.reduce((conj * class_sums).real, axis=0)))
+
+
+def _square_pair_sums(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(inter-class, intra-class) sums of k^2 from the class gram matrices
+    G_c, one row a of their entries (a, b >= a) at a time: k_ij^2 =
+    <f_i f_i^T, f_j f_j^T>, whose off-diagonal entries count twice."""
+    sums = np.zeros(2)
+    for a in range(rows.shape[1]):
+        pairs = _class_pair_sums(np.add.reduceat(rows[:, a:a + 1] * rows[:, a:],
+                                                 starts))
+        sums += pairs[:, 0] + 2.0 * pairs[:, 1:].sum(axis=1)
+    return sums
+
+
+def _series_pair_sums(rows: np.ndarray, starts: np.ndarray,
+                      counts: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """(inter-class, intra-class) sums of e^k for rows of at most two
+    columns, each zero or a unit vector z = e^{i t}, by the Jacobi-Anger
+    series: a pair of unit rows has e^{cos(t_i - t_j)} = I_0(1) + 2 sum_m
+    I_m(1) Re(conj(z_i^m) z_j^m), and a pair with a zero row e^0 = 1."""
+    z = rows[:, 0] + (1j * rows[:, 1] if rows.shape[1] == 2 else 0j)
+    unit_pairs = _class_pair_sums(np.add.reduceat(unit, starts)[:, None])[:, 0]
+    all_pairs = _class_pair_sums(counts[:, None].astype(np.float64))[:, 0]
+    sums = _BESSEL_I[0] * unit_pairs + (all_pairs - unit_pairs)
+    power = z
+    for m in range(1, SERIES_ORDERS + 1):
+        sums += 2.0 * _BESSEL_I[m] * _class_pair_sums(
+            np.add.reduceat(power, starts)[:, None])[:, 0]
+        power = power * z
+    return sums
+
+
+def _series_applies(width: int, sq_norms: np.ndarray) -> bool:
+    norms = np.sqrt(sq_norms)
+    return width in (1, 2) and bool(np.all(
+        (norms == 0.0) | (np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE)))
+
+
+def gram_pair_sums(feats: np.ndarray, classes: np.ndarray,
+                   kind: str = "identity", shift: float = 0.0) -> tuple:
+    """(inter-class, intra-class, diagonal) sums of f(k - shift), f in
+    ``PAIR_MAPS``, over the gram matrix k = feats @ feats.T of n-by-d
+    features, forward only and without its rows.
+
+    With the rows grouped by class, s_c the sum of class c's rows and G_c
+    their gram matrix F_c^T F_c, the pairs of classes c and c' sum k to
+    <s_c, s_c'> and k^2 to <G_c, G_c'>; k - shift and (k - shift)^2
+    expand into those and the pair counts.  For e^k, rows of at most two
+    columns that are zero or of unit norm follow the Jacobi-Anger series
+    in ``SERIES_ORDERS`` class sums of z^m.  The inter-class sums add up
+    each class against the classes before it, so an inter-class set of
+    exactly orthogonal rows sums k^2 to exactly 0.  The cost is O(n d^2),
+    or O(n) per series order, in arrays of O(n d) floats.
+
+    e^k of wider rows, or of a row of another norm, falls back to the
+    blocked reader, whose buffer takes one block of features times the
+    transpose of all of them.
     """
     feats = np.asarray(feats, dtype=np.float64)
     n = classes.shape[0]
-    if feats.ndim != 2 or feats.shape[0] != n:
+    if feats.ndim != 2 or feats.shape[0] != n or n < 1:
         raise DimensionError(
-            f"gram_pair_sum: features {feats.shape} vs {n} class indices")
-    if n <= PAIR_SUM_BLOCK_ROWS:
-        return pair_sum(constant(feats @ feats.T), classes, kind, weights,
-                        shift)
+            f"gram_pair_sums: features {feats.shape} vs {n} class indices")
     _check_pair_map(kind)
-    sums = _blocked_pair_sums(classes, kind, shift, lambda i0, out: np.matmul(
-        feats[i0:i0 + out.shape[0]], feats.T, out=out))
-    return _make(np.float64(sum(w * s for w, s in zip(weights, sums) if w)),
-                 (), None)
+    sq_norms = np.add.reduce(feats * feats, axis=1)
+    if kind == "exp" and not _series_applies(feats.shape[1], sq_norms):
+        return tuple(_blocked_pair_sums(
+            classes, kind, shift, lambda i0, out: np.matmul(
+                feats[i0:i0 + out.shape[0]], feats.T, out=out)))
+    order = np.argsort(classes, kind="stable")
+    counts = np.bincount(classes)
+    counts = counts[counts > 0]  # reduceat reads an empty run as one row
+    starts = np.cumsum(counts) - counts
+    rows = feats[order]
+    if kind == "exp":
+        sums = _series_pair_sums(rows, starts, counts,
+                                 (sq_norms[order] != 0.0).astype(np.float64))
+        if shift:
+            sums *= np.exp(-shift)
+    elif kind == "square" and not shift:
+        sums = _square_pair_sums(rows, starts)
+    else:
+        linear = _class_pair_sums(np.add.reduceat(rows, starts)).sum(axis=1)
+        same = float(counts @ counts)
+        pair_counts = np.array([n * n - same, same])
+        if kind == "identity":
+            sums = linear - shift * pair_counts
+        else:  # (k - shift)^2 = k^2 - 2 shift k + shift^2
+            sums = (_square_pair_sums(rows, starts) - 2.0 * shift * linear
+                    + shift * shift * pair_counts)
+    return sums[0], sums[1], _pair_map(sq_norms, kind, shift).sum()
 
 
 def unit_normalize(x: Tensor, epsilon: float = 1e-12,

@@ -113,7 +113,8 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
 
 
 def read_labeled_csv(path) -> tuple:
-    """Rows of "v1,...,vd,label"; errors carry the byte offset."""
+    """Rows of "v1,...,vd,label" with finite features; errors carry the
+    byte offset."""
     if path is None:
         raise ConfigurationError("csv-file dataset needs a path")
     rows, labels = [], []
@@ -141,6 +142,10 @@ def read_labeled_csv(path) -> tuple:
                     raise IngestionError(
                         f"{path}: row at line {line_no} (byte offset {offset}) "
                         "has no feature columns")
+                if not all(map(math.isfinite, values)):
+                    raise IngestionError(
+                        f"{path}: row at line {line_no} (byte offset {offset}) "
+                        "has a non-finite feature")
                 rows.append(values)
                 labels.append(label)
             offset += len(raw)

@@ -24,9 +24,10 @@ from .config import EXPERIMENT_KINDS, ExperimentConfig, dump_config, validate_sc
 from .datasets import Dataset, make_dataset
 from .errors import ConfigurationError
 from .serialize import write_csv, write_json
-from .training import (TwoModuleModel, freeze_and_train_output,
-                       label_efficiency_run, proxy_accuracy_sweep,
-                       train_end_to_end, train_input_module)
+from .training import (ArchitectureSpec, TwoModuleModel,
+                       freeze_and_train_output, label_efficiency_run,
+                       proxy_accuracy_sweep, train_end_to_end,
+                       train_input_module)
 from .transfer import (CandidateModule, attach_oracle, rank_candidates,
                        rank_correlation, retrain_oracle, score_candidate)
 
@@ -144,10 +145,21 @@ def _write_dataset_summary(outdir: Path, data: Dataset) -> list:
 # runners
 # ---------------------------------------------------------------------------
 
+def _checked_architecture(cfg: ExperimentConfig,
+                          loss: str) -> ArchitectureSpec:
+    """The config's architecture, once its output module can take the
+    stage-2 ``loss``: a binary loss on more than two classes fails here,
+    before stage 1 trains or writes anything."""
+    arch = cfg.architecture_spec()
+    arch.output_width(loss)
+    return arch
+
+
 def _run_sanity_dynamics(cfg: ExperimentConfig, outdir: Path):
-    data = make_dataset(cfg.dataset_spec())
     train_cfg = cfg.train_config()
-    model = TwoModuleModel(cfg.architecture_spec(), seed=train_cfg.seed)
+    arch = _checked_architecture(cfg, train_cfg.loss)
+    data = make_dataset(cfg.dataset_spec())
+    model = TwoModuleModel(arch, seed=train_cfg.seed)
     artifacts = _write_dataset_summary(outdir, data)
     trace_in, _ = train_input_module(model, data, train_cfg)
     artifacts += _write_trace_artifacts(outdir, "trace_input", trace_in)
@@ -168,12 +180,12 @@ def _run_sanity_dynamics(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_modular_vs_e2e(cfg: ExperimentConfig, outdir: Path):
-    data = make_dataset(cfg.dataset_spec())
     train_cfg = cfg.train_config()
     # Stage 1 is its own optimization problem, so it may take its own
     # schedule; stage 2 and the end-to-end baseline share 'train'.
     input_cfg = cfg.train_config("modular.input_train")
-    arch = cfg.architecture_spec()
+    arch = _checked_architecture(cfg, train_cfg.loss)
+    data = make_dataset(cfg.dataset_spec())
 
     modular = TwoModuleModel(arch, seed=train_cfg.seed)
     trace_in, _ = train_input_module(modular, data, input_cfg)
@@ -208,10 +220,11 @@ def _run_proxy_sweep(cfg: ExperimentConfig, outdir: Path):
     section = cfg.section("sweep")
     if section is None:
         raise ConfigurationError("proxy-sweep needs a 'sweep' section")
-    data = make_dataset(cfg.dataset_spec())
     train_cfg = cfg.train_config()
     output_cfg = cfg.train_config("sweep.output_train")
-    model = TwoModuleModel(cfg.architecture_spec(), seed=train_cfg.seed)
+    arch = _checked_architecture(cfg, output_cfg.loss)
+    data = make_dataset(cfg.dataset_spec())
+    model = TwoModuleModel(arch, seed=train_cfg.seed)
     artifacts = _write_dataset_summary(outdir, data)
     rows = proxy_accuracy_sweep(model, data,
                                 [int(e) for e in section["checkpoint_epochs"]],
@@ -231,9 +244,10 @@ def _run_label_efficiency(cfg: ExperimentConfig, outdir: Path):
     if section is None:
         raise ConfigurationError(
             "label-efficiency needs a 'label_efficiency' section")
-    data = make_dataset(cfg.dataset_spec())
     train_cfg = cfg.train_config()
-    model = TwoModuleModel(cfg.architecture_spec(), seed=train_cfg.seed)
+    arch = _checked_architecture(cfg, train_cfg.loss)
+    data = make_dataset(cfg.dataset_spec())
+    model = TwoModuleModel(arch, seed=train_cfg.seed)
     artifacts = _write_dataset_summary(outdir, data)
     train_input_module(model, data, train_cfg)
 

@@ -8,9 +8,9 @@ those sums come from:
 - ``proxy_tensor``: ``ad.pair_sum`` of a kernel tensor, the differentiable
   graph training descends;
 - ``proxy_value``: the same over a precomputed constant kernel matrix;
-- ``feature_proxy_value``: ``ad.gram_pair_sum`` of frozen features F, for
-  the kernel F F^T.  Scoring takes this route and never forms the kernel:
-  it holds F, one block of kernel rows and the one-hot class matrix.
+- ``feature_proxy_value``: ``ad.gram_pair_sums`` of frozen features F, for
+  the kernel F F^T.  Scoring takes this route: its sums come from moments
+  of F, so it forms no kernel rows and holds nothing larger than F.
 
 Pairs are ordered: both (i, j) and (j, i) are enumerated.  The sums are of
 K, K^2, (K - beta)^2 or e^K over the inter-class pairs, the intra-class
@@ -24,7 +24,7 @@ All functions here are pure and safe for concurrent evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -165,6 +165,11 @@ def proxy_value(kind: str, K: np.ndarray, part: PairPartition,
 def feature_proxy_value(kind: str, feats: np.ndarray, part: PairPartition,
                         alpha: float, beta: float) -> float:
     """Evaluate any proxy by name on the kernel feats @ feats.T of n-by-d
-    features, without forming the n-by-n kernel."""
-    return _proxy(kind, partial(ad.gram_pair_sum, feats, part.classes), part,
-                  alpha, beta).item()
+    features, without forming the n-by-n kernel.  The three sums of each
+    map are taken once, so cts reads both of its e^k sums from one pass."""
+    sums = cache(partial(ad.gram_pair_sums, feats, part.classes))
+
+    def pairs(f, weights=(1.0, 0.0, 0.0), shift=0.0):
+        return ad.constant(ad.weighted_pair_sum(weights, sums(f, shift)))
+
+    return _proxy(kind, pairs, part, alpha, beta).item()

@@ -34,9 +34,19 @@ def params_to_entries(named_params) -> list:
 
 
 def entries_to_params(entries: list) -> list:
+    """(name, array) pairs of entries whose ``values`` are a flat list of
+    numbers that fills ``shape``; anything else raises ``IngestionError``."""
     out = []
     for entry in entries:
-        arr = np.asarray(entry["values"], dtype=np.float64)
+        try:
+            arr = np.array(entry["values"])
+        except ValueError:  # a ragged nested list
+            arr = None
+        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+            raise IngestionError(
+                f"tensor {entry['name']!r} values must be a flat list of "
+                "numbers")
+        arr = arr.astype(np.float64, copy=False)
         if arr.size != math.prod(entry["shape"]):
             raise IngestionError(
                 f"tensor {entry['name']!r} declares shape {entry['shape']} "

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import modkernel.autodiff as ad
 from modkernel import proxies
 from modkernel.errors import ContractError, DimensionError
-from modkernel.kernels import gram_tensor
+from modkernel.kernels import FeatureMap, gram_tensor
 from modkernel.training import ArchitectureSpec, TwoModuleModel
 
 from oracles import (central_difference, gram_pair_sum_reference,
@@ -567,8 +567,8 @@ class TestPairSum:
 
 
 class TestGramPairSum:
-    """ad.gram_pair_sum against pair_sum of the gram matrix up to one
-    block, and against exact sums beyond."""
+    """The three sums of ad.gram_pair_sums, from feature moments and from
+    its fallback, against exact sums over the gram matrix."""
 
     MAPS = [(kind, shift) for kind in ad.PAIR_MAPS for shift in (0.0, -1.0)]
     WEIGHTS = TestPairSum.WEIGHTS
@@ -583,23 +583,89 @@ class TestGramPairSum:
         classes = proxies.partition_pairs(names).classes
         feats = rng.uniform(-1.0, 1.0, (n, d))
         for kind, shift in self.MAPS:
-            got = ad.gram_pair_sum(feats, classes, kind, self.WEIGHTS, shift)
-            assert not got.requires_grad
-            if n <= ad.PAIR_SUM_BLOCK_ROWS:
-                want = ad.pair_sum(ad.constant(feats @ feats.T), classes,
-                                   kind, self.WEIGHTS, shift)
-                assert got.data.tobytes() == want.data.tobytes(), (kind, shift)
-            else:
-                want = gram_pair_sum_reference(feats, names, kind,
-                                               self.WEIGHTS, shift)
-                assert got.item() == pytest.approx(want, rel=1e-13), (kind,
-                                                                      shift)
+            got = ad.weighted_pair_sum(self.WEIGHTS, ad.gram_pair_sums(
+                feats, classes, kind, shift))
+            want = gram_pair_sum_reference(feats, names, kind, self.WEIGHTS,
+                                           shift)
+            assert got == pytest.approx(want, rel=1e-13), (kind, shift)
 
     def test_rejects_mismatched_features_and_an_unknown_map(self):
         with pytest.raises(DimensionError):
-            ad.gram_pair_sum(np.ones(3), np.array([0, 1, 0]))
+            ad.gram_pair_sums(np.ones(3), np.array([0, 1, 0]))
         with pytest.raises(DimensionError):
-            ad.gram_pair_sum(np.ones((3, 2)), np.array([0, 1]))
+            ad.gram_pair_sums(np.ones((3, 2)), np.array([0, 1]))
         with pytest.raises(ContractError):
-            ad.gram_pair_sum(np.ones((200, 2)), np.zeros(200, dtype=int),
-                             "log")
+            ad.gram_pair_sums(np.ones((200, 2)), np.zeros(200, dtype=int),
+                              "log")
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ad.PAIR_MAPS)
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_match_exact_sums(self, kind, d, data):
+        """Rows of a tanh or relu link, some exactly zero, or rows scaled
+        off the unit sphere, in 1 to n classes.  The bound is 1e-13 times
+        the sum of the absolute values of the terms: relative for k^2,
+        (k - shift)^2 and e^k, and absolute for sums of k, which cancel."""
+        n = data.draw(st.integers(2, 600), label="n")
+        num_classes = data.draw(st.integers(1, n), label="classes")
+        link = data.draw(st.sampled_from(["tanh", "relu"]), label="link")
+        zero_share = data.draw(st.sampled_from([0.0, 0.1, 0.5]),
+                               label="zero rows")
+        scaled = data.draw(st.booleans(), label="scaled")
+        shift = data.draw(st.sampled_from([0.0, -1.0]), label="shift")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        pre = rng.standard_normal((n, d))
+        zero = rng.random(n) < zero_share
+        pre[zero] = 0.0 if link == "tanh" else -np.abs(pre[zero])
+        feats = FeatureMap(link).apply(pre)
+        if scaled:
+            feats *= rng.uniform(0.5, 2.0, (n, 1))
+        labels = rng.permutation(np.arange(n) % num_classes)
+        got = ad.gram_pair_sums(feats, proxies.partition_pairs(labels).classes,
+                                kind, shift)
+        f = {"identity": lambda t: t, "square": np.square, "exp": np.exp}[kind]
+        terms = np.abs(f(feats @ feats.T - shift))
+        same = labels[:, None] == labels[None, :]
+        for i, pairs in enumerate((~same, same, np.eye(n, dtype=bool))):
+            want = gram_pair_sum_reference(feats, labels, kind,
+                                           tuple(np.eye(3)[i]), shift)
+            assert abs(got[i] - want) <= 1e-13 * terms[pairs].sum(), (
+                i, got[i], want)
+
+    @pytest.mark.parametrize("d, scale, blocked", [
+        (1, 1.0, False), (2, 1.0, False), (2, 1.0 + 1e-9, True),
+        (3, 1.0, True)])
+    def test_only_e_k_off_the_series_reads_kernel_rows(self, monkeypatch, d,
+                                                       scale, blocked):
+        """e^k of unit or zero rows of at most two columns takes the
+        series; wider rows or another norm take the blocked reader, which
+        no other map uses."""
+        calls = []
+        reader = ad._blocked_pair_sums
+        monkeypatch.setattr(ad, "_blocked_pair_sums",
+                            lambda *args: calls.append(args[1]) or reader(*args))
+        rng = np.random.default_rng(d)
+        feats = FeatureMap("relu").apply(rng.standard_normal((300, d))) * scale
+        classes = proxies.partition_pairs(rng.integers(0, 4, 300)).classes
+        for kind in ad.PAIR_MAPS:
+            ad.gram_pair_sums(feats, classes, kind, -1.0)
+        assert calls == (["exp"] if blocked else [])
+
+    def test_zero_rows_count_as_e_to_the_zero(self):
+        """A pair with a zero row adds e^0 = 1, not I_0(1): all-zero
+        features sum e^k to the pair counts, exactly."""
+        labels = np.arange(10) % 3
+        got = ad.gram_pair_sums(np.zeros((10, 2)),
+                                proxies.partition_pairs(labels).classes, "exp")
+        assert got == (66.0, 34.0, 10.0)
+
+    def test_series_coefficients_reproduce_e_to_the_cosine(self):
+        """I_0(1) + 2 sum_m I_m(1) cos(m t) is e^{cos t} to float64."""
+        t = np.linspace(-np.pi, np.pi, 1001)
+        m = np.arange(1, ad.SERIES_ORDERS + 1)
+        series = ad._BESSEL_I[0] + 2.0 * (np.cos(np.outer(t, m))
+                                          @ ad._BESSEL_I[1:])
+        np.testing.assert_allclose(series, np.exp(np.cos(t)), rtol=1e-14)

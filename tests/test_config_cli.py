@@ -408,6 +408,21 @@ class TestBinaryLosses:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "'hinge'" in err and "4" in err
 
+    @pytest.mark.parametrize("experiment", list(EXTRA))
+    def test_binary_loss_on_four_classes_stops_before_stage_1(
+            self, tmp_path, capsys, experiment):
+        """The output width is checked before stage 1, so a failing run
+        leaves no stage-1 trace or checkpoint behind."""
+        out = tmp_path / "out"
+        doc = dict(self.BASE, experiment=experiment, output_dir=str(out),
+                   **self.EXTRA[experiment])
+        doc["dataset"] = dict(doc["dataset"], num_classes=4)
+        doc["train"] = dict(doc["train"], loss="hinge")
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'hinge'" in err
+        assert list(out.iterdir()) == []
+
 
 class TestCli:
     def test_dump_config(self, tmp_path, capsys):
@@ -588,6 +603,24 @@ class TestCli:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "output_dim" in captured.err
+        assert "Traceback" not in captured.err and "rank" not in captured.out
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("values", [["a"], None, [[0.5], [0.5]]],
+                             ids=["string", "null", "nested"])
+    def test_score_transfer_non_numeric_values_exit_2(self, tmp_path, capsys,
+                                                      values):
+        config, candidate, _ = self._score_transfer_inputs(tmp_path)
+        doc = read_json(candidate)
+        doc["tensors"][0]["values"] = values
+        Path(candidate).write_text(json.dumps(doc))
+        out_path = tmp_path / "ranking.json"
+        code = main(["score-transfer", config, candidate,
+                     "--output", str(out_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        name = doc["tensors"][0]["name"]
+        assert captured.err.startswith("error: ") and repr(name) in captured.err
         assert "Traceback" not in captured.err and "rank" not in captured.out
         assert not out_path.exists()
 

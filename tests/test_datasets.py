@@ -77,6 +77,15 @@ class TestCsvIngestion:
         with pytest.raises(IngestionError, match="expected 2"):
             make_dataset(DatasetSpec(kind="csv-file", path=str(path), seed=0))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_reports_line_and_byte_offset(self, tmp_path,
+                                                             value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1.0,2.0,0\n3.0,4.0,1\n5.0,{value},0\n")
+        with pytest.raises(IngestionError,
+                           match=r"line 3 \(byte offset 20\) has a non-finite"):
+            make_dataset(DatasetSpec(kind="csv-file", path=str(path), seed=0))
+
 
 def write_idx_pair(tmp_path, count=10, rows=4, cols=3,
                    magic_img=0x00000803, magic_lbl=0x00000801):

@@ -196,6 +196,49 @@ class TestProxyMemory:
         assert peak < 0.25 * K.nbytes, f"{kind}: peak {peak} bytes"
 
 
+class TestFeatureProxyMemory:
+    """Scoring from the features holds arrays of the size of the features
+    or of their class sums, for two classes as for one class a row."""
+
+    N = 1000
+
+    @pytest.mark.parametrize("kind, num_classes", [
+        (kind, num_classes) for num_classes in (2, 1000)
+        for kind in proxies.PROXY_KINDS
+        if not (kind == "cts" and num_classes == 1000)])
+    def test_peak_under_a_tenth_of_a_kernel(self, kind, num_classes):
+        rng = np.random.default_rng(num_classes)
+        feats = FeatureMap("tanh").apply(rng.standard_normal((self.N, 2)))
+        part = proxies.partition_pairs(
+            rng.permutation(np.arange(self.N) % num_classes))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            proxies.feature_proxy_value(kind, feats, part, 1.0, -1.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * self.N ** 2, f"{kind}: peak {peak} bytes"
+
+
+@pytest.mark.parametrize("kind, maps", [
+    ("cts", [("exp", 0.0)]), ("cts-neo", [("exp", 0.0)]),
+    ("al", [("identity", 0.0), ("square", 0.0)]),
+    ("nmse-neo", [("square", -1.0)])])
+def test_feature_route_takes_each_map_once(monkeypatch, kind, maps):
+    """cts reads both of its e^k sums from one pass over the features."""
+    calls = []
+    sums = ad.gram_pair_sums
+    monkeypatch.setattr(ad, "gram_pair_sums", lambda *args: calls.append(
+        args[2:]) or sums(*args))
+    rng = np.random.default_rng(5)
+    feats = FeatureMap("tanh").apply(rng.standard_normal((200, 2)))
+    part = proxies.partition_pairs(rng.integers(0, 3, 200))
+    proxies.feature_proxy_value(kind, feats, part, 1.0, -1.0)
+    assert calls == maps
+
+
 class TestFeatureRouteErrors:
     """Past one block of rows, the proxies read from the features raise the
     typed errors they raise on the kernel matrix."""

@@ -13,6 +13,8 @@ from modkernel.training import (ArchitectureSpec, TrainConfig, TwoModuleModel,
                                 train_end_to_end, train_input_module,
                                 full_proxy_value, TRACE_HEADER)
 
+from oracles import proxy_references
+
 
 def blob_data(n=200, d=6, classes=4, seed=3, split=0.75):
     return make_dataset(DatasetSpec(kind="gaussian-blobs", n=n, d=d,
@@ -256,18 +258,22 @@ class TestFullProxyValue:
     def test_reads_the_kernel_matrix_of_the_link_features(self):
         """full_proxy_value scores the kernel_matrix of the pre-link
         activations, which has the bits of the link features times their
-        transpose."""
+        transpose, to the exact sums over it: relative for the proxies of
+        order one, absolute for al and utal, whose values come from
+        cancelling sums."""
         data = blob_data(classes=3)
         model = TwoModuleModel(small_arch(classes=3), seed=2)
         X, y = data.X_train, data.y_train
         K = kernel_matrix(model.link, model.pre_link(ad.constant(X)).data)
         feats = model.link_features_np(X)
         assert K.tobytes() == (feats @ feats.T).tobytes()
-        part = proxies.partition_pairs(y)
+        want = proxy_references(K, y, *model.link.bounds())
         for kind in proxies.PROXY_KINDS:
             got = full_proxy_value(model, X, y, kind)
-            want = proxies.proxy_value(kind, K, part, *model.link.bounds())
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), kind
+            if kind in ("al", "utal"):
+                assert got == pytest.approx(want[kind], rel=0, abs=1e-13), kind
+            else:
+                assert got == pytest.approx(want[kind], rel=1e-13), kind
 
 
 class TestTraceAndModel:

@@ -10,7 +10,7 @@ from modkernel.errors import (ConfigurationError, ContractError,
                               DegenerateBatchError, DimensionError,
                               IngestionError)
 from modkernel.kernels import FeatureMap, kernel_matrix
-from modkernel.proxies import PROXY_KINDS, partition_pairs, proxy_value
+from modkernel.proxies import PROXY_KINDS
 from modkernel.serialize import dump_json, write_json
 from modkernel.training import (ArchitectureSpec, TrainConfig, TwoModuleModel,
                                 freeze_and_train_output, full_proxy_value,
@@ -19,7 +19,8 @@ from modkernel.transfer import (CandidateModule, _average_ranks, attach_oracle,
                                 rank_candidates, rank_correlation,
                                 retrain_oracle, score_candidate)
 
-from oracles import average_ranks_reference, spearman_from_ranks
+from oracles import (average_ranks_reference, proxy_reference,
+                     spearman_from_ranks)
 
 
 def target_blobs(seed=21):
@@ -108,6 +109,9 @@ class TestScoreCandidate:
             resolve_config(doc)
 
     def test_full_fraction_equals_full_kernel_matrix_value(self):
+        """The whole target scores the kernel_matrix of its pre-link
+        activations, to the exact sums over it (absolute for utal, whose
+        value comes from cancelling sums)."""
         data = target_blobs()
         cand = fresh_candidate()
         score = score_candidate(cand, data, "utal", 1.0, seed=9)
@@ -115,8 +119,8 @@ class TestScoreCandidate:
         from modkernel.autodiff import constant
         acts = cand.model.pre_link(constant(data.X_train)).data
         K = kernel_matrix(spec, acts)
-        part = partition_pairs(data.y_train)
-        assert score == proxy_value("utal", K, part, 1.0, -1.0)
+        want = proxy_reference("utal", K, data.y_train, 1.0, -1.0)
+        assert score == pytest.approx(want, rel=0, abs=1e-13)
 
 
 class TestScoringMemory:
@@ -132,9 +136,8 @@ class TestScoringMemory:
     @pytest.mark.parametrize("kind", PROXY_KINDS)
     def test_peak_under_a_quarter_of_a_kernel_matrix(self, target, kind,
                                                      scorer):
-        """Scoring holds the link features, one buffer of a block of
-        kernel rows and the one-hot class matrix, and never forms the
-        n-by-n kernel."""
+        """Scoring holds the link features and their class moments, and
+        never forms the n-by-n kernel."""
         model = fresh_candidate().model
         tracemalloc.start()
         try:
@@ -332,6 +335,21 @@ class TestCheckpointFiles:
             entry["values"].pop()
         else:
             entry["values"][5] = float(fault)
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        with pytest.raises(IngestionError, match="'input.1.weight'"):
+            CandidateModule.from_checkpoint_file(path)
+
+    @pytest.mark.parametrize("values", [
+        ["a"] * 24, None, [[0.5] * 2] * 12, [[0.5] * 2] * 11 + [[0.5]]],
+        ids=["string", "null", "nested", "ragged"])
+    def test_non_numeric_values_rejected_by_name(self, tmp_path, values):
+        """Values that are not a flat list of numbers fail to load with a
+        typed error, even where they would fill the declared shape."""
+        doc = fresh_candidate().model.to_checkpoint()
+        entry = doc["tensors"][2]
+        assert entry["name"] == "input.1.weight" and entry["shape"] == [12, 2]
+        entry["values"] = values
         path = tmp_path / "bad.json"
         write_json(path, doc)
         with pytest.raises(IngestionError, match="'input.1.weight'"):

@@ -3,8 +3,9 @@
 Six binary source tasks with overlapping class structure each pretrain an
 input module.  For a target task, each frozen module is scored by a proxy
 objective on a 10% subsample (no training), then compared against the
-expensive retraining oracle.  The proxy ranking matches the oracle's at a
-tiny fraction of the cost.
+retraining oracle, which fits one fresh output module per candidate, all
+in one stack.  The proxy ranking matches the oracle's at a tiny fraction
+of the cost.
 """
 
 import time
@@ -44,7 +45,7 @@ scores = {c.id: score_candidate(c, target, "al", 0.1, seed=23)
           for c in candidates}
 scoring_s = time.perf_counter() - t0
 t0 = time.perf_counter()
-oracle = {c.id: retrain_oracle(c, target, oracle_cfg) for c in candidates}
+oracle = retrain_oracle(candidates, target, oracle_cfg)
 oracle_s = time.perf_counter() - t0
 
 report = attach_oracle(rank_candidates(scores), oracle)

@@ -299,13 +299,21 @@ def gram(x: Tensor) -> Tensor:
 
 def affine(x: Tensor, W: Tensor, b: Tensor, kind: str | None = None) -> Tensor:
     """x @ W + b for x: n-by-d_in, W: d_in-by-d_out, b: length d_out; with
-    ``kind``, the bits of ``elementwise(affine(x, W, b), kind)`` in one node."""
+    ``kind``, the bits of ``elementwise(affine(x, W, b), kind)`` in one node.
+
+    A leading stack axis of K on all three (K-by-n-by-d_in, K-by-d_in-by-d_out,
+    K-by-d_out) gives K independent maps in one node; each slice of the
+    value and the gradients has the bits of its 2-D node when d_in and
+    d_out are at least 2.
+    """
     xd, Wd, bd = x.data, W.data, b.data
-    if (xd.ndim != 2 or Wd.ndim != 2 or bd.ndim != 1
-            or xd.shape[1] != Wd.shape[0] or Wd.shape[1] != bd.shape[0]):
+    stack = xd.shape[:-2]
+    if (xd.ndim not in (2, 3) or bd.ndim != xd.ndim - 1
+            or bd.shape[:-1] != stack
+            or Wd.shape != stack + (xd.shape[-1], bd.shape[-1])):
         raise DimensionError(
             f"affine: x{x.shape}, W{W.shape}, b{b.shape} do not conform")
-    out_data = xd @ Wd + bd
+    out_data = xd @ Wd + bd[..., None, :]
     if kind is not None:
         forward, derivative = _elementwise_pair(kind)
         out_data = forward(out_data)
@@ -314,11 +322,11 @@ def affine(x: Tensor, W: Tensor, b: Tensor, kind: str | None = None) -> Tensor:
         if kind is not None:
             g = g * derivative(out_data)
         if x.requires_grad:
-            _accumulate(x, g @ Wd.T)
+            _accumulate(x, g @ Wd.swapaxes(-1, -2))
         if W.requires_grad:
-            _accumulate(W, xd.T @ g)
+            _accumulate(W, xd.swapaxes(-1, -2) @ g)
         if b.requires_grad:
-            _accumulate(b, np.add.reduce(g, axis=0))
+            _accumulate(b, np.add.reduce(g, axis=-2))
 
     return _make(out_data, (x, W, b), rule)
 
@@ -421,18 +429,23 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 
 def masked_sum(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Sum of the entries of ``x`` where the boolean ``mask`` is set.
+    """Sum of the entries of ``x`` where the boolean ``mask`` is set; for
+    an ``x`` with one more leading (stack) axis than the mask, one sum per
+    slice.
 
-    The value and gradient are, bit for bit, those of
-    ``tensor_sum(mul(x, constant(mask)))``, with no float copy of the mask.
+    The value and gradient of each slice are, bit for bit, those of
+    ``tensor_sum(mul(x, constant(mask)))`` on it, with no float copy of
+    the mask.
     """
-    if mask.shape != x.data.shape:
+    stack = x.data.shape[:x.data.ndim - mask.ndim]
+    if len(stack) > 1 or x.data.shape[len(stack):] != mask.shape:
         raise DimensionError(f"masked_sum: {x.shape} vs mask {mask.shape}")
+    axes = tuple(range(len(stack), x.data.ndim))
 
     def rule(g):
-        _accumulate(x, np.multiply(g, mask))
+        _accumulate(x, np.multiply(g.reshape(stack + (1,) * mask.ndim), mask))
 
-    return _make(np.multiply(x.data, mask).sum(), (x,), rule)
+    return _make(np.multiply(x.data, mask).sum(axis=axes), (x,), rule)
 
 
 # Rows per block when pair_sum maps and sums a large matrix.
@@ -713,30 +726,37 @@ def unit_normalize(x: Tensor, epsilon: float = 1e-12,
 
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy of n-by-C logits against integer labels.
+    """Mean softmax cross-entropy of n-by-C logits against integer labels;
+    for a K-by-n-by-C stack, one mean per slice against the same labels,
+    each with the bits of its 2-D node.
 
     The softmax the backward rule needs is built inside it, so a
     forward-only pass never computes it.
     """
-    if logits.data.ndim != 2:
-        raise DimensionError(f"cross_entropy_logits expects n-by-C, got {logits.shape}")
+    ld = logits.data
+    if ld.ndim not in (2, 3):
+        raise DimensionError(
+            f"cross_entropy_logits expects n-by-C or K-by-n-by-C, got {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
-    n, C = logits.data.shape
+    n = ld.shape[-2]
     if labels.shape != (n,):
         raise DimensionError(f"labels shape {labels.shape} does not match n={n}")
     # ufunc reductions give the bits of .max(), .sum() and .mean().
-    row_max = np.maximum.reduce(logits.data, axis=1, keepdims=True)
-    exps = np.exp(logits.data - row_max)
-    row_sums = np.add.reduce(exps, axis=1, keepdims=True)
-    lse = np.log(row_sums[:, 0]) + row_max[:, 0]
-    rows = np.arange(n)
-    picked = logits.data[rows, labels]
-    out_data = np.add.reduce(lse - picked) / n
+    row_max = np.maximum.reduce(ld, axis=-1, keepdims=True)
+    exps = np.exp(ld - row_max)
+    row_sums = np.add.reduce(exps, axis=-1, keepdims=True)
+    lse = np.log(row_sums[..., 0]) + row_max[..., 0]
+    # Each row's label entry, in every slice.
+    pick = (slice(None),) * (ld.ndim - 2) + (np.arange(n), labels)
+    out_data = np.add.reduce(lse - ld[pick], axis=-1) / n
 
     def rule(g):
         gz = exps / row_sums
-        gz[rows, labels] -= 1.0
-        _accumulate(logits, g * gz / n)
+        gz[pick] -= 1.0
+        view = gz.T  # g holds one value per slice: the view's last axis
+        view *= g
+        gz /= n
+        _accumulate(logits, gz)
 
     return _make(out_data, (logits,), rule)
 
@@ -780,3 +800,11 @@ class SgdMomentum:
 
     def zero_grad(self) -> None:
         zero_gradients(self.params)
+
+    def select(self, index) -> None:
+        """Keep the entries ``index`` of the leading (stack) axis of every
+        parameter, with their gradients and velocities."""
+        for p in self.params:
+            p.data = p.data[index]
+            p.grad = p.grad[index]
+        self.velocity = [v[index] for v in self.velocity]

@@ -226,9 +226,10 @@ def _run_proxy_sweep(cfg: ExperimentConfig, outdir: Path):
     data = make_dataset(cfg.dataset_spec())
     model = TwoModuleModel(arch, seed=train_cfg.seed)
     artifacts = _write_dataset_summary(outdir, data)
+    timing = {}
     rows = proxy_accuracy_sweep(model, data,
                                 [int(e) for e in section["checkpoint_epochs"]],
-                                train_cfg, output_cfg)
+                                train_cfg, output_cfg, timing)
     write_csv(outdir / "sweep.csv", ("epoch", "proxy", "accuracy"),
               [[r["epoch"], r["proxy"], r["accuracy"]] for r in rows])
     artifacts.append("sweep.csv")
@@ -236,7 +237,7 @@ def _run_proxy_sweep(cfg: ExperimentConfig, outdir: Path):
                                  [r["accuracy"] for r in rows])
                 if len(rows) >= 3 else float("nan"))
     metrics = {"spearman": spearman, "checkpoints": float(len(rows))}
-    return metrics, artifacts, _check(cfg.thresholds, metrics), {}
+    return metrics, artifacts, _check(cfg.thresholds, metrics), timing
 
 
 def _run_label_efficiency(cfg: ExperimentConfig, outdir: Path):
@@ -315,8 +316,7 @@ def _run_transferability(cfg: ExperimentConfig, outdir: Path):
     scoring_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    oracle = {c.id: retrain_oracle(c, target, oracle_cfg)
-              for c in candidates}
+    oracle = retrain_oracle(candidates, target, oracle_cfg)
     oracle_seconds = time.perf_counter() - t0
 
     report = attach_oracle(rank_candidates(scores), oracle)

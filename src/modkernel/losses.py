@@ -21,6 +21,7 @@ on constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,12 +81,14 @@ def make_loss(kind: str, lam: float = 0.0, g=None) -> DecomposableLoss:
 def _data_term(loss: DecomposableLoss, scores: ad.Tensor,
                positive: np.ndarray) -> ad.Tensor:
     """(1/n) (sum of ell_plus over ``positive`` + sum of ell_minus over
-    the rest), for a boolean mask with one entry per score."""
+    the rest), for a boolean mask with one entry per score; for a
+    K-by-n-by-1 stack of scores, one value per slice."""
     positive = np.asarray(positive, dtype=bool).ravel()
     n = positive.shape[0]
-    if scores.size != n:
+    shape = scores.shape[1:] if scores.data.ndim == 3 else scores.shape
+    if math.prod(shape) != n:
         raise DimensionError("scores do not align with the positive mask")
-    positive = positive.reshape(scores.shape)
+    positive = positive.reshape(shape)
     return (ad.masked_sum(loss.plus_term(scores), positive)
             + ad.masked_sum(loss.minus_term(scores), ~positive)) / float(n)
 

@@ -34,10 +34,18 @@ def params_to_entries(named_params) -> list:
 
 
 def entries_to_params(entries: list) -> list:
-    """(name, array) pairs of entries whose ``values`` are a flat list of
-    numbers that fills ``shape``; anything else raises ``IngestionError``."""
+    """(name, array) pairs of entries whose ``shape`` is a list of
+    integers >= 0 and whose ``values`` are a flat list of numbers that
+    fills it; anything else raises ``IngestionError``."""
     out = []
     for entry in entries:
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(
+                isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                for s in shape):
+            raise IngestionError(
+                f"tensor {entry['name']!r} shape must be a list of integers "
+                f">= 0, got {shape!r}")
         try:
             arr = np.array(entry["values"])
         except ValueError:  # a ragged nested list
@@ -47,11 +55,11 @@ def entries_to_params(entries: list) -> list:
                 f"tensor {entry['name']!r} values must be a flat list of "
                 "numbers")
         arr = arr.astype(np.float64, copy=False)
-        if arr.size != math.prod(entry["shape"]):
+        if arr.size != math.prod(shape):
             raise IngestionError(
-                f"tensor {entry['name']!r} declares shape {entry['shape']} "
+                f"tensor {entry['name']!r} declares shape {shape} "
                 f"but holds {arr.size} values")
-        out.append((entry["name"], arr.reshape(entry["shape"])))
+        out.append((entry["name"], arr.reshape(shape)))
     return out
 
 

@@ -7,14 +7,17 @@ features, reinitializes the output module, and trains it on the overall
 loss.  An end-to-end baseline trains the same backbone jointly.  Drivers
 for the label-efficiency and proxy-versus-accuracy studies sit on top.
 
-One trainer is single-threaded over its model; independent runs (sweep
-checkpoints, label budgets) are deterministic given their seeds and may
-run in parallel processes.
+Stage-2 fits that share data, labels, config and feature width train in
+lockstep as one stack of heads (the output modules of a sweep's
+checkpoints, or of transfer candidates): one SGD loop steps them all,
+and each head follows the trajectory it would follow alone.  Training
+is single-threaded and deterministic given the seeds.
 """
 
 from __future__ import annotations
 
 import numbers
+import time
 import zlib
 from dataclasses import asdict, dataclass, field
 
@@ -351,8 +354,10 @@ def _fit(params: list, cfg: TrainConfig, rng: np.random.Generator, n: int,
 
     Each epoch draws a permutation of ``range(n)`` from ``rng``, descends
     the scalar ``batch_loss(idx)`` on each consecutive ``batch_size`` slice
-    of it, and then calls ``end_epoch(epochs_done, lr)``, which returns
-    True to stop early.
+    of it, and then calls ``end_epoch(epochs_done, lr)``.  That returns
+    None to go on, or the positions along the parameters' leading (stack)
+    axis that go on, which drops the others with their gradients and
+    velocities; an empty selection stops the fit.
     """
     opt = ad.SgdMomentum(params, cfg.lr_schedule[0][0], cfg.momentum)
     for epoch, lr in _schedule_epochs(cfg):
@@ -363,8 +368,11 @@ def _fit(params: list, cfg: TrainConfig, rng: np.random.Generator, n: int,
             opt.zero_grad()
             ad.backward(loss)
             opt.step()
-        if end_epoch(epoch + 1, lr):
-            return
+        going_on = end_epoch(epoch + 1, lr)
+        if going_on is not None:
+            if not going_on.size:
+                return
+            opt.select(going_on)
 
 
 def _trace_due(cfg: TrainConfig, done: int) -> bool:
@@ -411,7 +419,6 @@ def train_input_module(model: TwoModuleModel, data: Dataset, cfg: TrainConfig,
                       resamples)
             _record_activations(trace, model, data, done)
         resamples = 0
-        return False
 
     snap_if_wanted(0)
     _fit(model.input_params(), cfg, rng, data.X_train.shape[0], batch_loss,
@@ -455,13 +462,12 @@ def _record_activations(trace: DynamicsTrace, model: TwoModuleModel,
 # stage two: overall-loss descent on the output module alone
 # ---------------------------------------------------------------------------
 
-def _loss_and_logits(model: TwoModuleModel, feats: ad.Tensor,
-                     labels: np.ndarray, cfg: TrainConfig) -> tuple:
-    logits = ad.affine(feats, model.output_weight, model.output_bias)
+def _output_loss(logits: ad.Tensor, labels: np.ndarray,
+                 cfg: TrainConfig) -> ad.Tensor:
+    """The stage-2 loss of n-by-C logits, or one per head of a stack."""
     if cfg.loss == "xe":
-        return ad.cross_entropy_logits(logits, labels), logits
-    loss = make_loss(cfg.loss)
-    return risk_tensor(loss, logits, labels == 1), logits
+        return ad.cross_entropy_logits(logits, labels)
+    return risk_tensor(make_loss(cfg.loss), logits, labels == 1)
 
 
 def _output_logits(model: TwoModuleModel, feats: np.ndarray) -> np.ndarray:
@@ -481,43 +487,94 @@ def freeze_and_train_output(model: TwoModuleModel, data: Dataset,
     model.reinit_output(_derived_seed(cfg.seed, "output-init"), cfg.loss)
     feats_train = model.link_features_np(data.X_train)
     feats_test = model.link_features_np(data.X_test)
-    return _train_output_on_features(model, feats_train, data.y_train,
-                                     feats_test, data.y_test, cfg)
+    traces, _, _ = _fit_output(model.output_weight, model.output_bias,
+                               feats_train, data.y_train, feats_test,
+                               data.y_test, cfg)
+    return traces[0]
 
 
-def _train_output_on_features(model: TwoModuleModel, feats_train, y_train,
-                              feats_test, y_test,
-                              cfg: TrainConfig) -> DynamicsTrace:
-    trace = DynamicsTrace()
-    best_loss = np.inf
-    stale = 0
+def train_output_stack(feats_train: np.ndarray, y_train: np.ndarray,
+                       feats_test: np.ndarray, y_test: np.ndarray,
+                       width: int, cfg: TrainConfig) -> tuple:
+    """Fresh output heads of ``width`` columns on K frozen feature sets
+    (K-by-n-by-d arrays sharing labels), fitted in lockstep.
+
+    Each head starts as ``freeze_and_train_output`` starts one, sees the
+    same batches and stops on its own plateau, so it follows the
+    trajectory it would follow alone.  Returns (one trace per head, the
+    K-by-d-by-width weights, the K-by-width biases).
+    """
+    count, _, dim = feats_train.shape
+    rng = np.random.default_rng(_derived_seed(cfg.seed, "output-init"))
+    W, b = (ad.Tensor(np.repeat(t.data[None], count, axis=0),
+                      requires_grad=True)
+            for t in _init_affine(rng, dim, width))
+    return _fit_output(W, b, feats_train, y_train, feats_test, y_test, cfg)
+
+
+def _fit_output(W: ad.Tensor, b: ad.Tensor, feats_train, y_train,
+                feats_test, y_test, cfg: TrainConfig) -> tuple:
+    """Stage 2: momentum SGD on one output head (W: d-by-C, features
+    n-by-d) or on a stack of K (a leading axis of K on W, b and the
+    features).
+
+    A step descends the sum of the K batch losses, whose gradient with
+    respect to head k is that head's own.  After each epoch every head
+    takes its full-train loss; one that has plateaued records its last
+    trace row and leaves the stack.  Returns (one trace per head, the
+    final W and b of every head, in stack order).
+    """
+    stacked = W.data.ndim == 3
+
+    def by_head(arr: np.ndarray) -> np.ndarray:
+        return arr if stacked else arr[None]
+
+    count = by_head(W.data).shape[0]
+    traces = [DynamicsTrace() for _ in range(count)]
+    weights, biases = np.empty_like(W.data), np.empty_like(b.data)
+    heads = np.arange(count)  # the head at each stack position
+    best = np.full(count, np.inf)
+    stale = np.zeros(count, dtype=np.int64)
+
+    def retire(positions) -> None:
+        by_head(weights)[heads[positions]] = by_head(W.data)[positions]
+        by_head(biases)[heads[positions]] = by_head(b.data)[positions]
 
     def batch_loss(idx):
-        loss, _ = _loss_and_logits(model, ad.constant(feats_train[idx]),
-                                   y_train[idx], cfg)
-        return loss
+        feats = feats_train.take(idx, axis=-2)
+        loss = _output_loss(ad.affine(ad.constant(feats), W, b), y_train[idx],
+                            cfg)
+        return ad.tensor_sum(loss) if stacked else loss
 
-    def end_epoch(done: int, lr: float) -> bool:
-        nonlocal best_loss, stale
-        full_loss, logits = _loss_and_logits(model, ad.constant(feats_train),
-                                             y_train, cfg)
-        if best_loss - full_loss.item() < cfg.plateau_tol:
-            stale += 1
-        else:
-            stale = 0
+    def end_epoch(done: int, lr: float):
+        nonlocal heads, best, stale, feats_train, feats_test
+        logits = ad.affine(ad.constant(feats_train), W, b)
+        full = by_head(_output_loss(logits, y_train, cfg).data)
+        stale = np.where(best - full < cfg.plateau_tol, stale + 1, 0)
         stop = stale >= cfg.plateau_patience
-        best_loss = min(best_loss, full_loss.item())
-        if _trace_due(cfg, done) or stop:
-            train_acc = accuracy(logits.data, y_train)
-            test_acc = accuracy(_output_logits(model, feats_test), y_test)
-            trace.add("output", done, lr, float(full_loss.item()),
-                      train_acc, test_acc)
-        return stop
+        best = np.fmin(best, full)
+        stopping, due = stop.any(), _trace_due(cfg, done)
+        if stopping or due:
+            train_logits = by_head(logits.data)
+            test_logits = by_head(ad.affine(ad.constant(feats_test), W, b).data)
+            for i in np.flatnonzero(stop | due):
+                traces[heads[i]].add(
+                    "output", done, lr, float(full[i]),
+                    accuracy(train_logits[i], y_train),
+                    accuracy(test_logits[i], y_test))
+        if not stopping:
+            return None
+        retire(stop)
+        going_on = np.flatnonzero(~stop)
+        heads, best, stale = heads[going_on], best[going_on], stale[going_on]
+        if stacked:
+            feats_train, feats_test = feats_train[going_on], feats_test[going_on]
+        return going_on
 
     rng = np.random.default_rng(_derived_seed(cfg.seed, "output-batches"))
-    _fit(model.output_params(), cfg, rng, feats_train.shape[0], batch_loss,
-         end_epoch)
-    return trace
+    _fit([W, b], cfg, rng, feats_train.shape[-2], batch_loss, end_epoch)
+    retire(np.arange(heads.size))
+    return traces, weights, biases
 
 
 def _derived_seed(seed: int, label: str) -> np.random.SeedSequence:
@@ -535,21 +592,18 @@ def train_end_to_end(model: TwoModuleModel, data: Dataset,
     trace = DynamicsTrace()
 
     def batch_loss(idx):
-        feats = model.link_features(ad.constant(data.X_train[idx]))
-        loss, _ = _loss_and_logits(model, feats, data.y_train[idx], cfg)
-        return loss
+        return _output_loss(model.forward(ad.constant(data.X_train[idx])),
+                            data.y_train[idx], cfg)
 
-    def end_epoch(done: int, lr: float) -> bool:
+    def end_epoch(done: int, lr: float) -> None:
         if _trace_due(cfg, done):
-            feats_full = model.link_features(ad.constant(data.X_train))
-            full_loss, logits = _loss_and_logits(model, feats_full,
-                                                 data.y_train, cfg)
+            logits = model.forward(ad.constant(data.X_train))
+            full_loss = _output_loss(logits, data.y_train, cfg)
             train_acc = accuracy(logits.data, data.y_train)
             test_acc = accuracy(model.logits_np(data.X_test), data.y_test)
             trace.add("e2e", done, lr, float(full_loss.item()),
                       train_acc, test_acc)
             _record_activations(trace, model, data, done)
-        return False
 
     _fit(model.params(), cfg, np.random.default_rng(cfg.seed),
          data.X_train.shape[0], batch_loss, end_epoch)
@@ -600,9 +654,9 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
         else:
             chosen = rng.choice(n, size=budget, replace=False)
         model.reinit_output(_derived_seed(cfg.seed, "output-init"), cfg.loss)
-        _train_output_on_features(model, feats_train[chosen],
-                                  data.y_train[chosen], feats_test,
-                                  data.y_test, cfg)
+        _fit_output(model.output_weight, model.output_bias,
+                    feats_train[chosen], data.y_train[chosen], feats_test,
+                    data.y_test, cfg)
         logits = _output_logits(model, feats_test)
         acc = accuracy(logits, data.y_test)
         pred = _predict(logits)
@@ -618,30 +672,51 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
 
 def proxy_accuracy_sweep(model: TwoModuleModel, data: Dataset,
                          checkpoint_epochs, cfg: TrainConfig,
-                         output_cfg: TrainConfig | None = None) -> list:
+                         output_cfg: TrainConfig | None = None,
+                         timing: dict | None = None) -> list:
     """Snapshot the input module along stage one; for each snapshot train a
     fresh output module to convergence and pair the proxy value with the
-    best accuracy it reaches.  Rows: dicts keyed epoch/proxy/accuracy."""
+    best accuracy it reaches.  Rows: dicts keyed epoch/proxy/accuracy.
+
+    The output modules of all snapshots train as one stack
+    (``train_output_stack``).  ``timing``, when given, receives the
+    seconds of stage 1 (``stage1_seconds``) and of everything after it
+    (``stage2_seconds``).
+    """
     checkpoint_epochs = list(checkpoint_epochs)
     output_cfg = output_cfg or cfg
+    t0 = time.perf_counter()
     _, snapshots = train_input_module(model, data, cfg,
                                       checkpoint_epochs=checkpoint_epochs)
-    final_input = [p.data.copy() for p in model.input_params()]
-    rows = []
+    t1 = time.perf_counter()
+    beyond = [e for e in checkpoint_epochs if e not in snapshots]
+    if beyond:
+        raise ConfigurationError(
+            f"checkpoint epochs {beyond} exceed the schedule "
+            f"({cfg.total_epochs} epochs)")
+    final_input = [p.data for p in model.input_params()]
+    model.freeze_input()
+    values, feats_train, feats_test = [], [], []
     for epoch in checkpoint_epochs:
-        if epoch not in snapshots:
-            raise ConfigurationError(
-                f"checkpoint epoch {epoch} exceeds the schedule "
-                f"({cfg.total_epochs} epochs)")
         for p, arr in zip(model.input_params(), snapshots[epoch]):
-            p.data = arr.copy()
-        value = full_proxy_value(model, data.X_train, data.y_train, cfg.proxy)
-        trace = freeze_and_train_output(model, data, output_cfg)
+            p.data = arr
+        values.append(full_proxy_value(model, data.X_train, data.y_train,
+                                       cfg.proxy))
+        feats_train.append(model.link_features_np(data.X_train))
+        feats_test.append(model.link_features_np(data.X_test))
+    for p, arr in zip(model.input_params(), final_input):
+        p.data = arr
+    model.unfreeze_input()
+    traces, _, _ = train_output_stack(
+        np.stack(feats_train), data.y_train, np.stack(feats_test),
+        data.y_test, model.arch.output_width(output_cfg.loss), output_cfg)
+    rows = []
+    for epoch, value, trace in zip(checkpoint_epochs, values, traces):
         best = max((r["test_accuracy"] for r in trace.rows
                     if not np.isnan(r["test_accuracy"])),
                    default=trace.final("train_accuracy"))
         rows.append({"epoch": epoch, "proxy": value, "accuracy": float(best)})
-    for p, arr in zip(model.input_params(), final_input):
-        p.data = arr.copy()
-    model.unfreeze_input()
+    if timing is not None:
+        timing.update(stage1_seconds=t1 - t0,
+                      stage2_seconds=time.perf_counter() - t1)
     return rows

@@ -4,15 +4,14 @@ A candidate input module is scored on a target task by evaluating a
 pairwise proxy objective on its frozen link features over a seeded
 subsample of the target data; no parameter ever changes.  Candidates are
 then ranked by score, and a retraining oracle (train a fresh output module
-on the frozen candidate) provides the ground truth the ranking is compared
-against via Spearman rank correlation.
+on each frozen candidate, all in one stack) provides the ground truth the
+ranking is compared against via Spearman rank correlation.
 
 Candidates score independently; report assembly is deterministic.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,8 +26,9 @@ from .proxies import (feature_proxy_value, is_degenerate_for, partition_pairs,
 # the benchmark drops them.
 from .kernels import kernel_matrix  # noqa: F401
 from .proxies import proxy_value  # noqa: F401
+from .training import freeze_and_train_output  # noqa: F401
 from .serialize import read_json, write_csv, write_json
-from .training import TrainConfig, TwoModuleModel, freeze_and_train_output
+from .training import TrainConfig, TwoModuleModel, train_output_stack
 
 
 @dataclass
@@ -167,15 +167,30 @@ def attach_oracle(report: TransferReport, accuracies: dict) -> TransferReport:
     return report
 
 
-def retrain_oracle(candidate: CandidateModule, target_data: Dataset,
-                   cfg: TrainConfig) -> float:
-    """Held-out accuracy of a fresh output module trained on the frozen
-    candidate.  Works on a copy whose architecture counts the target's
-    classes; the candidate itself never changes."""
-    clone = copy.deepcopy(candidate.model)
-    clone.arch = replace(clone.arch, num_classes=target_data.num_classes)
-    trace = freeze_and_train_output(clone, target_data, cfg)
-    return float(trace.final("test_accuracy"))
+def retrain_oracle(candidates, target_data: Dataset,
+                   cfg: TrainConfig) -> dict:
+    """Held-out accuracy of a fresh output module, sized for the target's
+    classes, trained on each frozen candidate: {id: accuracy}.
+
+    The heads of candidates with equal link width train as one stack
+    (``train_output_stack``), each as it would train alone.  Each
+    candidate's link features are read; no candidate changes.
+    """
+    groups: dict[int, list] = {}
+    for cand in candidates:
+        groups.setdefault(cand.model.arch.latent_dim, []).append(cand)
+    accuracies = {}
+    for group in groups.values():
+        arch = replace(group[0].model.arch, num_classes=target_data.num_classes)
+        traces, _, _ = train_output_stack(
+            np.stack([c.model.link_features_np(target_data.X_train)
+                      for c in group]), target_data.y_train,
+            np.stack([c.model.link_features_np(target_data.X_test)
+                      for c in group]), target_data.y_test,
+            arch.output_width(cfg.loss), cfg)
+        for cand, trace in zip(group, traces):
+            accuracies[cand.id] = float(trace.final("test_accuracy"))
+    return {c.id: accuracies[c.id] for c in candidates}
 
 
 def _average_ranks(values) -> np.ndarray:

@@ -221,6 +221,22 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
         "cross_entropy": (lambda t: ad.cross_entropy_logits(
             ad.matmul(t, ad.constant(w)), labels), x),
     }
+    for K in (1, 3):  # a leading stack axis of K heads
+        xs = rng.standard_normal((K, 3, 4)) * 0.8
+        ws = rng.standard_normal((K, 4, 2)) * 0.8
+        bs = rng.standard_normal((K, 2)) * 0.5
+        per_head = ad.constant(rng.standard_normal(K))
+        cases[f"affine_stack_{K}_weight"] = (
+            lambda t, xs=xs, bs=bs: ad.tensor_sum(ad.square(ad.affine(
+                ad.constant(xs), t, ad.constant(bs), kind="tanh"))), ws)
+        cases[f"affine_stack_{K}_bias"] = (
+            lambda t, xs=xs, ws=ws: ad.tensor_sum(ad.square(ad.affine(
+                ad.constant(xs), ad.constant(ws), t))), bs)
+        cases[f"cross_entropy_stack_{K}"] = (
+            lambda t, ws=ws, bs=bs, per_head=per_head: ad.tensor_sum(ad.mul(
+                ad.cross_entropy_logits(ad.affine(
+                    t, ad.constant(ws), ad.constant(bs)), labels),
+                per_head)), xs)
     for name, (build, value) in cases.items():
         leaf = ad.Tensor(value.copy(), requires_grad=True)
         ad.backward(build(leaf))
@@ -229,6 +245,55 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
         np.testing.assert_allclose(
             leaf.grad, fd, rtol=rtol, atol=atol,
             err_msg=f"gradient mismatch for op {name}")
+
+
+def _hexes(arr):
+    return [float.hex(float(v)) for v in np.ravel(arr)]
+
+
+class TestStackAxis:
+    """A leading stack axis of K on affine and cross_entropy_logits: with
+    d and C at least 2, each slice of the values and gradients has the
+    bits of the 2-D nodes on that slice."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.integers(1, 4), n=st.integers(1, 70), d=st.integers(2, 5),
+           C=st.integers(2, 6), kind=st.sampled_from([None, "tanh"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_slices_have_the_bits_of_the_2d_nodes(self, K, n, d, C, kind,
+                                                  seed):
+        rng = np.random.default_rng(seed)
+        x, W, b = (rng.standard_normal(shape)
+                   for shape in ((K, n, d), (K, d, C), (K, C)))
+        labels = rng.integers(0, C, n)
+        stacked = [_leaf(a) for a in (x, W, b)]
+        logits = ad.affine(*stacked, kind=kind)
+        losses = ad.cross_entropy_logits(logits, labels)
+        assert losses.shape == (K,)
+        ad.backward(ad.tensor_sum(losses))
+        for k in range(K):
+            leaves = [_leaf(a[k]) for a in (x, W, b)]
+            logits_k = ad.affine(*leaves, kind=kind)
+            loss_k = ad.cross_entropy_logits(logits_k, labels)
+            ad.backward(loss_k)
+            assert _hexes(logits.data[k]) == _hexes(logits_k.data)
+            assert _hexes(losses.data[k]) == _hexes(loss_k.data)
+            for whole, leaf in zip(stacked, leaves):
+                assert _hexes(whole.grad[k]) == _hexes(leaf.grad)
+
+    def test_mismatched_stacks_rejected(self):
+        x, W, b = np.ones((2, 5, 3)), np.ones((2, 3, 4)), np.ones((2, 4))
+        for args in ((x, np.ones((3, 3, 4)), b), (x, W, np.ones((3, 4))),
+                     (x, W[0], b[0]), (x[0], W, b), (x, W, b[0]),
+                     (np.ones((1, 2, 5, 3)), W[None], b[None])):
+            with pytest.raises(DimensionError):
+                ad.affine(*map(ad.constant, args))
+        with pytest.raises(DimensionError):
+            ad.cross_entropy_logits(ad.constant(np.ones((1, 2, 5, 3))),
+                                    np.zeros(5, dtype=np.int64))
+        with pytest.raises(DimensionError):
+            ad.cross_entropy_logits(ad.constant(np.ones((2, 5, 3))),
+                                    np.zeros(4, dtype=np.int64))
 
 
 class TestSgdMomentum:
@@ -473,6 +538,26 @@ class TestMaskedSum:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ad.masked_sum(_leaf(np.ones((2, 2))), np.ones((2, 3), dtype=bool))
+        with pytest.raises(DimensionError):  # two stack axes
+            ad.masked_sum(_leaf(np.ones((2, 2, 2))), np.ones(2, dtype=bool))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_sums_each_slice(self, seed):
+        """With one more leading axis than the mask, one sum per slice,
+        each with the value and gradient bits of the unstacked node."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, 7, 1))
+        mask = rng.random((7, 1)) < 0.5
+        weights = ad.constant(rng.standard_normal(3))
+        stacked = _leaf(x)
+        sums = ad.masked_sum(ad.exp(stacked), mask)
+        ad.backward(ad.tensor_sum(ad.mul(sums, weights)))
+        for k in range(3):
+            leaf = _leaf(x[k])
+            out = ad.masked_sum(ad.exp(leaf), mask)
+            ad.backward(ad.mul(out, ad.constant(weights.data[k])))
+            assert sums.data[k].tobytes() == out.data.tobytes()
+            assert stacked.grad[k].tobytes() == leaf.grad.tobytes()
 
 
 class TestPairSum:

@@ -321,6 +321,25 @@ class TestRunExperiment:
         assert first == second
 
 
+    def test_proxy_sweep_metadata_times_both_stages(self, tmp_path):
+        doc = {
+            "experiment": "proxy-sweep",
+            "output_dir": str(tmp_path / "out"),
+            "dataset": {"kind": "gaussian-blobs", "n": 48, "d": 4,
+                        "num_classes": 2, "seed": 3, "split_fraction": 0.75},
+            "architecture": {"hidden_widths": [8], "latent_dim": 2},
+            "train": {"batch_size": 16, "lr_schedule": [[0.05, 3]], "seed": 1,
+                      "proxy": "nmse-neo"},
+            "sweep": {"checkpoint_epochs": [0, 3]},
+        }
+        run_experiment(load_config(write_config(tmp_path, doc)))
+        meta = read_json(tmp_path / "out" / "metadata.json")
+        assert meta["stage1_seconds"] > 0 and meta["stage2_seconds"] > 0
+        assert (meta["stage1_seconds"] + meta["stage2_seconds"]
+                <= meta["duration_seconds"])
+        assert "seconds" not in (tmp_path / "out" / "report.json").read_text()
+
+
 class TestModularVsE2eSchedules:
     """Stage 1 of modular-vs-e2e trains on 'modular.input_train' when it is
     set; stage 2 and the end-to-end baseline always train on 'train'."""

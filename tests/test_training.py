@@ -11,7 +11,8 @@ from modkernel.training import (ArchitectureSpec, TrainConfig, TwoModuleModel,
                                 accuracy, freeze_and_train_output,
                                 label_efficiency_run, proxy_accuracy_sweep,
                                 train_end_to_end, train_input_module,
-                                full_proxy_value, TRACE_HEADER)
+                                train_output_stack, full_proxy_value,
+                                TRACE_HEADER)
 
 from oracles import proxy_references
 
@@ -252,6 +253,102 @@ class TestProxyAccuracySweep:
         model = TwoModuleModel(small_arch(), seed=0)
         with pytest.raises(ConfigurationError):
             proxy_accuracy_sweep(model, data, [10 ** 6], quick_cfg())
+
+
+def hexes(arr):
+    return [float.hex(float(v)) for v in np.ravel(arr)]
+
+
+def best_accuracy(trace):
+    return max((r["test_accuracy"] for r in trace.rows
+                if not np.isnan(r["test_accuracy"])),
+               default=trace.final("train_accuracy"))
+
+
+def serial_sweep(model, data, epochs, cfg, output_cfg):
+    """The sweep as one ``freeze_and_train_output`` fit per checkpoint:
+    its rows, and each checkpoint's trained head as hex strings."""
+    _, snapshots = train_input_module(model, data, cfg,
+                                      checkpoint_epochs=epochs)
+    rows, heads = [], []
+    for epoch in epochs:
+        for p, arr in zip(model.input_params(), snapshots[epoch]):
+            p.data = arr.copy()
+        value = full_proxy_value(model, data.X_train, data.y_train, cfg.proxy)
+        trace = freeze_and_train_output(model, data, output_cfg)
+        model.unfreeze_input()
+        rows.append({"epoch": epoch, "proxy": value,
+                     "accuracy": float(best_accuracy(trace))})
+        heads.append((hexes(model.output_weight.data),
+                      hexes(model.output_bias.data), trace.rows))
+    return rows, heads
+
+
+class TestLockstepStageTwo:
+    """Output heads fitted as one stack against one-at-a-time fits."""
+
+    EPOCHS = [0, 2, 5, 9, 14]
+
+    @staticmethod
+    def _output_cfg(**kw):
+        return quick_cfg(lr_schedule=((0.1, 25), (0.01, 10)), trace_every=5,
+                         **kw)
+
+    @pytest.mark.parametrize("patience", [2, 10 ** 6])
+    def test_sweep_rows_and_heads_match_serial_fits(self, patience):
+        data = blob_data()
+        cfg = quick_cfg(lr_schedule=((0.05, 14),))
+        output_cfg = self._output_cfg(plateau_patience=patience,
+                                      plateau_tol=3e-3)
+        serial_rows, serial_heads = serial_sweep(
+            TwoModuleModel(small_arch(), seed=0), data, self.EPOCHS, cfg,
+            output_cfg)
+        model = TwoModuleModel(small_arch(), seed=0)
+        assert proxy_accuracy_sweep(model, data, self.EPOCHS, cfg,
+                                    output_cfg) == serial_rows
+
+        _, snapshots = train_input_module(TwoModuleModel(small_arch(), seed=0),
+                                          data, cfg,
+                                          checkpoint_epochs=self.EPOCHS)
+        feats = []
+        for epoch in self.EPOCHS:
+            for p, arr in zip(model.input_params(), snapshots[epoch]):
+                p.data = arr
+            feats.append((model.link_features_np(data.X_train),
+                          model.link_features_np(data.X_test)))
+        traces, W, b = train_output_stack(
+            np.stack([f for f, _ in feats]), data.y_train,
+            np.stack([f for _, f in feats]), data.y_test, 4, output_cfg)
+        for k, (weight, bias, rows) in enumerate(serial_heads):
+            assert hexes(W[k]) == weight and hexes(b[k]) == bias
+            assert traces[k].rows == rows
+        stops = {t.rows[-1]["epoch"] for t in traces}
+        if patience == 2:  # the heads left the stack apart
+            assert stops == {16, 24}
+        else:
+            assert stops == {35}
+
+    @pytest.mark.parametrize("loss", ["xe2", "tanh-mse", "hinge"])
+    def test_binary_loss_sweep_matches_serial_fits(self, loss):
+        data = blob_data(classes=2)
+        arch = small_arch(classes=2)
+        cfg = quick_cfg(lr_schedule=((0.05, 14),))
+        output_cfg = self._output_cfg(loss=loss, plateau_patience=3,
+                                      plateau_tol=1e-4)
+        serial_rows, _ = serial_sweep(TwoModuleModel(arch, seed=0), data,
+                                      self.EPOCHS, cfg, output_cfg)
+        rows = proxy_accuracy_sweep(TwoModuleModel(arch, seed=0), data,
+                                    self.EPOCHS, cfg, output_cfg)
+        assert ([r["accuracy"] for r in rows]
+                == [r["accuracy"] for r in serial_rows])
+        assert [r["proxy"] for r in rows] == [r["proxy"] for r in serial_rows]
+
+    def test_sweep_reports_its_stage_times(self):
+        timing = {}
+        proxy_accuracy_sweep(TwoModuleModel(small_arch(), seed=0), blob_data(),
+                             [0, 4], quick_cfg(), timing=timing)
+        assert set(timing) == {"stage1_seconds", "stage2_seconds"}
+        assert all(v > 0 for v in timing.values())
 
 
 class TestFullProxyValue:

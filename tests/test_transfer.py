@@ -212,7 +212,10 @@ class TestRetrainOracle:
                           trace_every=5)
         c1 = fresh_candidate("one", seed=6)
         c2 = fresh_candidate("two", seed=6)
-        assert retrain_oracle(c1, data, cfg) == retrain_oracle(c2, data, cfg)
+        together = retrain_oracle([c1, c2], data, cfg)
+        assert together["one"] == together["two"]
+        assert (retrain_oracle([c1], data, cfg)["one"]
+                == retrain_oracle([c2], data, cfg)["two"] == together["one"])
 
     def test_candidate_parameters_survive_oracle(self):
         data = target_blobs()
@@ -221,7 +224,7 @@ class TestRetrainOracle:
                           trace_every=5)
         cand = fresh_candidate("keep", seed=8)
         before = dump_json(cand.model.to_checkpoint())
-        retrain_oracle(cand, data, cfg)
+        retrain_oracle([cand], data, cfg)
         assert dump_json(cand.model.to_checkpoint()) == before
 
     def test_trained_candidate_within_a_point_of_source_model(self):
@@ -234,20 +237,20 @@ class TestRetrainOracle:
         trace = freeze_and_train_output(cand.model, data, cfg)
         cand.model.unfreeze_input()
         direct = trace.final("test_accuracy")
-        oracle = retrain_oracle(cand, data, cfg)
+        oracle = retrain_oracle([cand], data, cfg)["self"]
         assert abs(direct - oracle) <= 0.01 + 1e-12
 
     @pytest.mark.parametrize("loss", ["xe2", "tanh-mse", "hinge"])
     def test_binary_loss_on_two_class_target(self, loss):
-        """A binary decomposable loss trains a one-column head on the copy,
-        matches stage 2 on an equal model, and leaves the candidate as is."""
+        """A binary decomposable loss trains a one-column head, matches
+        stage 2 on an equal model, and leaves the candidate as is."""
         data = target_blobs()
         cfg = TrainConfig(batch_size=32, lr_schedule=((0.1, 10),),
                           momentum=0.9, seed=4, proxy="al", loss=loss,
                           trace_every=5)
         cand = fresh_candidate("bin", seed=8)
         before = dump_json(cand.model.to_checkpoint())
-        oracle = retrain_oracle(cand, data, cfg)
+        oracle = retrain_oracle([cand], data, cfg)["bin"]
         assert dump_json(cand.model.to_checkpoint()) == before
         twin = fresh_candidate("twin", seed=8).model
         trace = freeze_and_train_output(twin, data, cfg)
@@ -255,16 +258,63 @@ class TestRetrainOracle:
         assert oracle == trace.final("test_accuracy")
 
     def test_head_counts_the_target_classes(self):
-        """The copy's head is sized for the target, not the source."""
+        """The head is sized for the target, not the source."""
         data = make_dataset(DatasetSpec(kind="gaussian-blobs", n=120, d=6,
                                         num_classes=3, seed=2))
         cfg = TrainConfig(batch_size=32, lr_schedule=((0.1, 5),), seed=1,
                           loss="xe", trace_every=5)
-        assert 0.0 <= retrain_oracle(fresh_candidate(), data, cfg) <= 1.0
+        assert 0.0 <= retrain_oracle([fresh_candidate()], data,
+                                     cfg)["cand"] <= 1.0
         with pytest.raises(ConfigurationError, match="'hinge'.*3"):
-            retrain_oracle(fresh_candidate(), data,
+            retrain_oracle([fresh_candidate()], data,
                            TrainConfig(batch_size=32, lr_schedule=((0.1, 5),),
                                        loss="hinge"))
+
+
+class TestLockstepOracle:
+    """retrain_oracle's stacked heads against one-at-a-time stage-2 fits
+    on copies of the candidates."""
+
+    @staticmethod
+    def _candidates(data):
+        cands = []
+        for i, latent in enumerate((2, 3, 2, 3, 2)):
+            arch = ArchitectureSpec(input_dim=6, hidden_widths=(12,),
+                                    latent_dim=latent, num_classes=2)
+            model = TwoModuleModel(arch, seed=i)
+            cfg = TrainConfig(batch_size=32, lr_schedule=((0.05, 2 * i),),
+                              seed=i, proxy="nmse-neo", trace_every=10)
+            train_input_module(model, data, cfg)
+            cands.append(CandidateModule(id=f"c{i}", model=model))
+        return cands
+
+    @staticmethod
+    def _serial(cands, data, cfg):
+        accuracies, stops = {}, {}
+        for cand in cands:
+            model = TwoModuleModel.from_checkpoint(cand.model.to_checkpoint())
+            trace = freeze_and_train_output(model, data, cfg)
+            accuracies[cand.id] = trace.final("test_accuracy")
+            stops[cand.id] = trace.final("epoch")
+        return accuracies, stops
+
+    @pytest.mark.parametrize("loss,patience", [
+        ("xe", 2), ("xe", 10 ** 6), ("xe2", 2), ("tanh-mse", 2),
+        ("hinge", 2)])
+    def test_matches_serial_fits_and_keeps_candidates(self, loss, patience):
+        source, target = target_blobs(seed=5), target_blobs(seed=33)
+        cands = self._candidates(source)
+        before = [dump_json(c.model.to_checkpoint()) for c in cands]
+        cfg = TrainConfig(batch_size=32, lr_schedule=((0.1, 20), (0.01, 10)),
+                          seed=3, proxy="al", loss=loss, trace_every=10,
+                          plateau_patience=patience, plateau_tol=1e-3)
+        oracle = retrain_oracle(cands, target, cfg)
+        assert [dump_json(c.model.to_checkpoint()) for c in cands] == before
+        want, stops = self._serial(cands, target, cfg)
+        assert list(oracle) == [c.id for c in cands]
+        assert oracle == want
+        if loss == "xe" and patience == 2:  # heads left the stack apart
+            assert len(set(stops.values())) > 1
 
 
 class TestRankCorrelation:
@@ -353,6 +403,22 @@ class TestCheckpointFiles:
         path = tmp_path / "bad.json"
         write_json(path, doc)
         with pytest.raises(IngestionError, match="'input.1.weight'"):
+            CandidateModule.from_checkpoint_file(path)
+
+    @pytest.mark.parametrize("shape", ["ab", None, 3, [2.0], [True, 2],
+                                       [-1, -2]],
+                             ids=["string", "null", "int", "float", "bool",
+                                  "negative"])
+    def test_malformed_shape_rejected_by_name(self, tmp_path, shape):
+        """A shape that is not a list of integers >= 0 fails to load with a
+        typed error, before any count or reshape reads it."""
+        doc = fresh_candidate().model.to_checkpoint()
+        entry = doc["tensors"][2]
+        assert entry["name"] == "input.1.weight"
+        entry["shape"] = shape
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        with pytest.raises(IngestionError, match="'input.1.weight' shape"):
             CandidateModule.from_checkpoint_file(path)
 
     @pytest.mark.parametrize("fault", ["missing", "null", "list",

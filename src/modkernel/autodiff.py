@@ -423,7 +423,7 @@ def tensor_sum(x: Tensor) -> Tensor:
     out_data = np.asarray(x.data.sum())
 
     def rule(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+        _accumulate(x, np.full(x.data.shape, g))
 
     return _make(out_data, (x,), rule)
 

@@ -113,8 +113,8 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
 
 
 def read_labeled_csv(path) -> tuple:
-    """Rows of "v1,...,vd,label" with finite features; errors carry the
-    byte offset."""
+    """Rows of "v1,...,vd,label" with finite features and a label >= 0;
+    errors carry the line and byte offset."""
     if path is None:
         raise ConfigurationError("csv-file dataset needs a path")
     rows, labels = [], []
@@ -146,6 +146,10 @@ def read_labeled_csv(path) -> tuple:
                     raise IngestionError(
                         f"{path}: row at line {line_no} (byte offset {offset}) "
                         "has a non-finite feature")
+                if label < 0:
+                    raise IngestionError(
+                        f"{path}: row at line {line_no} (byte offset {offset}) "
+                        f"has a negative label {label}")
                 rows.append(values)
                 labels.append(label)
             offset += len(raw)

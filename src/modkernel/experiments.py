@@ -24,10 +24,9 @@ from .config import EXPERIMENT_KINDS, ExperimentConfig, dump_config, validate_sc
 from .datasets import Dataset, make_dataset
 from .errors import ConfigurationError
 from .serialize import write_csv, write_json
-from .training import (ArchitectureSpec, TwoModuleModel,
-                       freeze_and_train_output, label_efficiency_run,
-                       proxy_accuracy_sweep, train_end_to_end,
-                       train_input_module)
+from .training import (TwoModuleModel, freeze_and_train_output,
+                       label_efficiency_run, proxy_accuracy_sweep,
+                       train_end_to_end, train_input_module)
 from .transfer import (CandidateModule, attach_oracle, rank_candidates,
                        rank_correlation, retrain_oracle, score_candidate)
 
@@ -145,20 +144,25 @@ def _write_dataset_summary(outdir: Path, data: Dataset) -> list:
 # runners
 # ---------------------------------------------------------------------------
 
-def _checked_architecture(cfg: ExperimentConfig,
-                          loss: str) -> ArchitectureSpec:
-    """The config's architecture, once its output module can take the
-    stage-2 ``loss``: a binary loss on more than two classes fails here,
-    before stage 1 trains or writes anything."""
+def _checked_setup(cfg: ExperimentConfig, loss: str) -> tuple:
+    """The config's architecture and dataset, once the output module can
+    take the stage-2 ``loss`` and every label is one of its classes: a
+    binary loss on more than two classes, or a label at or above the
+    class count, fails here, before stage 1 trains or writes anything."""
     arch = cfg.architecture_spec()
     arch.output_width(loss)
-    return arch
+    data = make_dataset(cfg.dataset_spec())
+    if data.num_classes > arch.num_classes:
+        raise ConfigurationError(
+            f"the dataset has label {data.num_classes - 1}, but the "
+            f"architecture has {arch.num_classes} classes (labels 0 to "
+            f"{arch.num_classes - 1})")
+    return arch, data
 
 
 def _run_sanity_dynamics(cfg: ExperimentConfig, outdir: Path):
     train_cfg = cfg.train_config()
-    arch = _checked_architecture(cfg, train_cfg.loss)
-    data = make_dataset(cfg.dataset_spec())
+    arch, data = _checked_setup(cfg, train_cfg.loss)
     model = TwoModuleModel(arch, seed=train_cfg.seed)
     artifacts = _write_dataset_summary(outdir, data)
     trace_in, _ = train_input_module(model, data, train_cfg)
@@ -184,8 +188,7 @@ def _run_modular_vs_e2e(cfg: ExperimentConfig, outdir: Path):
     # Stage 1 is its own optimization problem, so it may take its own
     # schedule; stage 2 and the end-to-end baseline share 'train'.
     input_cfg = cfg.train_config("modular.input_train")
-    arch = _checked_architecture(cfg, train_cfg.loss)
-    data = make_dataset(cfg.dataset_spec())
+    arch, data = _checked_setup(cfg, train_cfg.loss)
 
     modular = TwoModuleModel(arch, seed=train_cfg.seed)
     trace_in, _ = train_input_module(modular, data, input_cfg)
@@ -222,8 +225,7 @@ def _run_proxy_sweep(cfg: ExperimentConfig, outdir: Path):
         raise ConfigurationError("proxy-sweep needs a 'sweep' section")
     train_cfg = cfg.train_config()
     output_cfg = cfg.train_config("sweep.output_train")
-    arch = _checked_architecture(cfg, output_cfg.loss)
-    data = make_dataset(cfg.dataset_spec())
+    arch, data = _checked_setup(cfg, output_cfg.loss)
     model = TwoModuleModel(arch, seed=train_cfg.seed)
     artifacts = _write_dataset_summary(outdir, data)
     timing = {}
@@ -246,8 +248,7 @@ def _run_label_efficiency(cfg: ExperimentConfig, outdir: Path):
         raise ConfigurationError(
             "label-efficiency needs a 'label_efficiency' section")
     train_cfg = cfg.train_config()
-    arch = _checked_architecture(cfg, train_cfg.loss)
-    data = make_dataset(cfg.dataset_spec())
+    arch, data = _checked_setup(cfg, train_cfg.loss)
     model = TwoModuleModel(arch, seed=train_cfg.seed)
     artifacts = _write_dataset_summary(outdir, data)
     train_input_module(model, data, train_cfg)

@@ -7,11 +7,11 @@ features, reinitializes the output module, and trains it on the overall
 loss.  An end-to-end baseline trains the same backbone jointly.  Drivers
 for the label-efficiency and proxy-versus-accuracy studies sit on top.
 
-Stage-2 fits that share data, labels, config and feature width train in
-lockstep as one stack of heads (the output modules of a sweep's
-checkpoints, or of transfer candidates): one SGD loop steps them all,
-and each head follows the trajectory it would follow alone.  Training
-is single-threaded and deterministic given the seeds.
+Every stage-2 fit is a stack of output heads sharing data, labels,
+config and feature width, trained in lockstep by one SGD loop
+(``train_output_stack``); a model's own output module or a label budget
+is a stack of one.  Each head follows the trajectory it would follow
+alone.  Training is single-threaded and deterministic given the seeds.
 """
 
 from __future__ import annotations
@@ -194,9 +194,9 @@ class TwoModuleModel:
         self.input_module = AffineStack(dims, arch.hidden_nonlinearity, rng)
         self.link = FeatureMap(nonlinearity=arch.link_nonlinearity,
                                epsilon=arch.link_epsilon)
-        self.output_dim = arch.num_classes if output_dim is None else output_dim
         self.output_weight, self.output_bias = _init_affine(
-            rng, arch.latent_dim, self.output_dim)
+            rng, arch.latent_dim,
+            arch.num_classes if output_dim is None else output_dim)
 
     # -- forward ----------------------------------------------------------
     def pre_link(self, x: ad.Tensor) -> ad.Tensor:
@@ -242,19 +242,12 @@ class TwoModuleModel:
                 p.requires_grad = True
                 p.grad = np.zeros_like(p.data)
 
-    def reinit_output(self, seed, loss: str) -> None:
-        """A fresh output module, as wide as ``loss`` needs."""
-        self.output_dim = self.arch.output_width(loss)
-        rng = np.random.default_rng(seed)
-        W, b = _init_affine(rng, self.arch.latent_dim, self.output_dim)
-        self.output_weight, self.output_bias = W, b
-
     # -- checkpoint files --------------------------------------------------
     def to_checkpoint(self, meta: dict | None = None) -> dict:
         return {
             "format": MODULE_FORMAT,
             "architecture": self.arch.as_dict(),
-            "output_dim": self.output_dim,
+            "output_dim": self.output_weight.data.shape[1],
             "seed": self.seed,
             "tensors": params_to_entries(self.named_params()),
             "meta": meta or {},
@@ -444,12 +437,17 @@ def _usable_batch(rng, labels, idx, cfg: TrainConfig) -> tuple:
 
 def full_proxy_value(model: TwoModuleModel, X: np.ndarray, y: np.ndarray,
                      kind: str) -> float:
-    alpha, beta = model.link.bounds()
+    return _features_proxy(model.link, model.link_features_np(X), y, kind)
+
+
+def _features_proxy(link: FeatureMap, feats: np.ndarray, y: np.ndarray,
+                    kind: str) -> float:
+    """The ``kind`` proxy of the link features ``feats`` under labels
+    ``y``; NaN when the labels lack a pair type it needs."""
     part = proxies.partition_pairs(y)
     if proxies.is_degenerate_for(kind, part):
         return float("nan")
-    return proxies.feature_proxy_value(kind, model.link_features_np(X), part,
-                                       alpha, beta)
+    return proxies.feature_proxy_value(kind, feats, part, *link.bounds())
 
 
 def _record_activations(trace: DynamicsTrace, model: TwoModuleModel,
@@ -470,66 +468,44 @@ def _output_loss(logits: ad.Tensor, labels: np.ndarray,
     return risk_tensor(make_loss(cfg.loss), logits, labels == 1)
 
 
-def _output_logits(model: TwoModuleModel, feats: np.ndarray) -> np.ndarray:
-    return ad.affine(ad.constant(feats), model.output_weight,
-                     model.output_bias).data
-
-
 def freeze_and_train_output(model: TwoModuleModel, data: Dataset,
                             cfg: TrainConfig) -> DynamicsTrace:
     """Reinitialize and train the output module on frozen link features.
 
     Features are computed once (the input module never changes during this
-    stage), so each step touches only the affine output map.  Stops early
-    when the full-train loss plateaus.
+    stage), and the module trains as a stack of one head
+    (``train_output_stack``), which then becomes the model's output module.
     """
     model.freeze_input()
-    model.reinit_output(_derived_seed(cfg.seed, "output-init"), cfg.loss)
-    feats_train = model.link_features_np(data.X_train)
-    feats_test = model.link_features_np(data.X_test)
-    traces, _, _ = _fit_output(model.output_weight, model.output_bias,
-                               feats_train, data.y_train, feats_test,
-                               data.y_test, cfg)
+    width = model.arch.output_width(cfg.loss)
+    traces, W, b = train_output_stack(
+        model.link_features_np(data.X_train)[None], data.y_train,
+        model.link_features_np(data.X_test)[None], data.y_test, width, cfg)
+    model.output_weight, model.output_bias = (
+        ad.Tensor(t[0], requires_grad=True) for t in (W, b))
     return traces[0]
 
 
 def train_output_stack(feats_train: np.ndarray, y_train: np.ndarray,
                        feats_test: np.ndarray, y_test: np.ndarray,
                        width: int, cfg: TrainConfig) -> tuple:
-    """Fresh output heads of ``width`` columns on K frozen feature sets
-    (K-by-n-by-d arrays sharing labels), fitted in lockstep.
+    """Stage 2: fresh output heads of ``width`` columns on K frozen feature
+    sets (K-by-n-by-d arrays sharing labels), fitted in lockstep by
+    momentum SGD; one head is a stack of one.
 
-    Each head starts as ``freeze_and_train_output`` starts one, sees the
-    same batches and stops on its own plateau, so it follows the
-    trajectory it would follow alone.  Returns (one trace per head, the
-    K-by-d-by-width weights, the K-by-width biases).
+    Every head starts from the same seed-derived init and sees the same
+    batches.  A step descends the sum of the K batch losses, whose
+    gradient with respect to head k is that head's own, so each head
+    follows the trajectory it would follow alone.  After each epoch every
+    head takes its full-train loss; one that has plateaued records its
+    last trace row and leaves the stack.  Returns (one trace per head, the
+    K-by-d-by-width weights, the K-by-width biases), in stack order.
     """
     count, _, dim = feats_train.shape
     rng = np.random.default_rng(_derived_seed(cfg.seed, "output-init"))
     W, b = (ad.Tensor(np.repeat(t.data[None], count, axis=0),
                       requires_grad=True)
             for t in _init_affine(rng, dim, width))
-    return _fit_output(W, b, feats_train, y_train, feats_test, y_test, cfg)
-
-
-def _fit_output(W: ad.Tensor, b: ad.Tensor, feats_train, y_train,
-                feats_test, y_test, cfg: TrainConfig) -> tuple:
-    """Stage 2: momentum SGD on one output head (W: d-by-C, features
-    n-by-d) or on a stack of K (a leading axis of K on W, b and the
-    features).
-
-    A step descends the sum of the K batch losses, whose gradient with
-    respect to head k is that head's own.  After each epoch every head
-    takes its full-train loss; one that has plateaued records its last
-    trace row and leaves the stack.  Returns (one trace per head, the
-    final W and b of every head, in stack order).
-    """
-    stacked = W.data.ndim == 3
-
-    def by_head(arr: np.ndarray) -> np.ndarray:
-        return arr if stacked else arr[None]
-
-    count = by_head(W.data).shape[0]
     traces = [DynamicsTrace() for _ in range(count)]
     weights, biases = np.empty_like(W.data), np.empty_like(b.data)
     heads = np.arange(count)  # the head at each stack position
@@ -537,42 +513,38 @@ def _fit_output(W: ad.Tensor, b: ad.Tensor, feats_train, y_train,
     stale = np.zeros(count, dtype=np.int64)
 
     def retire(positions) -> None:
-        by_head(weights)[heads[positions]] = by_head(W.data)[positions]
-        by_head(biases)[heads[positions]] = by_head(b.data)[positions]
+        weights[heads[positions]] = W.data[positions]
+        biases[heads[positions]] = b.data[positions]
 
     def batch_loss(idx):
-        feats = feats_train.take(idx, axis=-2)
-        loss = _output_loss(ad.affine(ad.constant(feats), W, b), y_train[idx],
-                            cfg)
-        return ad.tensor_sum(loss) if stacked else loss
+        logits = ad.affine(ad.constant(feats_train.take(idx, axis=1)), W, b)
+        return ad.tensor_sum(_output_loss(logits, y_train[idx], cfg))
 
     def end_epoch(done: int, lr: float):
         nonlocal heads, best, stale, feats_train, feats_test
         logits = ad.affine(ad.constant(feats_train), W, b)
-        full = by_head(_output_loss(logits, y_train, cfg).data)
+        full = _output_loss(logits, y_train, cfg).data
         stale = np.where(best - full < cfg.plateau_tol, stale + 1, 0)
         stop = stale >= cfg.plateau_patience
         best = np.fmin(best, full)
         stopping, due = stop.any(), _trace_due(cfg, done)
         if stopping or due:
-            train_logits = by_head(logits.data)
-            test_logits = by_head(ad.affine(ad.constant(feats_test), W, b).data)
+            test_logits = ad.affine(ad.constant(feats_test), W, b).data
             for i in np.flatnonzero(stop | due):
                 traces[heads[i]].add(
                     "output", done, lr, float(full[i]),
-                    accuracy(train_logits[i], y_train),
+                    accuracy(logits.data[i], y_train),
                     accuracy(test_logits[i], y_test))
         if not stopping:
             return None
         retire(stop)
         going_on = np.flatnonzero(~stop)
         heads, best, stale = heads[going_on], best[going_on], stale[going_on]
-        if stacked:
-            feats_train, feats_test = feats_train[going_on], feats_test[going_on]
+        feats_train, feats_test = feats_train[going_on], feats_test[going_on]
         return going_on
 
     rng = np.random.default_rng(_derived_seed(cfg.seed, "output-batches"))
-    _fit([W, b], cfg, rng, feats_train.shape[-2], batch_loss, end_epoch)
+    _fit([W, b], cfg, rng, feats_train.shape[1], batch_loss, end_epoch)
     retire(np.arange(heads.size))
     return traces, weights, biases
 
@@ -619,14 +591,16 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
     """Retrain the output module on shrinking labeled subsets.
 
     The input module must already be trained (pairwise supervision only);
-    each budget reinitializes the output module and returns test accuracy
-    plus per-class recall.  Rows: dicts keyed budget/test_accuracy/recall.
+    each budget fits a fresh output head (a stack of one) and returns
+    test accuracy plus per-class recall; the model's own output module is
+    left as it is.  Rows: dicts keyed budget/test_accuracy/recall.
     """
     model.freeze_input()
     feats_train = model.link_features_np(data.X_train)
     feats_test = model.link_features_np(data.X_test)
     n = data.X_train.shape[0]
     num_classes = data.num_classes
+    width = model.arch.output_width(cfg.loss)
     rows = []
     for budget in label_budgets:
         budget = int(budget)
@@ -653,11 +627,10 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
             chosen = np.concatenate(picks)
         else:
             chosen = rng.choice(n, size=budget, replace=False)
-        model.reinit_output(_derived_seed(cfg.seed, "output-init"), cfg.loss)
-        _fit_output(model.output_weight, model.output_bias,
-                    feats_train[chosen], data.y_train[chosen], feats_test,
-                    data.y_test, cfg)
-        logits = _output_logits(model, feats_test)
+        _, W, b = train_output_stack(feats_train[None, chosen],
+                                     data.y_train[chosen], feats_test[None],
+                                     data.y_test, width, cfg)
+        logits = feats_test @ W[0] + b[0]
         acc = accuracy(logits, data.y_test)
         pred = _predict(logits)
         recall = []
@@ -700,9 +673,9 @@ def proxy_accuracy_sweep(model: TwoModuleModel, data: Dataset,
     for epoch in checkpoint_epochs:
         for p, arr in zip(model.input_params(), snapshots[epoch]):
             p.data = arr
-        values.append(full_proxy_value(model, data.X_train, data.y_train,
-                                       cfg.proxy))
         feats_train.append(model.link_features_np(data.X_train))
+        values.append(_features_proxy(model.link, feats_train[-1],
+                                      data.y_train, cfg.proxy))
         feats_test.append(model.link_features_np(data.X_test))
     for p, arr in zip(model.input_params(), final_input):
         p.data = arr

@@ -1,10 +1,13 @@
 """Independent reference implementations the tests check the library against.
 
 Everything here is deliberately naive (explicit loops, textbook formulas)
-and shares no code with the package.
+and shares no code with the package, except ``one_head_stage_two``: it
+replays one stage-2 fit on the package's 2-D autodiff nodes, so that the
+stacked fit can be held to it bit for bit.
 """
 
 import math
+import zlib
 
 import numpy as np
 
@@ -234,3 +237,56 @@ def average_ranks_reference(values):
         ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
+
+
+def one_head_stage_two(feats_train, y_train, feats_test, y_test, width, cfg):
+    """One cross-entropy output head of ``width`` logits on n-by-d link
+    features, fitted by a plain 2-D loop: the seed-derived init and batch
+    order, momentum SGD over the schedule, and a stop once the full-train
+    loss has failed to improve by ``plateau_tol`` for ``plateau_patience``
+    epochs in a row.  Returns (trace rows, W, b)."""
+    from modkernel import autodiff as ad
+
+    def derived_rng(label):
+        return np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, zlib.crc32(label.encode())]))
+
+    def accuracy(logits, labels):
+        return float((logits.argmax(axis=1) == labels).mean())
+
+    dim = feats_train.shape[1]
+    init = derived_rng("output-init")
+    bound = 1.0 / np.sqrt(dim)
+    W = ad.Tensor(init.uniform(-bound, bound, (dim, width)), requires_grad=True)
+    b = ad.Tensor(init.uniform(-bound, bound, width), requires_grad=True)
+    opt = ad.SgdMomentum([W, b], cfg.lr_schedule[0][0], cfg.momentum)
+    order_rng = derived_rng("output-batches")
+    rows, best, stale, done = [], np.inf, 0, 0
+    n = feats_train.shape[0]
+    for lr, epochs in cfg.lr_schedule:
+        for _ in range(epochs):
+            opt.learning_rate = lr
+            order = order_rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                loss = ad.cross_entropy_logits(
+                    ad.affine(ad.constant(feats_train[idx]), W, b), y_train[idx])
+                opt.zero_grad()
+                ad.backward(loss)
+                opt.step()
+            done += 1
+            logits = ad.affine(ad.constant(feats_train), W, b)
+            full = ad.cross_entropy_logits(logits, y_train).item()
+            stale = stale + 1 if best - full < cfg.plateau_tol else 0
+            best = min(best, full)
+            stop = stale >= cfg.plateau_patience
+            if stop or done % cfg.trace_every == 0 or done == cfg.total_epochs:
+                test_logits = feats_test @ W.data + b.data
+                rows.append({"stage": "output", "epoch": done, "lr": lr,
+                             "objective": full,
+                             "train_accuracy": accuracy(logits.data, y_train),
+                             "test_accuracy": accuracy(test_logits, y_test),
+                             "resamples": 0})
+            if stop:
+                return rows, W.data, b.data
+    return rows, W.data, b.data

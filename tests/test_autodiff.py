@@ -256,7 +256,8 @@ class TestStackAxis:
     d and C at least 2, each slice of the values and gradients has the
     bits of the 2-D nodes on that slice."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
     @given(K=st.integers(1, 4), n=st.integers(1, 70), d=st.integers(2, 5),
            C=st.integers(2, 6), kind=st.sampled_from([None, "tanh"]),
            seed=st.integers(0, 2 ** 32 - 1))

@@ -443,6 +443,32 @@ class TestBinaryLosses:
         assert list(out.iterdir()) == []
 
 
+class TestLabelsOutsideTheClasses:
+    """A label below 0 or at or above the class count stops a training run
+    with exit 2 before it writes anything."""
+
+    @pytest.mark.parametrize("labels,message", [
+        ((0, -1), "line 2 (byte offset 10) has a negative label -1"),
+        ((0, 5), "the dataset has label 5, but the architecture has 2 classes")])
+    @pytest.mark.parametrize("experiment", list(TestBinaryLosses.EXTRA))
+    def test_exits_2_with_nothing_written(self, tmp_path, capsys, experiment,
+                                          labels, message):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("".join(f"{i}.0,1.0,{labels[i % 2]}\n"
+                                    for i in range(8)))
+        out = tmp_path / "out"
+        doc = dict(experiment=experiment, output_dir=str(out),
+                   dataset={"kind": "csv-file", "path": str(csv_path)},
+                   architecture={"input_dim": 2, "hidden_widths": [4],
+                                 "latent_dim": 2},
+                   train={"batch_size": 4, "lr_schedule": [[0.05, 2]]},
+                   **TestBinaryLosses.EXTRA[experiment])
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert list(out.iterdir()) == []
+
+
 class TestCli:
     def test_dump_config(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL_LEMMA)

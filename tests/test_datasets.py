@@ -86,6 +86,13 @@ class TestCsvIngestion:
                            match=r"line 3 \(byte offset 20\) has a non-finite"):
             make_dataset(DatasetSpec(kind="csv-file", path=str(path), seed=0))
 
+    def test_negative_label_reports_line_and_byte_offset(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,2.0,0\n3.0,4.0,-1\n")
+        with pytest.raises(IngestionError, match=r"line 2 \(byte offset 10\) "
+                           "has a negative label -1"):
+            make_dataset(DatasetSpec(kind="csv-file", path=str(path), seed=0))
+
 
 def write_idx_pair(tmp_path, count=10, rows=4, cols=3,
                    magic_img=0x00000803, magic_lbl=0x00000801):

@@ -14,7 +14,7 @@ from modkernel.training import (ArchitectureSpec, TrainConfig, TwoModuleModel,
                                 train_output_stack, full_proxy_value,
                                 TRACE_HEADER)
 
-from oracles import proxy_references
+from oracles import one_head_stage_two, proxy_references
 
 
 def blob_data(n=200, d=6, classes=4, seed=3, split=0.75):
@@ -213,6 +213,15 @@ class TestLabelEfficiency:
         model.unfreeze_input()
         assert rows[0]["test_accuracy"] == trace.final("test_accuracy")
 
+    def test_changes_no_model_parameter(self):
+        model, data = self._trained()
+        freeze_and_train_output(model, data, quick_cfg())
+        before = param_bytes(model.params())
+        label_efficiency_run(model, data, [8, 20], balanced=True, seed=0,
+                             cfg=quick_cfg())
+        model.unfreeze_input()
+        assert param_bytes(model.params()) == before
+
     def test_balanced_budget_below_class_count_rejected(self):
         model, data = self._trained()
         with pytest.raises(ConfigurationError):
@@ -342,6 +351,52 @@ class TestLockstepStageTwo:
         assert ([r["accuracy"] for r in rows]
                 == [r["accuracy"] for r in serial_rows])
         assert [r["proxy"] for r in rows] == [r["proxy"] for r in serial_rows]
+
+    @pytest.mark.parametrize("patience", [2, 10 ** 6])
+    def test_one_head_matches_the_2d_loop(self, patience):
+        """freeze_and_train_output, a stack of one head, has the weights
+        and trace of a plain 2-D fit of that head."""
+        data = blob_data()
+        model = TwoModuleModel(small_arch(), seed=0)
+        train_input_module(model, data, quick_cfg())
+        cfg = self._output_cfg(plateau_patience=patience, plateau_tol=3e-3)
+        rows, W, b = one_head_stage_two(
+            model.link_features_np(data.X_train), data.y_train,
+            model.link_features_np(data.X_test), data.y_test, 4, cfg)
+        trace = freeze_and_train_output(model, data, cfg)
+        model.unfreeze_input()
+        assert hexes(model.output_weight.data) == hexes(W)
+        assert hexes(model.output_bias.data) == hexes(b)
+        assert trace.rows == rows
+        assert (hexes([r["objective"] for r in trace.rows])
+                == hexes([r["objective"] for r in rows]))
+        assert (rows[-1]["epoch"] < cfg.total_epochs) == (patience == 2)
+
+    def test_sweep_reads_each_checkpoints_features_once(self, monkeypatch):
+        """After stage 1, the sweep reads the training link features of
+        each checkpoint once, for both its proxy value and its head."""
+        import modkernel.training as training
+        data = blob_data()
+        reads = []
+        stage_one = training.train_input_module
+
+        def counted_stage_one(*args, **kw):
+            out = stage_one(*args, **kw)
+            reads.clear()
+            return out
+
+        link_features_np = TwoModuleModel.link_features_np
+
+        def counted_link_features(self, X):
+            reads.append(X is data.X_train)
+            return link_features_np(self, X)
+
+        monkeypatch.setattr(training, "train_input_module", counted_stage_one)
+        monkeypatch.setattr(TwoModuleModel, "link_features_np",
+                            counted_link_features)
+        proxy_accuracy_sweep(TwoModuleModel(small_arch(), seed=0), data,
+                             [0, 3, 8], quick_cfg())
+        assert reads.count(True) == 3
 
     def test_sweep_reports_its_stage_times(self):
         timing = {}

@@ -29,7 +29,6 @@ print("stage 2: output module on the frozen features")
 trace2 = freeze_and_train_output(modular, data, cfg)
 print(f"  train acc {trace2.final('train_accuracy'):.3f}, "
       f"test acc {trace2.final('test_accuracy'):.3f}")
-modular.unfreeze_input()
 
 baseline = TwoModuleModel(arch, seed=5)
 trace3 = train_end_to_end(baseline, data, cfg)

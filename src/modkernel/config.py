@@ -9,15 +9,13 @@ are validated against the committed report schema.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from .datasets import DatasetSpec
 from .errors import ConfigurationError
 from .serialize import dump_json
-from .training import ArchitectureSpec, TrainConfig, _is_integer
+from .training import ArchitectureSpec, TrainConfig, _is_finite, _is_integer
 from .transfer import SCORING_DEFAULTS, validate_subsample_fraction
 
 EXPERIMENT_KINDS = ("sanity-dynamics", "proxy-sweep", "modular-vs-e2e",
@@ -108,8 +106,7 @@ def check_lemma_settings(instances, dims, seed, tolerance) -> None:
     if not _is_integer(seed, 0):
         raise ConfigurationError(
             f"lemma 'seed' must be an integer >= 0, got {seed!r}")
-    if (not isinstance(tolerance, numbers.Real) or isinstance(tolerance, bool)
-            or not math.isfinite(tolerance) or tolerance < 0):
+    if not (_is_finite(tolerance) and tolerance >= 0):
         raise ConfigurationError(
             f"lemma 'tolerance' must be a finite number >= 0, got {tolerance!r}")
 

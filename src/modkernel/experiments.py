@@ -174,7 +174,6 @@ def _run_sanity_dynamics(cfg: ExperimentConfig, outdir: Path):
     artifacts += _save_checkpoint(outdir, "stage2_checkpoint", model,
                                   {"stage": "output"})
     artifacts += _write_activations(outdir, [trace_in], data)
-    model.unfreeze_input()
     metrics = {
         "final_proxy": trace_in.final("objective"),
         "train_accuracy": trace_out.final("train_accuracy"),
@@ -193,7 +192,6 @@ def _run_modular_vs_e2e(cfg: ExperimentConfig, outdir: Path):
     modular = TwoModuleModel(arch, seed=train_cfg.seed)
     trace_in, _ = train_input_module(modular, data, input_cfg)
     trace_out = freeze_and_train_output(modular, data, train_cfg)
-    modular.unfreeze_input()
 
     baseline = TwoModuleModel(arch, seed=train_cfg.seed,
                               output_dim=arch.output_width(train_cfg.loss))

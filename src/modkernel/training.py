@@ -2,10 +2,12 @@
 
 Stage one trains the input module alone by gradient ascent on a pairwise
 proxy objective evaluated through the link feature map; the output module
-is never touched.  Stage two freezes the input module, caches its link
-features, reinitializes the output module, and trains it on the overall
-loss.  An end-to-end baseline trains the same backbone jointly.  Drivers
-for the label-efficiency and proxy-versus-accuracy studies sit on top.
+is never touched.  Stage two trains a fresh output module on the link
+features, read once; the input module stays frozen because no fit steps
+it, and every read outside a training step runs on constants of the
+parameter arrays, so no read changes the model.  An end-to-end baseline
+trains the same backbone jointly.  Drivers for the label-efficiency and
+proxy-versus-accuracy studies sit on top.
 
 Every stage-2 fit is a stack of output heads sharing data, labels,
 config and feature width, trained in lockstep by one SGD loop
@@ -16,6 +18,7 @@ alone.  Training is single-threaded and deterministic given the seeds.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 import zlib
@@ -39,6 +42,11 @@ TRACE_HEADER = ("stage", "epoch", "lr", "objective",
 def _is_integer(value, least: int) -> bool:
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= least)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -72,9 +80,9 @@ class ArchitectureSpec:
                     f"unknown {name} {getattr(self, name)!r}; expected one "
                     f"of {NONLINEARITIES}")
         eps = self.link_epsilon
-        if (isinstance(eps, bool) or not isinstance(eps, numbers.Real)
-                or not eps > 0):
-            raise ConfigurationError(f"link_epsilon must be > 0, got {eps!r}")
+        if not (_is_finite(eps) and eps > 0):
+            raise ConfigurationError(
+                f"link_epsilon must be a finite number > 0, got {eps!r}")
 
     def output_width(self, loss: str) -> int:
         """Columns of the output module under ``loss``: one score for a
@@ -114,9 +122,9 @@ class TrainConfig:
         if not self.lr_schedule:
             raise ConfigurationError("lr_schedule must be nonempty")
         for lr, epochs in self.lr_schedule:
-            if lr <= 0 or epochs < 0:
+            if not (_is_finite(lr) and lr > 0 and _is_integer(epochs, 0)):
                 raise ConfigurationError(
-                    f"bad schedule entry (lr={lr}, epochs={epochs})")
+                    f"bad lr_schedule entry (lr={lr!r}, epochs={epochs!r})")
         if self.batch_size < 2:
             raise ConfigurationError("batch_size must be at least 2")
         if not 0.0 <= self.momentum < 1.0:
@@ -126,6 +134,9 @@ class TrainConfig:
             raise ConfigurationError("trace_every must be at least 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not (_is_finite(self.plateau_tol) and self.plateau_tol >= 0):
+            raise ConfigurationError("plateau_tol must be a finite number "
+                                     f">= 0, got {self.plateau_tol!r}")
         proxies.validate_proxy_kind(self.proxy)
         if self.loss != "xe" and self.loss not in LOSS_KINDS:
             raise ConfigurationError(
@@ -141,7 +152,8 @@ class TrainConfig:
         if "lr_schedule" in doc:
             try:
                 doc["lr_schedule"] = tuple(
-                    (float(lr), int(ep)) for lr, ep in doc["lr_schedule"])
+                    (float(lr) if _is_finite(lr) else lr, ep)
+                    for lr, ep in doc["lr_schedule"])
             except (TypeError, ValueError):
                 raise ConfigurationError(
                     "lr_schedule must be a list of [lr, epochs] pairs, got "
@@ -156,20 +168,20 @@ def _init_affine(rng: np.random.Generator, d_in: int, d_out: int) -> tuple:
     return W, b
 
 
-class AffineStack:
-    """Fully-connected layers with a nonlinearity between (not after) them."""
+def _affine_chain(x: ad.Tensor, params: list, nonlinearity: str) -> ad.Tensor:
+    """``x`` through layers [W0, b0, W1, b1, ...], ``nonlinearity`` between."""
+    for i in range(0, len(params), 2):
+        kind = nonlinearity if i + 2 < len(params) else None
+        x = ad.affine(x, params[i], params[i + 1], kind)
+    return x
 
-    def __init__(self, dims, nonlinearity: str, rng: np.random.Generator):
-        self.nonlinearity = nonlinearity
+
+class AffineStack:
+    """The (weight, bias) pairs of fully-connected layers."""
+
+    def __init__(self, dims, rng: np.random.Generator):
         self.layers = [_init_affine(rng, dims[i], dims[i + 1])
                        for i in range(len(dims) - 1)]
-
-    def forward(self, x: ad.Tensor) -> ad.Tensor:
-        out = x
-        last = len(self.layers) - 1
-        for i, (W, b) in enumerate(self.layers):
-            out = ad.affine(out, W, b, self.nonlinearity if i < last else None)
-        return out
 
     def params(self) -> list:
         return [t for pair in self.layers for t in pair]
@@ -191,7 +203,7 @@ class TwoModuleModel:
         self.seed = seed
         rng = np.random.default_rng(seed)
         dims = [arch.input_dim, *arch.hidden_widths, arch.latent_dim]
-        self.input_module = AffineStack(dims, arch.hidden_nonlinearity, rng)
+        self.input_module = AffineStack(dims, rng)
         self.link = FeatureMap(nonlinearity=arch.link_nonlinearity,
                                epsilon=arch.link_epsilon)
         self.output_weight, self.output_bias = _init_affine(
@@ -200,20 +212,17 @@ class TwoModuleModel:
 
     # -- forward ----------------------------------------------------------
     def pre_link(self, x: ad.Tensor) -> ad.Tensor:
-        return self.input_module.forward(x)
-
-    def link_features(self, x: ad.Tensor) -> ad.Tensor:
-        return self.link.apply_tensor(self.pre_link(x))
+        return _affine_chain(x, self.input_params(),
+                             self.arch.hidden_nonlinearity)
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
-        return ad.affine(self.link_features(x), self.output_weight,
-                         self.output_bias)
+        return ad.affine(self.link.apply_tensor(self.pre_link(x)),
+                         self.output_weight, self.output_bias)
 
     def link_features_np(self, X: np.ndarray) -> np.ndarray:
-        return self.link_features(ad.constant(X)).data
-
-    def logits_np(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(ad.constant(X)).data
+        """The link features of ``X``, read forward-only."""
+        return _read_link_features(self, X,
+                                   [p.data for p in self.input_params()])
 
     # -- parameters -------------------------------------------------------
     def input_params(self) -> list:
@@ -231,16 +240,9 @@ class TwoModuleModel:
         named.append(("output.bias", self.output_bias))
         return named
 
-    def freeze_input(self) -> None:
-        for p in self.input_params():
-            p.requires_grad = False
-            p.grad = None
-
     def unfreeze_input(self) -> None:
-        for p in self.input_params():
-            if p.grad is None:
-                p.requires_grad = True
-                p.grad = np.zeros_like(p.data)
+        """No-op, bound only for the benchmark's train-wide pass
+        (perfbench/workloads.py); it goes with that call (ROADMAP item 3)."""
 
     # -- checkpoint files --------------------------------------------------
     def to_checkpoint(self, meta: dict | None = None) -> dict:
@@ -293,6 +295,15 @@ class TwoModuleModel:
         return model
 
 
+def _read_link_features(model: TwoModuleModel, X: np.ndarray,
+                        arrays: list) -> np.ndarray:
+    """The link features of ``X`` under input-module ``arrays`` (in
+    ``input_params`` order), built on constants: no node keeps a graph."""
+    acts = _affine_chain(ad.constant(X), [ad.constant(a) for a in arrays],
+                         model.arch.hidden_nonlinearity)
+    return model.link.apply_tensor(acts).data
+
+
 @dataclass
 class DynamicsTrace:
     """Per-checkpoint training records, plus 2-D link activations when the
@@ -302,7 +313,9 @@ class DynamicsTrace:
     activations: list = field(default_factory=list)
 
     def add(self, stage: str, epoch: int, lr: float, objective: float,
-            train_acc: float, test_acc: float, resamples: int = 0) -> None:
+            train_acc: float, test_acc: float, resamples: int = 0,
+            feats: np.ndarray | None = None) -> None:
+        """Append a row; 2-D link features ``feats`` join the activations."""
         if self.rows and self.rows[-1]["stage"] == stage:
             if epoch <= self.rows[-1]["epoch"]:
                 raise ConfigurationError("trace epochs must strictly increase")
@@ -311,6 +324,8 @@ class DynamicsTrace:
             "train_accuracy": train_acc, "test_accuracy": test_acc,
             "resamples": resamples,
         })
+        if feats is not None and feats.shape[1] == 2:
+            self.activations.append((epoch, feats))
 
     def to_csv(self, path) -> None:
         write_csv(path, TRACE_HEADER,
@@ -407,10 +422,10 @@ def train_input_module(model: TwoModuleModel, data: Dataset, cfg: TrainConfig,
         nonlocal resamples
         snap_if_wanted(done)
         if _trace_due(cfg, done):
-            value = full_proxy_value(model, data.X_train, data.y_train, cfg.proxy)
+            feats = model.link_features_np(data.X_train)
+            value = _features_proxy(model.link, feats, data.y_train, cfg.proxy)
             trace.add("input", done, lr, value, float("nan"), float("nan"),
-                      resamples)
-            _record_activations(trace, model, data, done)
+                      resamples, feats)
         resamples = 0
 
     snap_if_wanted(0)
@@ -450,12 +465,6 @@ def _features_proxy(link: FeatureMap, feats: np.ndarray, y: np.ndarray,
     return proxies.feature_proxy_value(kind, feats, part, *link.bounds())
 
 
-def _record_activations(trace: DynamicsTrace, model: TwoModuleModel,
-                        data: Dataset, epoch: int) -> None:
-    if model.arch.latent_dim == 2:
-        trace.activations.append((epoch, model.link_features_np(data.X_train)))
-
-
 # ---------------------------------------------------------------------------
 # stage two: overall-loss descent on the output module alone
 # ---------------------------------------------------------------------------
@@ -470,13 +479,12 @@ def _output_loss(logits: ad.Tensor, labels: np.ndarray,
 
 def freeze_and_train_output(model: TwoModuleModel, data: Dataset,
                             cfg: TrainConfig) -> DynamicsTrace:
-    """Reinitialize and train the output module on frozen link features.
+    """Reinitialize and train the output module on fixed link features.
 
-    Features are computed once (the input module never changes during this
-    stage), and the module trains as a stack of one head
-    (``train_output_stack``), which then becomes the model's output module.
+    The features are read once, forward-only, and the module trains on
+    them as a stack of one head (``train_output_stack``), which then
+    becomes the model's output module.  The input module is left as it is.
     """
-    model.freeze_input()
     width = model.arch.output_width(cfg.loss)
     traces, W, b = train_output_stack(
         model.link_features_np(data.X_train)[None], data.y_train,
@@ -569,13 +577,15 @@ def train_end_to_end(model: TwoModuleModel, data: Dataset,
 
     def end_epoch(done: int, lr: float) -> None:
         if _trace_due(cfg, done):
-            logits = model.forward(ad.constant(data.X_train))
-            full_loss = _output_loss(logits, data.y_train, cfg)
-            train_acc = accuracy(logits.data, data.y_train)
-            test_acc = accuracy(model.logits_np(data.X_test), data.y_test)
-            trace.add("e2e", done, lr, float(full_loss.item()),
-                      train_acc, test_acc)
-            _record_activations(trace, model, data, done)
+            W, b = (ad.constant(t.data) for t in model.output_params())
+            feats = model.link_features_np(data.X_train)
+            logits = ad.affine(ad.constant(feats), W, b)
+            test_logits = ad.affine(
+                ad.constant(model.link_features_np(data.X_test)), W, b)
+            trace.add("e2e", done, lr,
+                      float(_output_loss(logits, data.y_train, cfg).item()),
+                      accuracy(logits.data, data.y_train),
+                      accuracy(test_logits.data, data.y_test), feats=feats)
 
     _fit(model.params(), cfg, np.random.default_rng(cfg.seed),
          data.X_train.shape[0], batch_loss, end_epoch)
@@ -595,7 +605,6 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
     test accuracy plus per-class recall; the model's own output module is
     left as it is.  Rows: dicts keyed budget/test_accuracy/recall.
     """
-    model.freeze_input()
     feats_train = model.link_features_np(data.X_train)
     feats_test = model.link_features_np(data.X_test)
     n = data.X_train.shape[0]
@@ -667,19 +676,13 @@ def proxy_accuracy_sweep(model: TwoModuleModel, data: Dataset,
         raise ConfigurationError(
             f"checkpoint epochs {beyond} exceed the schedule "
             f"({cfg.total_epochs} epochs)")
-    final_input = [p.data for p in model.input_params()]
-    model.freeze_input()
     values, feats_train, feats_test = [], [], []
     for epoch in checkpoint_epochs:
-        for p, arr in zip(model.input_params(), snapshots[epoch]):
-            p.data = arr
-        feats_train.append(model.link_features_np(data.X_train))
+        snapshot = snapshots[epoch]
+        feats_train.append(_read_link_features(model, data.X_train, snapshot))
         values.append(_features_proxy(model.link, feats_train[-1],
                                       data.y_train, cfg.proxy))
-        feats_test.append(model.link_features_np(data.X_test))
-    for p, arr in zip(model.input_params(), final_input):
-        p.data = arr
-    model.unfreeze_input()
+        feats_test.append(_read_link_features(model, data.X_test, snapshot))
     traces, _, _ = train_output_stack(
         np.stack(feats_train), data.y_train, np.stack(feats_test),
         data.y_test, model.arch.output_width(output_cfg.loss), output_cfg)

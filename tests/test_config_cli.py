@@ -4,13 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modkernel.cli import main
-from modkernel.config import (TRAIN_OVERRIDES, dump_config, load_config,
-                              validate_schema)
+from modkernel.config import (EXPERIMENT_KINDS, TRAIN_OVERRIDES, dump_config,
+                              load_config, validate_schema)
+from modkernel.kernels import NONLINEARITIES
+from modkernel.losses import LOSS_KINDS
+from modkernel.proxies import PROXY_KINDS
 from modkernel.errors import ConfigurationError
 from modkernel.experiments import REPORT_SCHEMA, run_experiment
 from modkernel.serialize import read_json
@@ -28,6 +33,70 @@ MINIMAL_LEMMA = {
     "experiment": "lemma-suite",
     "lemma": {"instances": 200, "seed": 1},
 }
+
+
+def _floats(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+def _section(required=None, **optional):
+    return st.fixed_dictionaries(required or {}, optional=optional)
+
+
+_TRAIN_SECTIONS = _section(
+    batch_size=st.integers(2, 512),
+    lr_schedule=st.lists(st.tuples(_floats(1e-6, 1.0) | st.integers(1, 3),
+                                   st.integers(0, 100)).map(list),
+                         min_size=1, max_size=3),
+    momentum=_floats(0.0, 0.99), seed=st.integers(0, 2 ** 32),
+    proxy=st.sampled_from(PROXY_KINDS),
+    loss=st.sampled_from(("xe",) + LOSS_KINDS),
+    trace_every=st.integers(1, 50), plateau_tol=_floats(0.0, 1.0),
+    plateau_patience=st.integers(1, 50), resample_limit=st.integers(0, 500))
+
+
+@st.composite
+def config_docs(draw):
+    """Valid config documents: every section optional, each key of a
+    section optional, values drawn from their valid ranges."""
+    doc = {"experiment": draw(st.sampled_from(EXPERIMENT_KINDS))}
+    sections = {
+        "output_dir": st.text("abcxyz/-_0123", min_size=1, max_size=12),
+        "dataset": _section(
+            {"kind": st.sampled_from(("gaussian-blobs", "random-label"))},
+            n=st.integers(1, 500), d=st.integers(1, 20),
+            num_classes=st.integers(2, 6), seed=st.integers(0, 10 ** 6),
+            split_fraction=_floats(0.01, 1.0), separation=_floats(0.0, 20.0),
+            noise=_floats(0.0, 5.0)),
+        "architecture": _section(
+            input_dim=st.none() | st.integers(1, 20),
+            hidden_widths=st.lists(st.integers(1, 64), max_size=3),
+            latent_dim=st.integers(1, 8),
+            num_classes=st.none() | st.integers(2, 6),
+            hidden_nonlinearity=st.sampled_from(NONLINEARITIES),
+            link_nonlinearity=st.sampled_from(NONLINEARITIES),
+            link_epsilon=_floats(1e-15, 1e-3)),
+        "train": _TRAIN_SECTIONS,
+        "sweep": _section(
+            {"checkpoint_epochs": st.lists(st.integers(0, 50), max_size=4)},
+            output_train=st.none() | _TRAIN_SECTIONS),
+        "modular": _section(input_train=st.none() | _TRAIN_SECTIONS),
+        "label_efficiency": _section(
+            {"budgets": st.lists(st.integers(1, 100), max_size=4)},
+            balanced=st.booleans(), seed=st.integers(0, 10 ** 6)),
+        "lemma": _section(
+            instances=st.integers(1, 10 ** 5),
+            dims=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+            seed=st.integers(0, 10 ** 6), tolerance=_floats(0.0, 1e-3)),
+        "thresholds": _section(
+            min_train_accuracy=_floats(0.0, 1.0),
+            max_accuracy_gap=_floats(0.0, 1.0) | st.integers(0, 1),
+            min_spearman=_floats(-1.0, 1.0)),
+    }
+    for key, strategy in sections.items():
+        if draw(st.booleans()):
+            doc[key] = draw(strategy)
+    return doc
 
 
 class TestConfigLoading:
@@ -71,7 +140,12 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("train", [{"trace_every": 0},
                                        {"momentum": 1.0},
-                                       {"momentum": -0.1}])
+                                       {"momentum": -0.1},
+                                       {"lr_schedule": [[float("nan"), 2]]},
+                                       {"lr_schedule": [[float("inf"), 2]]},
+                                       {"plateau_tol": float("nan")},
+                                       {"lr_schedule": [[0.1, 2.5]]},
+                                       {"lr_schedule": [[0.1, True]]}])
     def test_bad_train_value_rejected_at_load(self, tmp_path, train):
         doc = {"experiment": "sanity-dynamics", "train": train}
         with pytest.raises(ConfigurationError, match=next(iter(train))):
@@ -132,6 +206,20 @@ class TestConfigLoading:
         path2 = tmp_path / "canonical.json"
         path2.write_text(text1)
         cfg2 = load_config(path2)
+        assert cfg2.resolved == cfg1.resolved
+        assert dump_config(cfg2) == text1
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(doc=config_docs())
+    def test_round_trip_holds_for_generated_configs(self, doc):
+        """load -> dump_config -> load is the identity on every valid
+        config, and the dumped text is a fixed point."""
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg1 = load_config(write_config(Path(tmp), doc))
+            text1 = dump_config(cfg1)
+            path2 = Path(tmp) / "canonical.json"
+            path2.write_text(text1)
+            cfg2 = load_config(path2)
         assert cfg2.resolved == cfg1.resolved
         assert dump_config(cfg2) == text1
 

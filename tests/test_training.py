@@ -5,7 +5,7 @@ import modkernel.autodiff as ad
 from modkernel import proxies
 from modkernel.datasets import Dataset, DatasetSpec, make_dataset
 from modkernel.errors import ConfigurationError
-from modkernel.kernels import kernel_matrix
+from modkernel.kernels import FeatureMap, kernel_matrix
 from modkernel.losses import make_loss, risk
 from modkernel.training import (ArchitectureSpec, TrainConfig, TwoModuleModel,
                                 accuracy, freeze_and_train_output,
@@ -37,6 +37,65 @@ def quick_cfg(**kw):
 
 def param_bytes(params):
     return [p.data.tobytes() for p in params]
+
+
+def record_link_maps(monkeypatch):
+    """Patch ``FeatureMap.apply_tensor`` to log each (input, output) pair."""
+    maps = []
+    apply_tensor = FeatureMap.apply_tensor
+
+    def recorded(self, x):
+        out = apply_tensor(self, x)
+        maps.append((x, out))
+        return out
+
+    monkeypatch.setattr(FeatureMap, "apply_tensor", recorded)
+    return maps
+
+
+class TestForwardOnlyReads:
+    @pytest.mark.parametrize("requires_grad", [True, False])
+    def test_feature_read_records_no_graph(self, monkeypatch, requires_grad):
+        """link_features_np builds constant nodes only: no node keeps
+        parents or a backward rule, whatever the parameters require."""
+        model = TwoModuleModel(small_arch(), seed=0)
+        for p in model.input_params():
+            p.requires_grad = requires_grad
+        maps = record_link_maps(monkeypatch)
+        feats = model.link_features_np(blob_data().X_train)
+        [(acts, out)] = maps
+        assert feats is out.data
+        for node in (acts, out):
+            assert not node.requires_grad
+            assert node._parents == () and node._backward is None
+
+    @pytest.mark.parametrize("train", [train_input_module, train_end_to_end])
+    def test_one_full_train_read_per_traced_epoch(self, monkeypatch, train):
+        """A traced epoch maps the training set through the link once;
+        that read gives both the objective and the activations."""
+        data = blob_data(classes=2)
+        maps = record_link_maps(monkeypatch)
+        model = TwoModuleModel(small_arch(latent=2, classes=2), seed=0)
+        out = train(model, data, quick_cfg(lr_schedule=((0.05, 4),),
+                                           trace_every=1))
+        trace = out[0] if isinstance(out, tuple) else out
+        full = [y for x, y in maps if x.shape[0] == data.X_train.shape[0]]
+        assert len(trace.activations) == len(full) == 4
+        for (_, feats), node in zip(trace.activations, full):
+            assert feats is node.data
+
+    def test_end_to_end_trains_after_label_budgets(self):
+        """Label-budget heads leave no state on the model, so the same
+        model then trains end to end with a finite trace."""
+        data = blob_data()
+        model = TwoModuleModel(small_arch(), seed=0)
+        train_input_module(model, data, quick_cfg())
+        label_efficiency_run(model, data, [8], True, 0, quick_cfg())
+        before = param_bytes(model.input_params())
+        trace = train_end_to_end(model, data, quick_cfg())
+        assert trace.rows
+        assert np.isfinite([r["objective"] for r in trace.rows]).all()
+        assert param_bytes(model.input_params()) != before
 
 
 class TestTrainInputModule:
@@ -100,18 +159,21 @@ class TestFreezeAndTrainOutput:
         before = param_bytes(model.input_params())
         freeze_and_train_output(model, data, quick_cfg())
         assert param_bytes(model.input_params()) == before
-        model.unfreeze_input()
 
-    def test_frozen_input_gradients_are_exactly_zero(self):
+    def test_stage_two_and_label_budgets_leave_input_module_as_is(self):
+        """Neither call steps or flags the input module: its data stays
+        bit-identical and every parameter still requires gradients."""
         data = blob_data()
         model = TwoModuleModel(small_arch(), seed=0)
-        model.freeze_input()
-        feats = model.link_features(ad.constant(data.X_train[:16]))
-        logits = ad.affine(feats, model.output_weight, model.output_bias)
-        ad.backward(ad.cross_entropy_logits(logits, data.y_train[:16]))
-        for p in model.input_params():
-            assert p.grad is None or not p.grad.any()
-        model.unfreeze_input()
+        train_input_module(model, data, quick_cfg())
+        before = param_bytes(model.input_params())
+        for run in (lambda: freeze_and_train_output(model, data, quick_cfg()),
+                    lambda: label_efficiency_run(model, data, [8, 20], True,
+                                                 0, quick_cfg())):
+            run()
+            assert param_bytes(model.input_params()) == before
+            assert all(p.requires_grad and p.grad is not None
+                       for p in model.input_params())
 
     def test_separable_features_reach_full_train_accuracy(self):
         # one class per half-plane in the 2-D link space
@@ -126,7 +188,6 @@ class TestFreezeAndTrainOutput:
         model = TwoModuleModel(arch, seed=2)
         cfg = quick_cfg(lr_schedule=((0.2, 40),), batch_size=20)
         trace = freeze_and_train_output(model, data, cfg)
-        model.unfreeze_input()
         assert trace.final("train_accuracy") == 1.0
 
     def test_stage_two_objective_equals_decomposed_risk(self):
@@ -135,7 +196,6 @@ class TestFreezeAndTrainOutput:
         model = TwoModuleModel(arch, seed=0)
         cfg = quick_cfg(loss="xe2", lr_schedule=((0.05, 3),))
         trace = freeze_and_train_output(model, data, cfg)
-        model.unfreeze_input()
         feats = model.link_features_np(data.X_train)
         scores = feats @ model.output_weight.data + model.output_bias.data
         expected = risk(make_loss("xe2"), scores, data.y_train == 1)
@@ -210,7 +270,6 @@ class TestLabelEfficiency:
         trace = freeze_and_train_output(model, data, cfg)
         rows = label_efficiency_run(model, data, [data.X_train.shape[0]],
                                     balanced=True, seed=0, cfg=cfg)
-        model.unfreeze_input()
         assert rows[0]["test_accuracy"] == trace.final("test_accuracy")
 
     def test_changes_no_model_parameter(self):
@@ -219,7 +278,6 @@ class TestLabelEfficiency:
         before = param_bytes(model.params())
         label_efficiency_run(model, data, [8, 20], balanced=True, seed=0,
                              cfg=quick_cfg())
-        model.unfreeze_input()
         assert param_bytes(model.params()) == before
 
     def test_balanced_budget_below_class_count_rejected(self):
@@ -227,7 +285,6 @@ class TestLabelEfficiency:
         with pytest.raises(ConfigurationError):
             label_efficiency_run(model, data, [3], balanced=True, seed=0,
                                  cfg=quick_cfg())
-        model.unfreeze_input()
 
     def test_missing_class_has_zero_recall(self):
         model, data = self._trained()
@@ -239,7 +296,6 @@ class TestLabelEfficiency:
         reduced = Dataset(X, y, data.X_test, data.y_test)
         rows = label_efficiency_run(model, reduced, [X.shape[0]],
                                     balanced=False, seed=0, cfg=quick_cfg())
-        model.unfreeze_input()
         assert rows[0]["per_class_recall"][3] == 0.0
 
 
@@ -285,7 +341,6 @@ def serial_sweep(model, data, epochs, cfg, output_cfg):
             p.data = arr.copy()
         value = full_proxy_value(model, data.X_train, data.y_train, cfg.proxy)
         trace = freeze_and_train_output(model, data, output_cfg)
-        model.unfreeze_input()
         rows.append({"epoch": epoch, "proxy": value,
                      "accuracy": float(best_accuracy(trace))})
         heads.append((hexes(model.output_weight.data),
@@ -364,7 +419,6 @@ class TestLockstepStageTwo:
             model.link_features_np(data.X_train), data.y_train,
             model.link_features_np(data.X_test), data.y_test, 4, cfg)
         trace = freeze_and_train_output(model, data, cfg)
-        model.unfreeze_input()
         assert hexes(model.output_weight.data) == hexes(W)
         assert hexes(model.output_bias.data) == hexes(b)
         assert trace.rows == rows
@@ -385,14 +439,14 @@ class TestLockstepStageTwo:
             reads.clear()
             return out
 
-        link_features_np = TwoModuleModel.link_features_np
+        read_link_features = training._read_link_features
 
-        def counted_link_features(self, X):
+        def counted_link_features(model, X, arrays):
             reads.append(X is data.X_train)
-            return link_features_np(self, X)
+            return read_link_features(model, X, arrays)
 
         monkeypatch.setattr(training, "train_input_module", counted_stage_one)
-        monkeypatch.setattr(TwoModuleModel, "link_features_np",
+        monkeypatch.setattr(training, "_read_link_features",
                             counted_link_features)
         proxy_accuracy_sweep(TwoModuleModel(small_arch(), seed=0), data,
                              [0, 3, 8], quick_cfg())

@@ -235,7 +235,6 @@ class TestRetrainOracle:
                           trace_every=10)
         from modkernel.training import freeze_and_train_output
         trace = freeze_and_train_output(cand.model, data, cfg)
-        cand.model.unfreeze_input()
         direct = trace.final("test_accuracy")
         oracle = retrain_oracle([cand], data, cfg)["self"]
         assert abs(direct - oracle) <= 0.01 + 1e-12

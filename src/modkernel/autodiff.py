@@ -313,10 +313,12 @@ def affine(x: Tensor, W: Tensor, b: Tensor, kind: str | None = None) -> Tensor:
             or Wd.shape != stack + (xd.shape[-1], bd.shape[-1])):
         raise DimensionError(
             f"affine: x{x.shape}, W{W.shape}, b{b.shape} do not conform")
-    out_data = xd @ Wd + bd[..., None, :]
+    # One array per layer: the bias and the nonlinearity go into the product.
+    out_data = xd @ Wd
+    out_data += bd[..., None, :]
     if kind is not None:
         forward, derivative = _elementwise_pair(kind)
-        out_data = forward(out_data)
+        forward(out_data, out=out_data)
 
     def rule(g):
         if kind is not None:
@@ -331,8 +333,9 @@ def affine(x: Tensor, W: Tensor, b: Tensor, kind: str | None = None) -> Tensor:
     return _make(out_data, (x, W, b), rule)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -340,9 +343,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-# kind -> (forward map, derivative as a function of the output).
+# kind -> (forward map, derivative as a function of the output).  Each
+# forward map takes an ``out=`` buffer, which may be its input.
 _ELEMENTWISE = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda y: y > 0),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda y: y > 0),
     "tanh": (np.tanh, lambda y: 1.0 - y * y),
     "sigmoid": (_sigmoid, lambda y: y * (1.0 - y)),
 }
@@ -584,21 +588,27 @@ def _bessel_i_at_one(orders: int) -> np.ndarray:
 
 _BESSEL_I = _bessel_i_at_one(SERIES_ORDERS)
 
+# Series orders whose powers z^m and class sums are held at a time.
+SERIES_BLOCK = 4
+
 # The e^k series needs each feature row to be zero or of unit norm, this
 # close to 1.
 UNIT_NORM_TOLERANCE = 1e-12
 
 
-def _class_pair_sums(class_sums: np.ndarray) -> np.ndarray:
-    """For the C-by-p class sums s of p row moments, real or complex, the
-    sums of Re(conj(s_c) s_c') over the ordered pairs of distinct classes
-    (row 0) and of equal classes (row 1), per moment.  The distinct pairs
-    are taken as 2 sum_c Re(conj(s_c) sum_{c' < c} s_c'), never as a
-    difference of two larger sums."""
-    earlier = np.cumsum(class_sums[:-1], axis=0)
+def _class_pair_sums(class_sums: np.ndarray, axis: int = 0) -> np.ndarray:
+    """For the class sums s of p row moments, real or complex, classes
+    along ``axis`` (0, or 1 for p-by-C), the sums of Re(conj(s_c) s_c')
+    over the ordered pairs of distinct classes (row 0) and of equal
+    classes (row 1), per moment.  The distinct pairs are taken as
+    2 sum_c Re(conj(s_c) sum_{c' < c} s_c'), never as a difference of two
+    larger sums."""
+    head = (slice(None),) * axis
+    earlier = np.cumsum(class_sums[head + (slice(-1),)], axis=axis)
     conj = class_sums.conj()
-    return np.stack((2.0 * np.add.reduce((conj[1:] * earlier).real, axis=0),
-                     np.add.reduce((conj * class_sums).real, axis=0)))
+    inter = (conj[head + (slice(1, None),)] * earlier).real
+    return np.stack((2.0 * np.add.reduce(inter, axis=axis),
+                     np.add.reduce((conj * class_sums).real, axis=axis)))
 
 
 def _square_pair_sums(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -618,16 +628,25 @@ def _series_pair_sums(rows: np.ndarray, starts: np.ndarray,
     """(inter-class, intra-class) sums of e^k for rows of at most two
     columns, each zero or a unit vector z = e^{i t}, by the Jacobi-Anger
     series: a pair of unit rows has e^{cos(t_i - t_j)} = I_0(1) + 2 sum_m
-    I_m(1) Re(conj(z_i^m) z_j^m), and a pair with a zero row e^0 = 1."""
+    I_m(1) Re(conj(z_i^m) z_j^m), and a pair with a zero row e^0 = 1.
+    The powers z^m = z^{m-1} z of ``SERIES_BLOCK`` orders fill the rows of
+    one reused buffer and are class-summed in one call."""
     z = rows[:, 0] + (1j * rows[:, 1] if rows.shape[1] == 2 else 0j)
     unit_pairs = _class_pair_sums(np.add.reduceat(unit, starts)[:, None])[:, 0]
     all_pairs = _class_pair_sums(counts[:, None].astype(np.float64))[:, 0]
     sums = _BESSEL_I[0] * unit_pairs + (all_pairs - unit_pairs)
-    power = z
-    for m in range(1, SERIES_ORDERS + 1):
-        sums += 2.0 * _BESSEL_I[m] * _class_pair_sums(
-            np.add.reduceat(power, starts)[:, None])[:, 0]
-        power = power * z
+    powers = np.empty((SERIES_BLOCK, z.shape[0]), dtype=z.dtype)
+    for m0 in range(1, SERIES_ORDERS + 1, SERIES_BLOCK):
+        block = powers[:SERIES_ORDERS + 1 - m0]
+        if m0 == 1:
+            block[0] = z
+        else:  # z^(m0 - 1) is the last row of the previous, full block
+            np.multiply(powers[-1], z, out=block[0])
+        for j in range(1, block.shape[0]):
+            np.multiply(block[j - 1], z, out=block[j])
+        pairs = _class_pair_sums(np.add.reduceat(block, starts, axis=1), 1)
+        for term in ((2.0 * _BESSEL_I[m0:m0 + block.shape[0]]) * pairs).T:
+            sums += term
     return sums
 
 
@@ -638,20 +657,23 @@ def _series_applies(width: int, sq_norms: np.ndarray) -> bool:
 
 
 def gram_pair_sums(feats: np.ndarray, classes: np.ndarray,
-                   kind: str = "identity", shift: float = 0.0) -> tuple:
+                   order: np.ndarray, kind: str = "identity",
+                   shift: float = 0.0) -> tuple:
     """(inter-class, intra-class, diagonal) sums of f(k - shift), f in
     ``PAIR_MAPS``, over the gram matrix k = feats @ feats.T of n-by-d
     features, forward only and without its rows.
 
-    With the rows grouped by class, s_c the sum of class c's rows and G_c
-    their gram matrix F_c^T F_c, the pairs of classes c and c' sum k to
-    <s_c, s_c'> and k^2 to <G_c, G_c'>; k - shift and (k - shift)^2
-    expand into those and the pair counts.  For e^k, rows of at most two
-    columns that are zero or of unit norm follow the Jacobi-Anger series
-    in ``SERIES_ORDERS`` class sums of z^m.  The inter-class sums add up
+    With the rows grouped by class in ``order``, the stable order of
+    ``classes`` (``PairPartition.order``), s_c the sum of class c's rows
+    and G_c their gram matrix F_c^T F_c, the pairs of classes c and c'
+    sum k to <s_c, s_c'> and k^2 to <G_c, G_c'>; k - shift and
+    (k - shift)^2 expand into those and the pair counts.  For e^k, rows
+    of at most two columns that are zero or of unit norm follow the
+    Jacobi-Anger series in ``SERIES_ORDERS`` class sums of z^m.  The inter-class sums add up
     each class against the classes before it, so an inter-class set of
     exactly orthogonal rows sums k^2 to exactly 0.  The cost is O(n d^2),
-    or O(n) per series order, in arrays of O(n d) floats.
+    or O(n) per series order, in arrays of O(n d) floats, or for the
+    series O(n + C) per order of a block, for C classes.
 
     e^k of wider rows, or of a row of another norm, falls back to the
     blocked reader, whose buffer takes one block of features times the
@@ -668,14 +690,13 @@ def gram_pair_sums(feats: np.ndarray, classes: np.ndarray,
         return tuple(_blocked_pair_sums(
             classes, kind, shift, lambda i0, out: np.matmul(
                 feats[i0:i0 + out.shape[0]], feats.T, out=out)))
-    order = np.argsort(classes, kind="stable")
     counts = np.bincount(classes)
     counts = counts[counts > 0]  # reduceat reads an empty run as one row
     starts = np.cumsum(counts) - counts
-    rows = feats[order]
+    rows = feats.take(order, axis=0)
     if kind == "exp":
-        sums = _series_pair_sums(rows, starts, counts,
-                                 (sq_norms[order] != 0.0).astype(np.float64))
+        sums = _series_pair_sums(rows, starts, counts, (sq_norms.take(
+            order) != 0.0).astype(np.float64))
         if shift:
             sums *= np.exp(-shift)
     elif kind == "square" and not shift:

@@ -259,8 +259,9 @@ def resolve_config(doc: dict) -> ExperimentConfig:
     for key, value in thresholds.items():
         if key not in _KNOWN_THRESHOLDS:
             raise ConfigurationError(f"unknown key '{key}' in 'thresholds'")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigurationError(f"threshold '{key}' must be numeric")
+        if not _is_finite(value):
+            raise ConfigurationError(
+                f"threshold '{key}' must be a finite number, got {value!r}")
     resolved["thresholds"] = {k: float(v) for k, v in sorted(thresholds.items())}
 
     cfg = ExperimentConfig(resolved=resolved)

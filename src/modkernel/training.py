@@ -137,6 +137,10 @@ class TrainConfig:
         if not (_is_finite(self.plateau_tol) and self.plateau_tol >= 0):
             raise ConfigurationError("plateau_tol must be a finite number "
                                      f">= 0, got {self.plateau_tol!r}")
+        for name, least in (("plateau_patience", 1), ("resample_limit", 0)):
+            if not _is_integer(getattr(self, name), least):
+                raise ConfigurationError(f"{name} must be an integer >= "
+                                         f"{least}, got {getattr(self, name)!r}")
         proxies.validate_proxy_kind(self.proxy)
         if self.loss != "xe" and self.loss not in LOSS_KINDS:
             raise ConfigurationError(

@@ -80,12 +80,13 @@ def score_candidate(candidate: CandidateModule, target_data: Dataset,
         raise DegenerateBatchError(
             f"scoring needs at least 2 target training examples, got {n}")
     alpha, beta = candidate.model.link.bounds()
-    rng = np.random.default_rng(seed)
     size = n if subsample_fraction >= 1.0 else max(
         2, int(round(subsample_fraction * n)))
+    # The whole target is read in place, and draws nothing.
+    rng = None if size == n else np.random.default_rng(seed)
     for _ in range(SCORING_RETRIES + 1):
-        idx = np.arange(n) if size == n else rng.choice(n, size=size,
-                                                        replace=False)
+        idx = slice(None) if rng is None else rng.choice(n, size=size,
+                                                         replace=False)
         part = partition_pairs(target_data.y_train[idx])
         if not is_degenerate_for(proxy, part):
             feats = candidate.model.link_features_np(target_data.X_train[idx])

@@ -477,11 +477,17 @@ class TestFusedNodes:
                 (ad.gram(h_fused), ad.matmul(h_plain, _transpose(h_plain)))]
         self._assert_bitwise(outs, ([h_fused], [h_plain]), (fused, plain))
 
-    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid"])
-    def test_affine_with_kind_equals_affine_then_elementwise(self, kind):
+    @pytest.mark.parametrize("kind, stack", [
+        pytest.param(kind, stack, id=kind + ("-stacked" if stack else ""))
+        for stack in ((), (2,)) for kind in sorted(ad._ELEMENTWISE)])
+    def test_affine_with_kind_equals_affine_then_elementwise(self, kind,
+                                                             stack):
+        """The nonlinearity applied in the product's buffer gives the
+        value and gradient bits of a separate elementwise node."""
         rng = np.random.default_rng(7)
-        weights = ad.constant(rng.standard_normal((6, 3)))
-        fused, plain = self._twin_leaves(rng, [(6, 5), (5, 3), (3,)])
+        weights = ad.constant(rng.standard_normal(stack + (6, 3)))
+        fused, plain = self._twin_leaves(
+            rng, [stack + (6, 5), stack + (5, 3), stack + (3,)])
         outs = [ad.tensor_sum(ad.mul(ad.affine(*fused, kind=kind), weights)),
                 ad.tensor_sum(ad.mul(ad.elementwise(ad.affine(*plain), kind),
                                      weights))]
@@ -666,23 +672,25 @@ class TestGramPairSum:
         rng = np.random.default_rng(10 * n + d)
         names = rng.choice(["cat", "dog", "emu"] if labels == "str"
                            else ["one"], n)
-        classes = proxies.partition_pairs(names).classes
+        part = proxies.partition_pairs(names)
         feats = rng.uniform(-1.0, 1.0, (n, d))
         for kind, shift in self.MAPS:
             got = ad.weighted_pair_sum(self.WEIGHTS, ad.gram_pair_sums(
-                feats, classes, kind, shift))
+                feats, part.classes, part.order, kind, shift))
             want = gram_pair_sum_reference(feats, names, kind, self.WEIGHTS,
                                            shift)
             assert got == pytest.approx(want, rel=1e-13), (kind, shift)
 
     def test_rejects_mismatched_features_and_an_unknown_map(self):
         with pytest.raises(DimensionError):
-            ad.gram_pair_sums(np.ones(3), np.array([0, 1, 0]))
+            ad.gram_pair_sums(np.ones(3), np.array([0, 1, 0]),
+                              np.array([0, 2, 1]))
         with pytest.raises(DimensionError):
-            ad.gram_pair_sums(np.ones((3, 2)), np.array([0, 1]))
+            ad.gram_pair_sums(np.ones((3, 2)), np.array([0, 1]),
+                              np.array([0, 1]))
         with pytest.raises(ContractError):
             ad.gram_pair_sums(np.ones((200, 2)), np.zeros(200, dtype=int),
-                              "log")
+                              np.arange(200), "log")
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("kind", ad.PAIR_MAPS)
@@ -710,8 +718,8 @@ class TestGramPairSum:
         if scaled:
             feats *= rng.uniform(0.5, 2.0, (n, 1))
         labels = rng.permutation(np.arange(n) % num_classes)
-        got = ad.gram_pair_sums(feats, proxies.partition_pairs(labels).classes,
-                                kind, shift)
+        part = proxies.partition_pairs(labels)
+        got = ad.gram_pair_sums(feats, part.classes, part.order, kind, shift)
         f = {"identity": lambda t: t, "square": np.square, "exp": np.exp}[kind]
         terms = np.abs(f(feats @ feats.T - shift))
         same = labels[:, None] == labels[None, :]
@@ -735,17 +743,18 @@ class TestGramPairSum:
                             lambda *args: calls.append(args[1]) or reader(*args))
         rng = np.random.default_rng(d)
         feats = FeatureMap("relu").apply(rng.standard_normal((300, d))) * scale
-        classes = proxies.partition_pairs(rng.integers(0, 4, 300)).classes
+        part = proxies.partition_pairs(rng.integers(0, 4, 300))
         for kind in ad.PAIR_MAPS:
-            ad.gram_pair_sums(feats, classes, kind, -1.0)
+            ad.gram_pair_sums(feats, part.classes, part.order, kind, -1.0)
         assert calls == (["exp"] if blocked else [])
 
     def test_zero_rows_count_as_e_to_the_zero(self):
         """A pair with a zero row adds e^0 = 1, not I_0(1): all-zero
         features sum e^k to the pair counts, exactly."""
         labels = np.arange(10) % 3
-        got = ad.gram_pair_sums(np.zeros((10, 2)),
-                                proxies.partition_pairs(labels).classes, "exp")
+        part = proxies.partition_pairs(labels)
+        got = ad.gram_pair_sums(np.zeros((10, 2)), part.classes, part.order,
+                                "exp")
         assert got == (66.0, 34.0, 10.0)
 
     def test_series_coefficients_reproduce_e_to_the_cosine(self):

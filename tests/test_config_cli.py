@@ -145,7 +145,10 @@ class TestConfigLoading:
                                        {"lr_schedule": [[float("inf"), 2]]},
                                        {"plateau_tol": float("nan")},
                                        {"lr_schedule": [[0.1, 2.5]]},
-                                       {"lr_schedule": [[0.1, True]]}])
+                                       {"lr_schedule": [[0.1, True]]},
+                                       {"plateau_patience": 0},
+                                       {"plateau_patience": -1},
+                                       {"resample_limit": -1}])
     def test_bad_train_value_rejected_at_load(self, tmp_path, train):
         doc = {"experiment": "sanity-dynamics", "train": train}
         with pytest.raises(ConfigurationError, match=next(iter(train))):
@@ -188,6 +191,12 @@ class TestConfigLoading:
     def test_unknown_threshold_rejected(self, tmp_path):
         doc = dict(MINIMAL_LEMMA, thresholds={"min_vibes": 1.0})
         with pytest.raises(ConfigurationError, match="min_vibes"):
+            load_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, tmp_path, value):
+        doc = dict(MINIMAL_LEMMA, thresholds={"max_failures": value})
+        with pytest.raises(ConfigurationError, match="max_failures"):
             load_config(write_config(tmp_path, doc))
 
     def test_round_trip_is_lossless_and_idempotent(self, tmp_path):

@@ -231,7 +231,7 @@ def test_feature_route_takes_each_map_once(monkeypatch, kind, maps):
     calls = []
     sums = ad.gram_pair_sums
     monkeypatch.setattr(ad, "gram_pair_sums", lambda *args: calls.append(
-        args[2:]) or sums(*args))
+        args[3:]) or sums(*args))
     rng = np.random.default_rng(5)
     feats = FeatureMap("tanh").apply(rng.standard_normal((200, 2)))
     part = proxies.partition_pairs(rng.integers(0, 3, 200))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,24 @@ class TestForwardOnlyReads:
         for node in (acts, out):
             assert not node.requires_grad
             assert node._parents == () and node._backward is None
+
+    def test_read_holds_one_hidden_layer_array(self):
+        """Each affine layer adds its bias and applies its nonlinearity
+        in its product's buffer: reading n = 3000 rows through one 64-wide
+        relu layer peaks below 1.5 hidden-layer arrays."""
+        n, width = 3000, 64
+        model = TwoModuleModel(ArchitectureSpec(
+            input_dim=12, hidden_widths=(width,), latent_dim=2), seed=0)
+        X = np.random.default_rng(0).standard_normal((n, 12))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.link_features_np(X)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * width * 8, f"peak {peak} bytes"
 
     @pytest.mark.parametrize("train", [train_input_module, train_end_to_end])
     def test_one_full_train_read_per_traced_epoch(self, monkeypatch, train):

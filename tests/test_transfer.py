@@ -154,6 +154,62 @@ class TestScoringMemory:
         assert peak < 0.25 * self.N ** 2 * 8, f"{kind}: peak {peak} bytes"
 
 
+class TestScoringBits:
+    """score_candidate on candidates of the benchmark's score-large shape
+    (n = 3000 two-class blobs in 12 dimensions, relu hidden layers, a
+    2-wide tanh link) returns these float64 values, as hex, bit for bit:
+    at the whole target and at a seeded 30% subsample, one per proxy in
+    PROXY_KINDS order."""
+
+    PINS = {
+        ((24,), 1.0): (
+            "-0x1.47db7e76149c5p-16", "-0x1.4bc96baa47411p+0",
+            "-0x1.8d3f7c7748f0ep+0", "0x1.ce4e682529cffp-6",
+            "0x1.c6de85b84f3b2p-6", "0x1.05c6cee1fe47fp-1",
+            "-0x1.77c3267c7202fp+0"),
+        ((24,), 0.3): (
+            "-0x1.5354f00c75c6dp-15", "-0x1.469871c207430p+0",
+            "-0x1.84183fa227c32p+0", "0x1.ad94d3ab580c4p-6",
+            "0x1.94a1156d3877fp-6", "0x1.06480aef76da7p-1",
+            "-0x1.77b0d4f64ad35p+0"),
+        ((64,), 1.0): (
+            "-0x1.8d50e378af290p-12", "-0x1.06e84cdec8a09p+1",
+            "-0x1.722dbff216214p+1", "0x1.363328bf9a77cp-7",
+            "0x1.28a25b4d9f856p-7", "0x1.02080b3114d88p-1",
+            "-0x1.9f0800a7d9d92p+0"),
+        ((64,), 0.3): (
+            "-0x1.46ce745cf709bp-10", "-0x1.065919c36d6d7p+1",
+            "-0x1.7123e23ef64cap+1", "0x1.7f22fad1a1567p-7",
+            "0x1.522e60840b09fp-7", "0x1.022e17f084b86p-1",
+            "-0x1.9f95d3bf8629ap+0"),
+        ((32, 32), 1.0): (
+            "-0x1.3e2cbcc414502p-12", "-0x1.eb0e794de586bp+0",
+            "-0x1.52c353dea689ep+1", "0x1.b2a95dbcad36ep-6",
+            "0x1.ac0d1c8ccac0ep-6", "0x1.049cdab3cef99p-1",
+            "-0x1.9a979028c5d87p+0"),
+        ((32, 32), 0.3): (
+            "-0x1.16745668c2e14p-10", "-0x1.f5b73fac8e638p+0",
+            "-0x1.5c2a834c4a07fp+1", "0x1.47664536f575bp-6",
+            "0x1.3164a052c58d9p-6", "0x1.038f4a0ee6082p-1",
+            "-0x1.a04592e9998fap+0"),
+    }
+
+    @pytest.fixture(scope="class")
+    def target(self):
+        return make_dataset(DatasetSpec(kind="gaussian-blobs", n=3000, d=12,
+                                        num_classes=2, seed=11,
+                                        split_fraction=1.0, noise=4.0))
+
+    @pytest.mark.parametrize("widths, fraction", list(PINS))
+    def test_scores_keep_their_bits(self, target, widths, fraction):
+        seed = 5 + [(24,), (64,), (32, 32)].index(widths)
+        cand = CandidateModule(id="c", model=TwoModuleModel(ArchitectureSpec(
+            input_dim=12, hidden_widths=widths, latent_dim=2), seed=seed))
+        got = tuple(score_candidate(cand, target, kind, fraction, 3).hex()
+                    for kind in PROXY_KINDS)
+        assert got == self.PINS[widths, fraction]
+
+
 class TestRanking:
     def test_single_candidate(self):
         report = rank_candidates({"only": 0.3})

@@ -261,6 +261,42 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), rule)
 
 
+# Rows of 2 to this many entries are reduced one column at a time from 128
+# rows per column on, and broadcast from 512; below that numpy's one call
+# per row costs less (2-vCPU host, numpy 2.4.6).  numpy's add.reduce sums 8
+# or more entries pairwise.
+NARROW_WIDTH = 7
+
+
+def _rowwise(ufunc, x: np.ndarray, y: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1, keepdims=True)`` (add or maximum) when
+    ``y`` is None, else ``ufunc(x, y, out=out)`` for a ``y`` that is a
+    column or a row of x, with numpy's bits.
+
+    numpy makes one inner-loop call per row along a short last axis; for 2
+    to ``NARROW_WIDTH`` entries and enough rows this makes one per column.
+    numpy sums fewer than 8 entries in order from +0.0, (((+0.0 + x0) +
+    x1) + ...), as the column sum does, so a row of -0.0 sums to +0.0.  A
+    column maximum is numpy's on every row without NaN, and NaN on the
+    others, with a sign bit that may differ.
+    """
+    width = x.shape[-1]
+    if not (2 <= width <= NARROW_WIDTH
+            and x.size >= (128 if y is None else 512) * width * width):
+        return (ufunc.reduce(x, axis=-1, keepdims=True) if y is None
+                else ufunc(x, y, out=out))
+    if y is None:
+        acc = x[..., :1] + 0.0 if ufunc is np.add else x[..., :1].copy()
+        for j in range(1, width):
+            ufunc(acc, x[..., j:j + 1], out=acc)
+        return acc
+    out = np.empty_like(x) if out is None else out
+    for j in range(width):  # a column y has one entry per row
+        ufunc(x[..., j], y[..., j % y.shape[-1]], out=out[..., j])
+    return out
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to ``shape`` after a scalar broadcast."""
     if grad.shape == shape:
@@ -315,7 +351,7 @@ def affine(x: Tensor, W: Tensor, b: Tensor, kind: str | None = None) -> Tensor:
             f"affine: x{x.shape}, W{W.shape}, b{b.shape} do not conform")
     # One array per layer: the bias and the nonlinearity go into the product.
     out_data = xd @ Wd
-    out_data += bd[..., None, :]
+    _rowwise(np.add, out_data, bd[..., None, :], out=out_data)
     if kind is not None:
         forward, derivative = _elementwise_pair(kind)
         forward(out_data, out=out_data)
@@ -664,7 +700,7 @@ def gram_pair_sums(feats: np.ndarray, classes: np.ndarray,
     features, forward only and without its rows.
 
     With the rows grouped by class in ``order``, the stable order of
-    ``classes`` (``PairPartition.order``), s_c the sum of class c's rows
+    ``classes`` (a stable argsort), s_c the sum of class c's rows
     and G_c their gram matrix F_c^T F_c, the pairs of classes c and c'
     sum k to <s_c, s_c'> and k^2 to <G_c, G_c'>; k - shift and
     (k - shift)^2 expand into those and the pair counts.  For e^k, rows
@@ -685,7 +721,7 @@ def gram_pair_sums(feats: np.ndarray, classes: np.ndarray,
         raise DimensionError(
             f"gram_pair_sums: features {feats.shape} vs {n} class indices")
     _check_pair_map(kind)
-    sq_norms = np.add.reduce(feats * feats, axis=1)
+    sq_norms = _rowwise(np.add, feats * feats)[:, 0]
     if kind == "exp" and not _series_applies(feats.shape[1], sq_norms):
         return tuple(_blocked_pair_sums(
             classes, kind, shift, lambda i0, out: np.matmul(
@@ -719,7 +755,8 @@ def unit_normalize(x: Tensor, epsilon: float = 1e-12,
 
     The epsilon floor keeps zero rows (reachable early in relu training)
     at zero instead of erroring.  With ``kind``, the bits of
-    ``unit_normalize(elementwise(x, kind), epsilon)`` in one node.
+    ``unit_normalize(elementwise(x, kind), epsilon)`` in one node.  By
+    ``_rowwise``'s rule the norms have the bits of ``np.linalg.norm``.
     """
     if epsilon <= 0:
         raise ContractError("unit_normalize requires epsilon > 0")
@@ -730,17 +767,18 @@ def unit_normalize(x: Tensor, epsilon: float = 1e-12,
     else:
         forward, derivative = _elementwise_pair(kind)
         t = forward(x.data)
-    # The bits of np.linalg.norm(t, axis=1, keepdims=True), without its wrapper.
-    norms = np.sqrt(np.add.reduce(t * t, axis=1, keepdims=True))
+    norms = np.sqrt(_rowwise(np.add, t * t))
     scale = np.maximum(norms, epsilon)
-    out_data = t / scale
+    # Only the backward reads t, so a forward-only node divides in place.
+    out_data = _rowwise(np.divide, t, scale, out=None if kind is None
+                        or x.requires_grad else t)
 
     def rule(g):
         # Above the floor: d(x/|x|) pulls out the radial component.
         # At or below the floor the map is linear with constant 1/epsilon.
-        radial = np.add.reduce(g * out_data, axis=1, keepdims=True)
-        floored = norms <= epsilon
-        gx = np.where(floored, g / epsilon, (g - out_data * radial) / scale)
+        radial = _rowwise(np.add, g * out_data)
+        gx = np.where(norms <= epsilon, g / epsilon, _rowwise(
+            np.divide, g - _rowwise(np.multiply, out_data, radial), scale))
         _accumulate(x, gx if kind is None else gx * derivative(t))
 
     return _make(out_data, (x,), rule)
@@ -752,7 +790,8 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     each with the bits of its 2-D node.
 
     The softmax the backward rule needs is built inside it, so a
-    forward-only pass never computes it.
+    forward-only pass never computes it.  Its row maxima, sums and
+    quotients keep numpy's bits by ``_rowwise``'s rule.
     """
     ld = logits.data
     if ld.ndim not in (2, 3):
@@ -763,16 +802,16 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.shape != (n,):
         raise DimensionError(f"labels shape {labels.shape} does not match n={n}")
     # ufunc reductions give the bits of .max(), .sum() and .mean().
-    row_max = np.maximum.reduce(ld, axis=-1, keepdims=True)
-    exps = np.exp(ld - row_max)
-    row_sums = np.add.reduce(exps, axis=-1, keepdims=True)
+    row_max = _rowwise(np.maximum, ld)
+    exps = np.exp(_rowwise(np.subtract, ld, row_max))
+    row_sums = _rowwise(np.add, exps)
     lse = np.log(row_sums[..., 0]) + row_max[..., 0]
     # Each row's label entry, in every slice.
     pick = (slice(None),) * (ld.ndim - 2) + (np.arange(n), labels)
     out_data = np.add.reduce(lse - ld[pick], axis=-1) / n
 
     def rule(g):
-        gz = exps / row_sums
+        gz = _rowwise(np.divide, exps, row_sums)
         gz[pick] -= 1.0
         view = gz.T  # g holds one value per slice: the view's last axis
         view *= g

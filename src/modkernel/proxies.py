@@ -42,8 +42,7 @@ class PairPartition:
     """Ordered index pairs of a labeled batch, split by label agreement.
 
     ``classes`` gives each example the index of its label among the
-    sorted distinct labels, ``order`` the stable order of the examples by
-    class, and ``counts`` the size of each class.  The
+    sorted distinct labels, and ``counts`` the size of each class.  The
     negatives are the ordered pairs (i, j) with distinct labels, the
     positives those with i != j and equal labels; with the diagonal they
     partition all n^2 ordered pairs.  Only their counts are kept.
@@ -51,7 +50,6 @@ class PairPartition:
 
     n: int
     classes: np.ndarray = field(repr=False)
-    order: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
     num_negatives: int
     num_positives: int
@@ -66,13 +64,10 @@ def partition_pairs(labels) -> PairPartition:
     ordered = np.sort(labels)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     classes = np.searchsorted(distinct, labels)
-    # The one class sort; numpy radix-sorts indices of up to 16 bits.
-    order = np.argsort(classes.astype(np.min_scalar_type(distinct.shape[0] - 1)),
-                       kind="stable")
     counts = np.bincount(classes)
     # Equal-label ordered pairs, the diagonal included: sum of squared sizes.
     same = int(counts @ counts)
-    return PairPartition(n=n, classes=classes, order=order, counts=counts,
+    return PairPartition(n=n, classes=classes, counts=counts,
                          num_negatives=n * n - same, num_positives=same - n)
 
 
@@ -172,7 +167,10 @@ def feature_proxy_value(kind: str, feats: np.ndarray, part: PairPartition,
     """Evaluate any proxy by name on the kernel feats @ feats.T of n-by-d
     features, without forming the n-by-n kernel.  The three sums of each
     map are taken once, so cts reads both of its e^k sums from one pass."""
-    sums = cache(partial(ad.gram_pair_sums, feats, part.classes, part.order))
+    # The one class sort of a value; numpy radix-sorts indices of up to 16 bits.
+    order = np.argsort(part.classes.astype(
+        np.min_scalar_type(part.counts.shape[0] - 1)), kind="stable")
+    sums = cache(partial(ad.gram_pair_sums, feats, part.classes, order))
 
     def pairs(f, weights=(1.0, 0.0, 0.0), shift=0.0):
         return ad.constant(ad.weighted_pair_sum(weights, sums(f, shift)))

@@ -69,7 +69,7 @@ def score_candidate(candidate: CandidateModule, target_data: Dataset,
     The proxy is read from the subsample's link features; their n-by-n
     kernel is never formed.  Degenerate subsamples (missing a pair type
     the proxy needs) are redrawn up to ``SCORING_RETRIES`` times before
-    erroring.  No parameters change.
+    erroring, and the whole target at once.  No parameters change.
     """
     validate_proxy_kind(proxy)
     validate_subsample_fraction(subsample_fraction)
@@ -91,6 +91,9 @@ def score_candidate(candidate: CandidateModule, target_data: Dataset,
         if not is_degenerate_for(proxy, part):
             feats = candidate.model.link_features_np(target_data.X_train[idx])
             return feature_proxy_value(proxy, feats, part, alpha, beta)
+        if rng is None:
+            raise DegenerateBatchError(
+                f"the whole target lacks a pair type proxy {proxy!r} needs")
     raise DegenerateBatchError(
         f"no usable subsample for proxy {proxy!r} after {SCORING_RETRIES} retries")
 

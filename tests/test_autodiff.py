@@ -297,6 +297,119 @@ class TestStackAxis:
                                     np.zeros(4, dtype=np.int64))
 
 
+def _narrow_values(rng, shape, special_share):
+    """Random magnitudes across 10^-8 to 10^8 of either sign, with a share
+    of NaN, +-inf, +-0.0 and subnormals."""
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0,
+                         5e-324, -5e-324, 2.2e-308, -1.1e-310])
+    picked = rng.random(shape) < special_share
+    values[picked] = rng.choice(specials, int(picked.sum()))
+    return values
+
+
+class TestRowwise:
+    """ad._rowwise, which takes narrow rows one column at a time once there
+    are enough of them, against numpy's own call: the same bytes, but for
+    the sign of a NaN maximum."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(width=st.integers(1, 16), stack=st.sampled_from([(), (1,), (3,)]),
+           n=st.one_of(st.integers(1, 40), st.integers(200, 4000)),
+           special_share=st.sampled_from([0.0, 0.05, 0.3, 0.8]),
+           negative_zero_row=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_has_the_bytes_of_numpy(self, width, stack, n, special_share,
+                                    negative_zero_row, seed):
+        rng = np.random.default_rng(seed)
+        x = _narrow_values(rng, stack + (n, width), special_share)
+        if negative_zero_row:
+            x[..., 0, :] = -0.0
+        column = _narrow_values(rng, stack + (n, 1), special_share)
+        row = _narrow_values(rng, stack + (1, width), special_share)
+        with np.errstate(all="ignore"):
+            sums = ad._rowwise(np.add, x)
+            assert sums.tobytes() == np.add.reduce(
+                x, axis=-1, keepdims=True).tobytes()
+            maxima = ad._rowwise(np.maximum, x)
+            want = np.maximum.reduce(x, axis=-1, keepdims=True)
+            nan_rows = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(maxima), nan_rows)
+            assert maxima[~nan_rows].tobytes() == want[~nan_rows].tobytes()
+            for ufunc in (np.add, np.subtract, np.multiply, np.divide):
+                for y in (column, row):
+                    want = ufunc(x, y)
+                    assert ad._rowwise(ufunc, x, y).tobytes() == want.tobytes()
+                    inplace = x.copy()
+                    ad._rowwise(ufunc, inplace, y, out=inplace)
+                    assert inplace.tobytes() == want.tobytes()
+
+
+class TestNarrowRowGradients:
+    """Central finite differences of the nodes that take narrow rows one
+    column at a time, at widths on both sides of ad.NARROW_WIDTH and at row
+    counts on both sides of the column path."""
+
+    ROWS = st.one_of(st.integers(1, 6), st.integers(1000, 4000))
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(width=st.integers(1, 9), n=ROWS,
+           kind=st.sampled_from([None, "relu", "tanh", "sigmoid"]),
+           zero_rows=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_unit_normalize(self, width, n, kind, zero_rows, seed):
+        """Entries stay 0.1 clear of relu's kink, so relu makes its zero
+        rows from negative ones.  Zero rows take an epsilon of 1e-3, so the
+        finite-difference steps stay on the floor, where the map is
+        linear."""
+        rng = np.random.default_rng(seed)
+        x = rng.choice([-1.0, 1.0], (n, width)) * rng.uniform(0.1, 2.0,
+                                                              (n, width))
+        epsilon = 1e-12
+        if zero_rows:
+            zero = rng.random(n) < 0.5
+            x[zero] = -np.abs(x[zero]) if kind == "relu" else 0.0
+            epsilon = 1e-3
+        m = ad.constant(rng.standard_normal((n, width)))
+
+        def build(t):
+            return ad.tensor_sum(ad.mul(ad.unit_normalize(t, epsilon, kind),
+                                        m))
+
+        self._check(build, x, rng)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(width=st.integers(1, 9), n=ROWS,
+           stack=st.sampled_from([(), (1,), (3,)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_cross_entropy_logits(self, width, n, stack, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal(stack + (n, width)) * 3.0
+        labels = rng.integers(0, width, n)
+        per_head = ad.constant(rng.standard_normal(stack))
+
+        def build(t):
+            return ad.tensor_sum(ad.mul(ad.cross_entropy_logits(t, labels),
+                                        per_head))
+
+        self._check(build, logits, rng)
+
+    @staticmethod
+    def _check(build, value, rng, entries=40):
+        """The gradient at up to ``entries`` entries, drawn at random."""
+        leaf = _leaf(value)
+        ad.backward(build(leaf))
+        for i in rng.choice(value.size, min(value.size, entries),
+                            replace=False):
+            bump = np.zeros(value.shape)
+            bump.flat[i] = 1e-5
+            fd = (build(ad.Tensor(value + bump)).item()
+                  - build(ad.Tensor(value - bump)).item()) / 2e-5
+            np.testing.assert_allclose(leaf.grad.flat[i], fd, rtol=1e-5,
+                                       atol=1e-8, err_msg=f"entry {i}")
+
+
 class TestSgdMomentum:
     def test_plain_step(self):
         p = _leaf([0.0])
@@ -673,10 +786,11 @@ class TestGramPairSum:
         names = rng.choice(["cat", "dog", "emu"] if labels == "str"
                            else ["one"], n)
         part = proxies.partition_pairs(names)
+        order = np.argsort(part.classes, kind="stable")
         feats = rng.uniform(-1.0, 1.0, (n, d))
         for kind, shift in self.MAPS:
             got = ad.weighted_pair_sum(self.WEIGHTS, ad.gram_pair_sums(
-                feats, part.classes, part.order, kind, shift))
+                feats, part.classes, order, kind, shift))
             want = gram_pair_sum_reference(feats, names, kind, self.WEIGHTS,
                                            shift)
             assert got == pytest.approx(want, rel=1e-13), (kind, shift)
@@ -719,7 +833,9 @@ class TestGramPairSum:
             feats *= rng.uniform(0.5, 2.0, (n, 1))
         labels = rng.permutation(np.arange(n) % num_classes)
         part = proxies.partition_pairs(labels)
-        got = ad.gram_pair_sums(feats, part.classes, part.order, kind, shift)
+        got = ad.gram_pair_sums(feats, part.classes,
+                                np.argsort(part.classes, kind="stable"),
+                                kind, shift)
         f = {"identity": lambda t: t, "square": np.square, "exp": np.exp}[kind]
         terms = np.abs(f(feats @ feats.T - shift))
         same = labels[:, None] == labels[None, :]
@@ -744,8 +860,9 @@ class TestGramPairSum:
         rng = np.random.default_rng(d)
         feats = FeatureMap("relu").apply(rng.standard_normal((300, d))) * scale
         part = proxies.partition_pairs(rng.integers(0, 4, 300))
+        order = np.argsort(part.classes, kind="stable")
         for kind in ad.PAIR_MAPS:
-            ad.gram_pair_sums(feats, part.classes, part.order, kind, -1.0)
+            ad.gram_pair_sums(feats, part.classes, order, kind, -1.0)
         assert calls == (["exp"] if blocked else [])
 
     def test_zero_rows_count_as_e_to_the_zero(self):
@@ -753,7 +870,8 @@ class TestGramPairSum:
         features sum e^k to the pair counts, exactly."""
         labels = np.arange(10) % 3
         part = proxies.partition_pairs(labels)
-        got = ad.gram_pair_sums(np.zeros((10, 2)), part.classes, part.order,
+        got = ad.gram_pair_sums(np.zeros((10, 2)), part.classes,
+                                np.argsort(part.classes, kind="stable"),
                                 "exp")
         assert got == (66.0, 34.0, 10.0)
 

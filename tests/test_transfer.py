@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from modkernel import transfer
 from modkernel.config import resolve_config
 from modkernel.datasets import Dataset, DatasetSpec, make_dataset
 from modkernel.errors import (ConfigurationError, ContractError,
@@ -83,13 +84,28 @@ class TestScoreCandidate:
         with pytest.raises(DegenerateBatchError, match="at least 2"):
             score_candidate(fresh_candidate(), tiny, "al", 0.5, seed=0)
 
+    @staticmethod
+    def one_class_target(n):
+        X = np.random.default_rng(n).standard_normal((n, 6))
+        return Dataset(X, np.zeros(n, dtype=np.int64), X[:0],
+                       np.zeros(0, dtype=np.int64))
+
     @pytest.mark.parametrize("n", [129, 300])
     def test_single_class_target_fails_after_its_retries(self, n):
-        X = np.random.default_rng(n).standard_normal((n, 6))
-        one_class = Dataset(X, np.zeros(n, dtype=np.int64), X[:0],
-                            np.zeros(0, dtype=np.int64))
         with pytest.raises(DegenerateBatchError, match="after 20 retries"):
-            score_candidate(fresh_candidate(), one_class, "al", 1.0, seed=0)
+            score_candidate(fresh_candidate(), self.one_class_target(n), "al",
+                            0.5, seed=0)
+
+    def test_single_class_whole_target_fails_at_once(self, monkeypatch):
+        """No redraw can change the whole target: it is partitioned once."""
+        calls = []
+        partition = transfer.partition_pairs
+        monkeypatch.setattr(transfer, "partition_pairs", lambda labels: (
+            calls.append(labels.shape[0]) or partition(labels)))
+        with pytest.raises(DegenerateBatchError, match="whole target"):
+            score_candidate(fresh_candidate(), self.one_class_target(129),
+                            "al", 1.0, seed=0)
+        assert calls == [129]
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
     def test_fraction_outside_unit_interval_rejected(self, fraction):

@@ -12,8 +12,8 @@ from .autodiff import (SgdMomentum, Tensor, affine, backward, elementwise,
                        sgd_step, unit_normalize, zero_gradients)
 from .datasets import Dataset, DatasetSpec, make_dataset
 from .errors import (ConfigurationError, ContractError, DegenerateBatchError,
-                     DimensionError, IngestionError, ModkernelError,
-                     UndefinedProxyError)
+                     DimensionError, DivergenceError, IngestionError,
+                     ModkernelError, UndefinedProxyError)
 from .kernels import (ConvPatchSpec, FeatureMap, conv_patch_feature,
                       kernel_bounds, kernel_eval, kernel_matrix,
                       rkhs_distance_sq)

@@ -1,22 +1,23 @@
 """Experiment configuration: a single JSON file, strictly validated.
 
-Unknown keys are rejected by name, defaults are filled on load, and
-``dump_config`` emits a canonical form, so load -> dump -> load is the
-identity.  A small schema checker is also provided; emitted JSON reports
-are validated against the committed report schema.
+Each key has one (JSON schema, default) entry in its section's table; the
+spec dataclasses carry theirs in their field metadata.  Unknown keys are
+rejected by name, each value is checked by ``validate_schema``, defaults
+are filled on load, and ``dump_config`` emits a canonical form, so load ->
+dump -> load is the identity.  ``config_schema`` renders the tables.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields as dataclass_fields
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
-from .datasets import DatasetSpec
+from .datasets import GENERATED_KINDS, DatasetSpec
 from .errors import ConfigurationError
-from .serialize import dump_json
-from .training import ArchitectureSpec, TrainConfig, _is_finite, _is_integer
-from .transfer import SCORING_DEFAULTS, validate_subsample_fraction
+from .serialize import dump_json, field_schemas, validate_schema
+from .training import ArchitectureSpec, TrainConfig, check_checkpoints
+from .transfer import SCORING_FIELDS
 
 EXPERIMENT_KINDS = ("sanity-dynamics", "proxy-sweep", "modular-vs-e2e",
                     "label-efficiency", "transferability", "lemma-suite",
@@ -24,22 +25,21 @@ EXPERIMENT_KINDS = ("sanity-dynamics", "proxy-sweep", "modular-vs-e2e",
 
 _REQUIRED = object()
 
-# JSON types of the dataclass field annotations; tuples load from arrays.
-_JSON_TYPES = {"int": int, "float": float, "str": str, "tuple": list,
-               "str | None": (str, type(None))}
+_ROOT_SCHEMA = {"experiment": {"type": "string", "enum": EXPERIMENT_KINDS},
+                "output_dir": {"type": "string"}}
 
 
 def _fields_of(spec_class, nullable=()) -> dict:
     """Section table built from a spec dataclass: fields without a default
     are required; ``nullable`` ones default to null (filled in later)."""
     table = {}
-    for f in dataclass_fields(spec_class):
-        types, default = _JSON_TYPES[f.type], f.default
+    for f, schema in field_schemas(spec_class):
+        schema, default = dict(schema), f.default
         if f.name in nullable:
-            types, default = (types, type(None)), None
+            schema["type"], default = [schema["type"], "null"], None
         elif default is MISSING:
             default = _REQUIRED
-        table[f.name] = (types, default)
+        table[f.name] = (schema, default)
     return table
 
 
@@ -52,73 +52,70 @@ _TRAIN_FIELDS = _fields_of(TrainConfig)
 # kind; every key they leave out falls back to 'train'.
 TRAIN_OVERRIDES = ("sweep.output_train", "transfer.candidate_train",
                    "transfer.oracle_train", "modular.input_train")
+_OVERRIDE = ({"type": ["object", "null"]}, None)
+
+
+def _list_of(items: dict, **counts) -> dict:
+    """A non-empty array of ``items``; ``counts`` sets other item counts."""
+    return {"type": "array", "items": items, "minItems": 1, **counts}
+
+
+# Two distinct class indices: a binary task, class 'b' against class 'a'.
+_CLASS_PAIR = _list_of({"type": "integer", "minimum": 0}, minItems=2,
+                       maxItems=2, uniqueItems=True)
 
 _SWEEP_FIELDS = {
-    "checkpoint_epochs": (list, _REQUIRED),
-    "output_train": ((dict, type(None)), None),
+    "checkpoint_epochs": (_list_of({"type": "integer", "minimum": 0}),
+                          _REQUIRED),
+    "output_train": _OVERRIDE,
 }
 
-_MODULAR_FIELDS = {
-    "input_train": ((dict, type(None)), None),
-}
+_MODULAR_FIELDS = {"input_train": _OVERRIDE}
 
 _LABEL_EFFICIENCY_FIELDS = {
-    "budgets": (list, _REQUIRED),
-    "balanced": (bool, True),
-    "seed": (int, 0),
+    "budgets": (_list_of({"type": "integer", "minimum": 1}), _REQUIRED),
+    "balanced": ({"type": "boolean"}, True),
+    "seed": ({"type": "integer", "minimum": 0}, 0),
 }
 
 _TRANSFER_FIELDS = {
-    "source_tasks": (list, _REQUIRED),
-    "target_task": (list, _REQUIRED),
-    "proxy": (str, SCORING_DEFAULTS["proxy"]),
-    "subsample_fraction": (float, SCORING_DEFAULTS["subsample_fraction"]),
-    "seed": (int, SCORING_DEFAULTS["seed"]),
-    "include_random_candidate": (bool, True),
-    "candidate_train": ((dict, type(None)), None),
-    "oracle_train": ((dict, type(None)), None),
+    "source_tasks": (_list_of(_CLASS_PAIR), _REQUIRED),
+    "target_task": (_CLASS_PAIR, _REQUIRED),
+    **SCORING_FIELDS,
+    "include_random_candidate": ({"type": "boolean"}, True),
+    "candidate_train": _OVERRIDE,
+    "oracle_train": _OVERRIDE,
 }
 
-_LEMMA_FIELDS = {
-    "instances": (int, 10_000),
-    "dims": (list, [2, 3, 4, 5, 6, 7, 8]),
-    "seed": (int, 0),
-    "tolerance": (float, 1e-9),
-}
-
-# The lemma defaults, also read by geometry.run_lemma_suite and the
+# The lemma-suite settings, also read by geometry.run_lemma_suite and the
 # verify-lemma command line.
-LEMMA_DEFAULTS = {key: default for key, (_, default) in _LEMMA_FIELDS.items()}
-
-
-def check_lemma_settings(instances, dims, seed, tolerance) -> None:
-    """Reject lemma-suite settings the suite cannot run on: it needs at
-    least one instance, a non-empty list of dimensions of at least 1, a
-    non-negative seed and a finite, non-negative tolerance."""
-    if not _is_integer(instances, 1):
-        raise ConfigurationError(
-            f"lemma 'instances' must be an integer >= 1, got {instances!r}")
-    if (not isinstance(dims, (list, tuple)) or not dims
-            or not all(_is_integer(d, 1) for d in dims)):
-        raise ConfigurationError(
-            "lemma 'dims' must be a non-empty list of integers >= 1, "
-            f"got {dims!r}")
-    if not _is_integer(seed, 0):
-        raise ConfigurationError(
-            f"lemma 'seed' must be an integer >= 0, got {seed!r}")
-    if not (_is_finite(tolerance) and tolerance >= 0):
-        raise ConfigurationError(
-            f"lemma 'tolerance' must be a finite number >= 0, got {tolerance!r}")
+LEMMA_FIELDS = {
+    "instances": ({"type": "integer", "minimum": 1}, 10_000),
+    "dims": (_list_of({"type": "integer", "minimum": 1}), [2, 3, 4, 5, 6, 7, 8]),
+    "seed": ({"type": "integer", "minimum": 0}, 0),
+    "tolerance": ({"type": "number", "minimum": 0}, 1e-9),
+}
+LEMMA_DEFAULTS = {key: default for key, (_, default) in LEMMA_FIELDS.items()}
 
 _THEOREM_FIELDS = {
-    "instances": ((list, type(None)), None),
+    "instances": (dict(_list_of({"type": "string"}), type=["array", "null"]),
+                  None),
 }
 
-_KNOWN_THRESHOLDS = (
-    "min_train_accuracy", "max_accuracy_gap", "min_spearman",
-    "min_label_efficiency_ratio", "max_cost_ratio", "max_failures",
-    "min_test_accuracy", "max_counterexamples",
-)
+# Each threshold lies in the range of the metric it gates; outside it, the
+# gate could never pass, or never fail.
+_SHARE = {"type": "number", "minimum": 0, "maximum": 1}
+_AT_LEAST_0 = {"type": "number", "minimum": 0}
+_THRESHOLD_FIELDS = {
+    "min_train_accuracy": (_SHARE, None),
+    "max_accuracy_gap": (_SHARE, None),
+    "min_spearman": ({"type": "number", "minimum": -1, "maximum": 1}, None),
+    "min_label_efficiency_ratio": (_AT_LEAST_0, None),
+    "max_cost_ratio": (_AT_LEAST_0, None),
+    "max_failures": (_AT_LEAST_0, None),
+    "min_test_accuracy": (_SHARE, None),
+    "max_counterexamples": (_AT_LEAST_0, None),
+}
 
 _TOP_SECTIONS = {
     "dataset": _DATASET_FIELDS,
@@ -128,22 +125,9 @@ _TOP_SECTIONS = {
     "modular": _MODULAR_FIELDS,
     "label_efficiency": _LABEL_EFFICIENCY_FIELDS,
     "transfer": _TRANSFER_FIELDS,
-    "lemma": _LEMMA_FIELDS,
+    "lemma": LEMMA_FIELDS,
     "theorem": _THEOREM_FIELDS,
 }
-
-
-_INVALID = object()
-
-
-def _coerce(value, types):
-    if not isinstance(types, tuple):
-        types = (types,)
-    if float in types and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if bool not in types and isinstance(value, bool):
-        return _INVALID
-    return value if isinstance(value, types) else _INVALID
 
 
 def _resolve_section(section: str, doc: dict, fields: dict,
@@ -156,21 +140,25 @@ def _resolve_section(section: str, doc: dict, fields: dict,
             raise ConfigurationError(
                 f"unknown key '{key}' in section '{section}'")
     out = {}
-    for key, (types, default) in fields.items():
+    for key, (schema, default) in fields.items():
         if key in doc:
-            coerced = _coerce(doc[key], types)
-            if coerced is _INVALID:
-                raise ConfigurationError(
-                    f"key '{key}' in section '{section}' has the wrong type")
-            out[key] = coerced
+            value = doc[key]
+            validate_schema(value, schema, f"{section}.{key}")
+            out[key] = float(value) if schema["type"] == "number" else value
         elif partial:
             continue
         elif default is _REQUIRED:
             raise ConfigurationError(
                 f"section '{section}' is missing required key '{key}'")
         else:
-            out[key] = json.loads(json.dumps(default))
+            out[key] = _json_copy(default)
     return out
+
+
+def _json_copy(value):
+    """``value`` as JSON loads it back: tuples become lists, at any depth."""
+    return ([_json_copy(v) for v in value] if isinstance(value, (list, tuple))
+            else value)
 
 
 @dataclass
@@ -217,8 +205,7 @@ class ExperimentConfig:
             sec["input_dim"] = data["d"]
         if sec.get("num_classes") is None:
             sec["num_classes"] = data.get("num_classes", 2)
-        sec["hidden_widths"] = tuple(int(w) for w in sec["hidden_widths"])
-        return ArchitectureSpec(**sec)
+        return ArchitectureSpec.from_dict(sec)
 
     def train_config(self, override_key: str | None = None) -> TrainConfig:
         """The 'train' section, with the keys of ``override_key`` (one of
@@ -235,64 +222,49 @@ def _override(resolved: dict, key: str) -> dict | None:
 
 
 def resolve_config(doc: dict) -> ExperimentConfig:
+    """Check ``doc`` against the section tables, and then the checks that
+    span fields or sections wherever the values are known at load."""
     if not isinstance(doc, dict):
         raise ConfigurationError("the configuration root must be an object")
-    known_top = {"experiment", "output_dir", "thresholds", *_TOP_SECTIONS}
     for key in doc:
-        if key not in known_top:
+        if key not in {*_ROOT_SCHEMA, "thresholds", *_TOP_SECTIONS}:
             raise ConfigurationError(f"unknown key '{key}' at the top level")
     if "experiment" not in doc:
         raise ConfigurationError("missing required key 'experiment'")
-    kind = doc["experiment"]
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigurationError(
-            f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
-
-    resolved = {"experiment": kind,
-                "output_dir": str(doc.get("output_dir", "out"))}
+    resolved = {"experiment": doc["experiment"],
+                "output_dir": doc.get("output_dir", "out")}
+    for key, schema in _ROOT_SCHEMA.items():
+        validate_schema(resolved[key], schema, key)
     for section, fields in _TOP_SECTIONS.items():
         if section in doc:
             resolved[section] = _resolve_section(section, doc[section], fields)
-    thresholds = doc.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise ConfigurationError("'thresholds' must be an object")
-    for key, value in thresholds.items():
-        if key not in _KNOWN_THRESHOLDS:
-            raise ConfigurationError(f"unknown key '{key}' in 'thresholds'")
-        if not _is_finite(value):
-            raise ConfigurationError(
-                f"threshold '{key}' must be a finite number, got {value!r}")
-    resolved["thresholds"] = {k: float(v) for k, v in sorted(thresholds.items())}
-
-    cfg = ExperimentConfig(resolved=resolved)
-    # Eagerly construct the typed specs so value-level validation runs now.
-    if "dataset" in resolved:
-        cfg.dataset_spec()
-    if "train" in resolved:
-        cfg.train_config()
-    if "transfer" in resolved:
-        validate_subsample_fraction(resolved["transfer"]["subsample_fraction"])
-    for section in ("label_efficiency", "transfer"):
-        seed = resolved.get(section, {}).get("seed", 0)
-        if seed < 0:
-            raise ConfigurationError(
-                f"'{section}.seed' must be an integer >= 0, got {seed}")
-    if "lemma" in resolved:
-        check_lemma_settings(**resolved["lemma"])
+    resolved["thresholds"] = dict(sorted(_resolve_section(
+        "thresholds", doc.get("thresholds", {}), _THRESHOLD_FIELDS,
+        partial=True).items()))
     for key in TRAIN_OVERRIDES:
         override = _override(resolved, key)
         if override is not None:
             parent, _, name = key.partition(".")
             resolved[parent][name] = _resolve_section(
                 key, override, _TRAIN_FIELDS, partial=True)
-            try:
-                cfg.train_config(key)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"section '{key}': {exc}") from None
-    arch = resolved.get("architecture")
-    if arch is not None and (arch.get("input_dim") is not None
-                             or resolved.get("dataset", {}).get("d")):
-        cfg.architecture_spec()
+
+    cfg = ExperimentConfig(resolved=resolved)
+    data, transfer = resolved.get("dataset"), resolved.get("transfer")
+    if data is not None:
+        cfg.dataset_spec()
+    if "sweep" in resolved:
+        check_checkpoints(resolved["sweep"]["checkpoint_epochs"],
+                          cfg.train_config())
+    # The labels of a file dataset are unknown until it is read.
+    if transfer is not None and data is not None and (
+            data["kind"] in GENERATED_KINDS):
+        classes = data["num_classes"]
+        for key, pairs in (("source_tasks", transfer["source_tasks"]),
+                           ("target_task", [transfer["target_task"]])):
+            if any(max(pair) >= classes for pair in pairs):
+                raise ConfigurationError(
+                    f"transfer.{key}: {transfer[key]} names a class outside "
+                    f"the dataset's {classes} classes (0 to {classes - 1})")
     return cfg
 
 
@@ -311,52 +283,20 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return dump_json(cfg.resolved)
 
 
-# ---------------------------------------------------------------------------
-# minimal schema checking for emitted reports
-# ---------------------------------------------------------------------------
+def config_schema() -> dict:
+    """The JSON schema of a config, rendered from the section tables;
+    ``configs/config-schema.json`` holds it as ``dump_json`` writes it."""
+    def section(fields: dict, kind="object") -> dict:
+        return {"type": kind, "additionalProperties": False,
+                "required": [k for k, (_, d) in fields.items() if d is _REQUIRED],
+                "properties": {k: schema for k, (schema, _) in fields.items()}}
 
-_TYPE_MAP = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "boolean": bool,
-    "null": type(None),
-}
-
-
-def validate_schema(obj, schema: dict, path: str = "$") -> None:
-    """Check ``obj`` against a small JSON-schema subset; raises
-    ConfigurationError naming the offending path."""
-    expected = schema.get("type")
-    if expected is not None:
-        kinds = expected if isinstance(expected, list) else [expected]
-        ok = False
-        for kind in kinds:
-            if kind == "number":
-                ok = ok or (isinstance(obj, (int, float))
-                            and not isinstance(obj, bool))
-            elif kind == "integer":
-                ok = ok or (isinstance(obj, int) and not isinstance(obj, bool))
-            else:
-                ok = ok or isinstance(obj, _TYPE_MAP[kind])
-        if not ok:
-            raise ConfigurationError(
-                f"{path}: expected {expected}, got {type(obj).__name__}")
-    if "enum" in schema and obj not in schema["enum"]:
-        raise ConfigurationError(f"{path}: {obj!r} not in {schema['enum']}")
-    if isinstance(obj, dict):
-        for key in schema.get("required", []):
-            if key not in obj:
-                raise ConfigurationError(f"{path}: missing required key '{key}'")
-        props = schema.get("properties", {})
-        extra = schema.get("additionalProperties", True)
-        for key, value in obj.items():
-            if key in props:
-                validate_schema(value, props[key], f"{path}.{key}")
-            elif extra is False:
-                raise ConfigurationError(f"{path}: unknown key '{key}'")
-            elif isinstance(extra, dict):
-                validate_schema(value, extra, f"{path}.{key}")
-    if isinstance(obj, list) and "items" in schema:
-        for i, item in enumerate(obj):
-            validate_schema(item, schema["items"], f"{path}[{i}]")
+    props = {name: section(fields) for name, fields in
+             [*_TOP_SECTIONS.items(), ("thresholds", _THRESHOLD_FIELDS)]}
+    for key in TRAIN_OVERRIDES:
+        parent, _, name = key.partition(".")
+        props[parent]["properties"][name] = section(_TRAIN_FIELDS,
+                                                    ["object", "null"])
+    return {"type": "object", "additionalProperties": False,
+            "required": ["experiment"],
+            "properties": {**_ROOT_SCHEMA, **props}}

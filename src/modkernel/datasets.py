@@ -16,31 +16,38 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError
+from .serialize import check_fields, ranged
 
-DATASET_KINDS = ("random-label", "gaussian-blobs", "csv-file", "idx-file")
+GENERATED_KINDS = ("random-label", "gaussian-blobs")
+DATASET_KINDS = (*GENERATED_KINDS, "csv-file", "idx-file")
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    kind: str
-    n: int = 0
-    d: int = 0
-    num_classes: int = 2
-    seed: int = 0
-    split_fraction: float = 0.8
-    separation: float = 8.0
-    noise: float = 1.0
+    """``n`` and ``d`` size a generated kind (a file kind reads both);
+    ``noise`` is the standard deviation around each blob mean."""
+
+    kind: str = ranged(enum=DATASET_KINDS)
+    n: int = ranged(0, minimum=0)
+    d: int = ranged(0, minimum=0)
+    num_classes: int = ranged(2, minimum=2)
+    seed: int = ranged(0, minimum=0)
+    split_fraction: float = ranged(0.8, exclusiveMinimum=0, maximum=1)
+    separation: float = ranged(8.0, minimum=0)
+    noise: float = ranged(1.0, minimum=0)
     path: str | None = None
     labels_path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in DATASET_KINDS:
+        check_fields(self, "dataset")
+        if self.kind in GENERATED_KINDS and min(self.n, self.d) < 1:
             raise ConfigurationError(
-                f"unknown dataset kind {self.kind!r}; expected one of {DATASET_KINDS}")
-        if not 0.0 < self.split_fraction <= 1.0:
-            raise ConfigurationError("split_fraction must lie in (0, 1]")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+                f"dataset.n and dataset.d must be at least 1 for kind "
+                f"{self.kind!r}, got n={self.n}, d={self.d}")
+        if self.kind == "gaussian-blobs" and self.num_classes > 2 * self.d:
+            raise ConfigurationError(
+                f"dataset.num_classes: {self.num_classes} blob classes need "
+                f"d >= {(self.num_classes + 1) // 2}, got d={self.d}")
 
 
 @dataclass
@@ -75,10 +82,7 @@ def _split(X: np.ndarray, y: np.ndarray, fraction: float,
 
 
 def blob_means(num_classes: int, d: int, separation: float) -> np.ndarray:
-    """Axis-aligned class centers at +-separation along distinct axes."""
-    if num_classes > 2 * d:
-        raise ConfigurationError(
-            f"{num_classes} blob classes need dimension >= {(num_classes + 1) // 2}")
+    """Class centers at +-separation along distinct axes (2 per axis)."""
     means = np.zeros((num_classes, d))
     for c in range(num_classes):
         axis, sign = divmod(c, 2)
@@ -89,14 +93,10 @@ def blob_means(num_classes: int, d: int, separation: float) -> np.ndarray:
 def make_dataset(spec: DatasetSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "random-label":
-        if spec.n < 1 or spec.d < 1 or spec.num_classes < 2:
-            raise ConfigurationError("random-label needs n, d, num_classes")
         X = rng.standard_normal((spec.n, spec.d))
         y = rng.integers(0, spec.num_classes, spec.n)
         return _split(X, y, spec.split_fraction, rng)
     if spec.kind == "gaussian-blobs":
-        if spec.n < 1 or spec.d < 1 or spec.num_classes < 2:
-            raise ConfigurationError("gaussian-blobs needs n, d, num_classes")
         means = blob_means(spec.num_classes, spec.d, spec.separation)
         y = rng.permutation(np.arange(spec.n) % spec.num_classes)
         X = means[y] + spec.noise * rng.standard_normal((spec.n, spec.d))

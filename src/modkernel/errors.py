@@ -27,3 +27,7 @@ class UndefinedProxyError(ModkernelError):
 
 class IngestionError(ModkernelError):
     """An external data file is malformed."""
+
+
+class DivergenceError(ModkernelError):
+    """A training loss became NaN or infinite."""

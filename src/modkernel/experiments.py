@@ -227,8 +227,7 @@ def _run_proxy_sweep(cfg: ExperimentConfig, outdir: Path):
     model = TwoModuleModel(arch, seed=train_cfg.seed)
     artifacts = _write_dataset_summary(outdir, data)
     timing = {}
-    rows = proxy_accuracy_sweep(model, data,
-                                [int(e) for e in section["checkpoint_epochs"]],
+    rows = proxy_accuracy_sweep(model, data, section["checkpoint_epochs"],
                                 train_cfg, output_cfg, timing)
     write_csv(outdir / "sweep.csv", ("epoch", "proxy", "accuracy"),
               [[r["epoch"], r["proxy"], r["accuracy"]] for r in rows])
@@ -252,7 +251,7 @@ def _run_label_efficiency(cfg: ExperimentConfig, outdir: Path):
     train_input_module(model, data, train_cfg)
 
     n = data.X_train.shape[0]
-    budgets = sorted({int(b) for b in section["budgets"]} | {n})
+    budgets = sorted({*section["budgets"], n})
     rows = label_efficiency_run(model, data, budgets, section["balanced"],
                                 section["seed"], train_cfg)
     num_classes = data.num_classes
@@ -288,7 +287,7 @@ def _run_transferability(cfg: ExperimentConfig, outdir: Path):
     cand_dir = outdir / "candidates"
     cand_dir.mkdir(exist_ok=True)
     for i, pair in enumerate(section["source_tasks"]):
-        a, b = (int(pair[0]), int(pair[1]))
+        a, b = pair
         task = binary_subtask(base, (a, b))
         model = TwoModuleModel(arch, seed=candidate_cfg.seed + i)
         train_input_module(model, task, candidate_cfg)
@@ -303,9 +302,7 @@ def _run_transferability(cfg: ExperimentConfig, outdir: Path):
         cand.save(cand_dir / f"{cand.id}.json")
         artifacts.append(f"candidates/{cand.id}.json")
 
-    target_pair = (int(section["target_task"][0]),
-                   int(section["target_task"][1]))
-    target = binary_subtask(base, target_pair)
+    target = binary_subtask(base, section["target_task"])
 
     t0 = time.perf_counter()
     scores = {c.id: score_candidate(c, target, section["proxy"],
@@ -342,10 +339,8 @@ def _run_transferability(cfg: ExperimentConfig, outdir: Path):
 
 
 def binary_subtask(base: Dataset, pair: tuple) -> Dataset:
-    """Restrict a labeled dataset to two classes, relabeled {0, 1}."""
+    """Restrict a labeled dataset to two distinct classes, relabeled {0, 1}."""
     a, b = pair
-    if a == b:
-        raise ConfigurationError(f"task pair ({a}, {b}) needs distinct classes")
 
     def pick(X, y):
         mask = (y == a) | (y == b)

@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import LEMMA_DEFAULTS, check_lemma_settings
+from .config import LEMMA_DEFAULTS, LEMMA_FIELDS
 from .errors import ConfigurationError, ContractError
 from .kernels import FeatureMap, kernel_eval, rkhs_distance_sq
 from .losses import DecomposableLoss, make_loss
+from .serialize import check_entries
 
 _NORM_TOL = 1e-12
 
@@ -349,8 +350,8 @@ def run_lemma_suite(num_instances: int = LEMMA_DEFAULTS["instances"],
     ``worst_residuals`` and ``branches`` list their keys in the order the
     instances first produce them.
     """
-    check_lemma_settings(instances=num_instances, dims=dims, seed=seed,
-                         tolerance=tol)
+    check_entries("lemma", {"instances": num_instances, "dims": dims,
+                            "seed": seed, "tolerance": tol}, LEMMA_FIELDS)
     rng = np.random.default_rng(seed)
     failures = 0
     worst: dict[str, float] = {}

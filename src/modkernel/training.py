@@ -19,7 +19,6 @@ alone.  Training is single-threaded and deterministic given the seeds.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -29,24 +28,15 @@ import numpy as np
 from . import autodiff as ad
 from . import proxies
 from .datasets import Dataset
-from .errors import ConfigurationError, DegenerateBatchError, IngestionError
+from .errors import (ConfigurationError, DegenerateBatchError, DivergenceError,
+                     IngestionError)
 from .kernels import NONLINEARITIES, FeatureMap, gram_tensor
 from .losses import LOSS_KINDS, make_loss, risk_tensor
-from .serialize import (MODULE_FORMAT, entries_to_params, params_to_entries,
-                        write_csv)
+from .serialize import (MODULE_FORMAT, check_fields, entries_to_params,
+                        params_to_entries, ranged, validate_schema, write_csv)
 
 TRACE_HEADER = ("stage", "epoch", "lr", "objective",
                 "train_accuracy", "test_accuracy", "resamples")
-
-
-def _is_integer(value, least: int) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least)
-
-
-def _is_finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -58,31 +48,16 @@ class ArchitectureSpec:
     link features to ``output_width(loss)`` columns.
     """
 
-    input_dim: int
-    hidden_widths: tuple = (64,)
-    latent_dim: int = 2
-    num_classes: int = 2
-    hidden_nonlinearity: str = "relu"
-    link_nonlinearity: str = "tanh"
-    link_epsilon: float = 1e-12
+    input_dim: int = ranged(minimum=1)
+    hidden_widths: tuple = ranged((64,), items={"type": "integer", "minimum": 1})
+    latent_dim: int = ranged(2, minimum=1)
+    num_classes: int = ranged(2, minimum=2)
+    hidden_nonlinearity: str = ranged("relu", enum=NONLINEARITIES)
+    link_nonlinearity: str = ranged("tanh", enum=NONLINEARITIES)
+    link_epsilon: float = ranged(1e-12, exclusiveMinimum=0)
 
     def __post_init__(self):
-        widths = (self.input_dim, self.latent_dim, *self.hidden_widths)
-        if not all(_is_integer(w, 1) for w in widths):
-            raise ConfigurationError("input_dim, latent_dim and hidden widths "
-                                     f"must be integers >= 1, got {widths!r}")
-        if not _is_integer(self.num_classes, 2):
-            raise ConfigurationError(
-                f"num_classes must be an integer >= 2, got {self.num_classes!r}")
-        for name in ("hidden_nonlinearity", "link_nonlinearity"):
-            if getattr(self, name) not in NONLINEARITIES:
-                raise ConfigurationError(
-                    f"unknown {name} {getattr(self, name)!r}; expected one "
-                    f"of {NONLINEARITIES}")
-        eps = self.link_epsilon
-        if not (_is_finite(eps) and eps > 0):
-            raise ConfigurationError(
-                f"link_epsilon must be a finite number > 0, got {eps!r}")
+        check_fields(self, "architecture")
 
     def output_width(self, loss: str) -> int:
         """Columns of the output module under ``loss``: one score for a
@@ -105,46 +80,27 @@ class ArchitectureSpec:
         return cls(**doc)
 
 
+# One lr_schedule entry: [learning rate, epochs at that rate].
+_LR_STEP = {"type": "array", "minItems": 2, "maxItems": 2, "prefixItems": [
+    {"type": "number", "exclusiveMinimum": 0}, {"type": "integer", "minimum": 0}]}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 128
-    lr_schedule: tuple = ((0.1, 20), (0.01, 20), (0.001, 20))
-    momentum: float = 0.9
-    seed: int = 0
-    proxy: str = "nmse-neo"
-    loss: str = "xe"
-    trace_every: int = 1
-    plateau_tol: float = 1e-6
-    plateau_patience: int = 5
-    resample_limit: int = 100
+    batch_size: int = ranged(128, minimum=2)
+    lr_schedule: tuple = ranged(((0.1, 20), (0.01, 20), (0.001, 20)),
+                                minItems=1, items=_LR_STEP)
+    momentum: float = ranged(0.9, minimum=0, exclusiveMaximum=1)
+    seed: int = ranged(0, minimum=0)
+    proxy: str = ranged("nmse-neo", enum=proxies.PROXY_KINDS)
+    loss: str = ranged("xe", enum=("xe", *LOSS_KINDS))
+    trace_every: int = ranged(1, minimum=1)
+    plateau_tol: float = ranged(1e-6, minimum=0)
+    plateau_patience: int = ranged(5, minimum=1)
+    resample_limit: int = ranged(100, minimum=0)
 
     def __post_init__(self):
-        if not self.lr_schedule:
-            raise ConfigurationError("lr_schedule must be nonempty")
-        for lr, epochs in self.lr_schedule:
-            if not (_is_finite(lr) and lr > 0 and _is_integer(epochs, 0)):
-                raise ConfigurationError(
-                    f"bad lr_schedule entry (lr={lr!r}, epochs={epochs!r})")
-        if self.batch_size < 2:
-            raise ConfigurationError("batch_size must be at least 2")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(
-                f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.trace_every < 1:
-            raise ConfigurationError("trace_every must be at least 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if not (_is_finite(self.plateau_tol) and self.plateau_tol >= 0):
-            raise ConfigurationError("plateau_tol must be a finite number "
-                                     f">= 0, got {self.plateau_tol!r}")
-        for name, least in (("plateau_patience", 1), ("resample_limit", 0)):
-            if not _is_integer(getattr(self, name), least):
-                raise ConfigurationError(f"{name} must be an integer >= "
-                                         f"{least}, got {getattr(self, name)!r}")
-        proxies.validate_proxy_kind(self.proxy)
-        if self.loss != "xe" and self.loss not in LOSS_KINDS:
-            raise ConfigurationError(
-                f"unknown loss kind {self.loss!r}; expected 'xe' or one of {LOSS_KINDS}")
+        check_fields(self, "train")
 
     @property
     def total_epochs(self) -> int:
@@ -154,14 +110,8 @@ class TrainConfig:
     def from_dict(cls, doc: dict) -> "TrainConfig":
         doc = dict(doc)
         if "lr_schedule" in doc:
-            try:
-                doc["lr_schedule"] = tuple(
-                    (float(lr) if _is_finite(lr) else lr, ep)
-                    for lr, ep in doc["lr_schedule"])
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    "lr_schedule must be a list of [lr, epochs] pairs, got "
-                    f"{doc['lr_schedule']!r}") from None
+            doc["lr_schedule"] = tuple((float(lr), ep)
+                                       for lr, ep in doc["lr_schedule"])
         return cls(**doc)
 
 
@@ -196,6 +146,14 @@ class AffineStack:
             out.append((f"{prefix}.{i}.weight", W))
             out.append((f"{prefix}.{i}.bias", b))
         return out
+
+
+# The keys of a module checkpoint besides its format and architecture.
+_CHECKPOINT_HEADER = {"required": ["tensors"], "properties": {
+    "seed": {"type": "integer", "minimum": 0},
+    "output_dim": {"type": ["integer", "null"], "minimum": 1},
+    "tensors": {"type": "array", "items": {
+        "type": "object", "required": ["name", "shape", "values"]}}}}
 
 
 class TwoModuleModel:
@@ -270,21 +228,13 @@ class TwoModuleModel:
             arch = ArchitectureSpec.from_dict(doc["architecture"])
         except (TypeError, ConfigurationError) as exc:  # a bad field
             raise IngestionError(f"module checkpoint architecture: {exc}") from None
-        seed, output_dim = doc.get("seed", 0), doc.get("output_dim")
-        if not _is_integer(seed, 0):
-            raise IngestionError(
-                f"module checkpoint seed must be an integer >= 0, got {seed!r}")
-        if output_dim is not None and not _is_integer(output_dim, 1):
-            raise IngestionError("module checkpoint output_dim must be an "
-                                 f"integer >= 1, got {output_dim!r}")
-        tensors = doc.get("tensors")
-        if not isinstance(tensors, list) or not all(
-                isinstance(e, dict) and {"name", "shape", "values"} <= e.keys()
-                for e in tensors):
-            raise IngestionError("module checkpoint tensors must be a list of "
-                                 "entries with a name, shape and values")
-        model = cls(arch, seed=seed, output_dim=output_dim)
-        loaded = dict(entries_to_params(tensors))
+        try:
+            validate_schema(doc, _CHECKPOINT_HEADER, "module checkpoint")
+        except ConfigurationError as exc:
+            raise IngestionError(str(exc)) from None
+        model = cls(arch, seed=doc.get("seed", 0),
+                    output_dim=doc.get("output_dim"))
+        loaded = dict(entries_to_params(doc["tensors"]))
         for name, tensor in model.named_params():
             if name not in loaded:
                 raise IngestionError(f"module checkpoint lacks tensor {name!r}")
@@ -369,7 +319,8 @@ def _fit(params: list, cfg: TrainConfig, rng: np.random.Generator, n: int,
     of it, and then calls ``end_epoch(epochs_done, lr)``.  That returns
     None to go on, or the positions along the parameters' leading (stack)
     axis that go on, which drops the others with their gradients and
-    velocities; an empty selection stops the fit.
+    velocities; an empty selection stops the fit.  A batch loss that is
+    NaN or infinite stops it with a ``DivergenceError``.
     """
     opt = ad.SgdMomentum(params, cfg.lr_schedule[0][0], cfg.momentum)
     for epoch, lr in _schedule_epochs(cfg):
@@ -377,6 +328,10 @@ def _fit(params: list, cfg: TrainConfig, rng: np.random.Generator, n: int,
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             loss = batch_loss(order[start:start + cfg.batch_size])
+            if not math.isfinite(loss.item()):
+                raise DivergenceError(
+                    f"training diverged: the batch loss is {loss.item()} in "
+                    f"epoch {epoch + 1}, at learning rate {lr}")
             opt.zero_grad()
             ad.backward(loss)
             opt.step()
@@ -616,7 +571,6 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
     width = model.arch.output_width(cfg.loss)
     rows = []
     for budget in label_budgets:
-        budget = int(budget)
         if budget < 1 or budget > n:
             raise ConfigurationError(f"label budget {budget} out of range")
         rng = np.random.default_rng(
@@ -656,6 +610,15 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
     return rows
 
 
+def check_checkpoints(checkpoint_epochs, cfg: TrainConfig) -> None:
+    """Every checkpoint must be an epoch count of the stage-1 schedule."""
+    outside = [e for e in checkpoint_epochs if not 0 <= e <= cfg.total_epochs]
+    if outside:
+        raise ConfigurationError(
+            f"sweep.checkpoint_epochs: {outside} lie outside the stage-1 "
+            f"schedule of {cfg.total_epochs} epochs")
+
+
 def proxy_accuracy_sweep(model: TwoModuleModel, data: Dataset,
                          checkpoint_epochs, cfg: TrainConfig,
                          output_cfg: TrainConfig | None = None,
@@ -670,16 +633,12 @@ def proxy_accuracy_sweep(model: TwoModuleModel, data: Dataset,
     (``stage2_seconds``).
     """
     checkpoint_epochs = list(checkpoint_epochs)
+    check_checkpoints(checkpoint_epochs, cfg)
     output_cfg = output_cfg or cfg
     t0 = time.perf_counter()
     _, snapshots = train_input_module(model, data, cfg,
                                       checkpoint_epochs=checkpoint_epochs)
     t1 = time.perf_counter()
-    beyond = [e for e in checkpoint_epochs if e not in snapshots]
-    if beyond:
-        raise ConfigurationError(
-            f"checkpoint epochs {beyond} exceed the schedule "
-            f"({cfg.total_epochs} epochs)")
     values, feats_train, feats_test = [], [], []
     for epoch in checkpoint_epochs:
         snapshot = snapshots[epoch]

@@ -17,17 +17,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datasets import Dataset
-from .errors import (ConfigurationError, ContractError, DegenerateBatchError,
-                     DimensionError)
-from .proxies import (feature_proxy_value, is_degenerate_for, partition_pairs,
-                      validate_proxy_kind)
+from .errors import ContractError, DegenerateBatchError, DimensionError
+from .proxies import (PROXY_KINDS, feature_proxy_value, is_degenerate_for,
+                      partition_pairs)
 # Unused here: bound only because the benchmark's span check requires
 # these aliases (REQUIRED_ALIASES in perfbench/smoke.py).  They go when
 # the benchmark drops them.
 from .kernels import kernel_matrix  # noqa: F401
 from .proxies import proxy_value  # noqa: F401
 from .training import freeze_and_train_output  # noqa: F401
-from .serialize import read_json, write_csv, write_json
+from .serialize import check_entries, read_json, write_csv, write_json
 from .training import TrainConfig, TwoModuleModel, train_output_stack
 
 
@@ -52,9 +51,15 @@ class CandidateModule:
             meta={"id": self.id, "source_task": self.source_task}))
 
 
-# The scoring defaults, also read by the config's 'transfer' section and
-# the score-transfer command line.
-SCORING_DEFAULTS = {"proxy": "al", "subsample_fraction": 0.1, "seed": 0}
+# The scoring settings' (schema, default) entries, also in the config's
+# 'transfer' section table and the score-transfer command line.
+SCORING_FIELDS = {
+    "proxy": ({"type": "string", "enum": PROXY_KINDS}, "al"),
+    "subsample_fraction": (
+        {"type": "number", "exclusiveMinimum": 0, "maximum": 1}, 0.1),
+    "seed": ({"type": "integer", "minimum": 0}, 0),
+}
+SCORING_DEFAULTS = {key: default for key, (_, default) in SCORING_FIELDS.items()}
 
 # Redraws of a degenerate scoring subsample before giving up.
 SCORING_RETRIES = 20
@@ -71,10 +76,9 @@ def score_candidate(candidate: CandidateModule, target_data: Dataset,
     the proxy needs) are redrawn up to ``SCORING_RETRIES`` times before
     erroring, and the whole target at once.  No parameters change.
     """
-    validate_proxy_kind(proxy)
-    validate_subsample_fraction(subsample_fraction)
-    if seed < 0:
-        raise ConfigurationError(f"scoring seed must be >= 0, got {seed}")
+    check_entries("transfer", {"proxy": proxy, "seed": seed,
+                               "subsample_fraction": subsample_fraction},
+                  SCORING_FIELDS)
     n = target_data.X_train.shape[0]
     if n < 2:
         raise DegenerateBatchError(
@@ -96,12 +100,6 @@ def score_candidate(candidate: CandidateModule, target_data: Dataset,
                 f"the whole target lacks a pair type proxy {proxy!r} needs")
     raise DegenerateBatchError(
         f"no usable subsample for proxy {proxy!r} after {SCORING_RETRIES} retries")
-
-
-def validate_subsample_fraction(fraction: float) -> None:
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigurationError(
-            f"subsample_fraction must lie in (0, 1], got {fraction}")
 
 
 @dataclass

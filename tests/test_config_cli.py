@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import inspect
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +22,7 @@ from modkernel.proxies import PROXY_KINDS
 from modkernel.errors import ConfigurationError
 from modkernel.experiments import REPORT_SCHEMA, run_experiment
 from modkernel.serialize import read_json
+from modkernel.training import TrainConfig
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -58,16 +62,19 @@ _TRAIN_SECTIONS = _section(
 @st.composite
 def config_docs(draw):
     """Valid config documents: every section optional, each key of a
-    section optional, values drawn from their valid ranges."""
+    section optional unless its range depends on it, values drawn from
+    their valid ranges."""
     doc = {"experiment": draw(st.sampled_from(EXPERIMENT_KINDS))}
     sections = {
         "output_dir": st.text("abcxyz/-_0123", min_size=1, max_size=12),
-        "dataset": _section(
-            {"kind": st.sampled_from(("gaussian-blobs", "random-label"))},
-            n=st.integers(1, 500), d=st.integers(1, 20),
-            num_classes=st.integers(2, 6), seed=st.integers(0, 10 ** 6),
+        # A generated dataset needs n and d, and at most 2 * d blob classes.
+        "dataset": st.integers(1, 20).flatmap(lambda d: _section(
+            {"kind": st.sampled_from(("gaussian-blobs", "random-label")),
+             "n": st.integers(1, 500), "d": st.just(d)},
+            num_classes=st.integers(2, min(6, 2 * d)),
+            seed=st.integers(0, 10 ** 6),
             split_fraction=_floats(0.01, 1.0), separation=_floats(0.0, 20.0),
-            noise=_floats(0.0, 5.0)),
+            noise=_floats(0.0, 5.0))),
         "architecture": _section(
             input_dim=st.none() | st.integers(1, 20),
             hidden_widths=st.lists(st.integers(1, 64), max_size=3),
@@ -77,12 +84,9 @@ def config_docs(draw):
             link_nonlinearity=st.sampled_from(NONLINEARITIES),
             link_epsilon=_floats(1e-15, 1e-3)),
         "train": _TRAIN_SECTIONS,
-        "sweep": _section(
-            {"checkpoint_epochs": st.lists(st.integers(0, 50), max_size=4)},
-            output_train=st.none() | _TRAIN_SECTIONS),
         "modular": _section(input_train=st.none() | _TRAIN_SECTIONS),
         "label_efficiency": _section(
-            {"budgets": st.lists(st.integers(1, 100), max_size=4)},
+            {"budgets": st.lists(st.integers(1, 100), min_size=1, max_size=4)},
             balanced=st.booleans(), seed=st.integers(0, 10 ** 6)),
         "lemma": _section(
             instances=st.integers(1, 10 ** 5),
@@ -96,6 +100,13 @@ def config_docs(draw):
     for key, strategy in sections.items():
         if draw(st.booleans()):
             doc[key] = draw(strategy)
+    if draw(st.booleans()):
+        # Checkpoints are epoch counts of the drawn stage-1 schedule.
+        epochs = TrainConfig.from_dict(doc.get("train", {})).total_epochs
+        doc["sweep"] = draw(_section(
+            {"checkpoint_epochs": st.lists(st.integers(0, epochs), min_size=1,
+                                           max_size=4)},
+            output_train=st.none() | _TRAIN_SECTIONS))
     return doc
 
 
@@ -270,7 +281,8 @@ class TestConfigLoading:
                                           {"momentum": 1.0}])
     def test_override_bad_value_names_section(self, tmp_path, key, override):
         doc = self._with_override(key, override)
-        with pytest.raises(ConfigurationError, match=f"section '{key}'"):
+        path = re.escape(f"{key}.{next(iter(override))}")
+        with pytest.raises(ConfigurationError, match=path):
             load_config(write_config(tmp_path, doc))
 
     def test_override_keeps_only_given_keys(self, tmp_path):
@@ -336,11 +348,12 @@ class TestConfigSchemaFile:
             assert arch[key]["enum"] == list(NONLINEARITIES), key
 
     def test_thresholds_are_the_known_ones(self):
-        from modkernel.config import _KNOWN_THRESHOLDS
+        from modkernel.config import _THRESHOLD_FIELDS
         thresholds = self.SCHEMA["properties"]["thresholds"]
         assert thresholds["additionalProperties"] is False
-        assert thresholds["properties"] == {
-            name: {"type": "number"} for name in _KNOWN_THRESHOLDS}
+        assert thresholds["properties"].keys() == _THRESHOLD_FIELDS.keys()
+        for name, schema in thresholds["properties"].items():
+            assert schema["type"] == "number", name
 
 
 class TestSchemaValidation:
@@ -558,7 +571,7 @@ class TestLabelsOutsideTheClasses:
                    dataset={"kind": "csv-file", "path": str(csv_path)},
                    architecture={"input_dim": 2, "hidden_widths": [4],
                                  "latent_dim": 2},
-                   train={"batch_size": 4, "lr_schedule": [[0.05, 2]]},
+                   train={"batch_size": 4, "lr_schedule": [[0.05, 3]]},
                    **TestBinaryLosses.EXTRA[experiment])
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         err = capsys.readouterr().err
@@ -779,3 +792,212 @@ class TestCli:
         assert err.startswith("error: ") and "seed" in err
         assert "Traceback" not in err
         assert not out_path.exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+# A config that sets every key of every section to a valid value; each
+# hostile value below replaces one of them.
+EVERY_KEY = {
+    "output_dir": "out",
+    "dataset": {"kind": "gaussian-blobs", "n": 40, "d": 4, "num_classes": 4,
+                "seed": 0, "split_fraction": 0.5, "separation": 8.0,
+                "noise": 1.0, "path": None, "labels_path": None},
+    "architecture": {"input_dim": 4, "hidden_widths": [4], "latent_dim": 2,
+                     "num_classes": 4, "hidden_nonlinearity": "relu",
+                     "link_nonlinearity": "tanh", "link_epsilon": 1e-12},
+    "train": {"batch_size": 8, "lr_schedule": [[0.05, 2]], "momentum": 0.9,
+              "seed": 0, "proxy": "nmse", "loss": "xe", "trace_every": 1,
+              "plateau_tol": 1e-6, "plateau_patience": 5,
+              "resample_limit": 100},
+    "sweep": {"checkpoint_epochs": [0, 2], "output_train": {"seed": 1}},
+    "modular": {"input_train": {"seed": 1}},
+    "label_efficiency": {"budgets": [4], "balanced": True, "seed": 0},
+    "transfer": {"source_tasks": [[0, 1]], "target_task": [2, 3],
+                 "proxy": "al", "subsample_fraction": 0.5, "seed": 0,
+                 "include_random_candidate": True, "candidate_train": None,
+                 "oracle_train": None},
+    "lemma": {"instances": 10, "dims": [2], "seed": 0, "tolerance": 1e-9},
+    "theorem": {"instances": ["one-code-degenerate"]},
+    "thresholds": {"min_train_accuracy": 0.0, "max_accuracy_gap": 1.0,
+                   "min_spearman": -1.0, "min_label_efficiency_ratio": 0.0,
+                   "max_cost_ratio": 100.0, "max_failures": 0,
+                   "min_test_accuracy": 0.0, "max_counterexamples": 0},
+}
+
+# Values outside each key's range, written out by hand so that the
+# property checks the range table instead of restating it.
+_BAD_COUNT = [-1, 2.5, True, "3", None]
+_BAD_SEED = [-1, 0.5, True, "0", None]
+_BAD_REAL = [NAN, INF, -INF, True, "1.0", None]
+_BAD_OVERRIDE = [5, "x", [], True, {"bogus": 1}, {"momentum": 1.0},
+                 {"lr_schedule": []}, {"batch_size": 1}]
+HOSTILE = {
+    "experiment": ["grid-search", 1, None, ["lemma-suite"]],
+    "output_dir": [5, None, ["out"], True],
+    "dataset.kind": ["moons", 1, None],
+    "dataset.n": [0, *_BAD_COUNT],
+    "dataset.d": [0, 1, *_BAD_COUNT],
+    "dataset.num_classes": [1, 0, 9, 2.0, True, None],
+    "dataset.seed": _BAD_SEED,
+    "dataset.split_fraction": [0, 0.0, -0.5, 1.5, *_BAD_REAL],
+    "dataset.separation": [-1.0, *_BAD_REAL],
+    "dataset.noise": [-1.0, -INF, *_BAD_REAL],
+    "dataset.path": [5, True, ["a"]],
+    "dataset.labels_path": [5, False, {}],
+    "architecture.input_dim": [0, -1, 2.5, True, "4"],
+    "architecture.hidden_widths": [[0], [8.7], [-1], [True], [None], "8", 8],
+    "architecture.latent_dim": [0, *_BAD_COUNT],
+    "architecture.num_classes": [1, 0, 2.5, True],
+    "architecture.hidden_nonlinearity": ["foo", 1, None],
+    "architecture.link_nonlinearity": ["swish", [], None],
+    "architecture.link_epsilon": [0, 0.0, -1e-3, *_BAD_REAL],
+    "train.batch_size": [1, 0, *_BAD_COUNT],
+    "train.lr_schedule": [[], [[0.1]], [[0.1, 2, 3]], [[0, 2]], [[-0.1, 2]],
+                          [[NAN, 2]], [[INF, 2]], [[0.1, 2.5]], [[0.1, -1]],
+                          [[0.1, True]], [["0.1", 2]], [0.1, 2], "fast",
+                          None],
+    "train.momentum": [1.0, -0.1, *_BAD_REAL],
+    "train.seed": _BAD_SEED,
+    "train.proxy": ["mmd", 3, None],
+    "train.loss": ["mse", 0, None],
+    "train.trace_every": [0, *_BAD_COUNT],
+    "train.plateau_tol": [-1e-6, *_BAD_REAL],
+    "train.plateau_patience": [0, *_BAD_COUNT],
+    "train.resample_limit": _BAD_COUNT,
+    "sweep.checkpoint_epochs": [[], [-1], [2.5], [3], [True], [None], "0", 2,
+                                None],
+    "sweep.output_train": _BAD_OVERRIDE,
+    "modular.input_train": _BAD_OVERRIDE,
+    "label_efficiency.budgets": [[], [0], [-3], [1.5], [True], ["4"], 4, None],
+    "label_efficiency.balanced": [1, "yes", None],
+    "label_efficiency.seed": _BAD_SEED,
+    "transfer.source_tasks": [[], [[0]], [[0, 0]], [[0, 4]], [[0, 1.0]],
+                              [[-1, 1]], [[0, 1], [1, 1]], [0, 1], "x",
+                              None],
+    "transfer.target_task": [[], [0], [0, 0], [0.0, 1.0], [0, 4], [-1, 0],
+                             [0, 1, 2], [True, False], "0-1", None],
+    "transfer.proxy": ["bogus", 1, None],
+    "transfer.subsample_fraction": [0, 0.0, -0.1, 1.5, *_BAD_REAL],
+    "transfer.seed": _BAD_SEED,
+    "transfer.include_random_candidate": [0, "no", None],
+    "transfer.candidate_train": _BAD_OVERRIDE,
+    "transfer.oracle_train": _BAD_OVERRIDE,
+    "lemma.instances": [0, *_BAD_COUNT],
+    "lemma.dims": [[], [0], [2.5], ["a"], [True], 3, None],
+    "lemma.seed": _BAD_SEED,
+    "lemma.tolerance": [-1.0, *_BAD_REAL],
+    "theorem.instances": [[], "one-code-degenerate", [1], 5],
+    "thresholds.min_train_accuracy": [1.5, -0.1, *_BAD_REAL],
+    "thresholds.max_accuracy_gap": [-0.1, 2, *_BAD_REAL],
+    "thresholds.min_spearman": [1.5, -2, *_BAD_REAL],
+    "thresholds.min_label_efficiency_ratio": [-1, *_BAD_REAL],
+    "thresholds.max_cost_ratio": [-1, *_BAD_REAL],
+    "thresholds.max_failures": [-1, *_BAD_REAL],
+    "thresholds.min_test_accuracy": [1.01, -1, *_BAD_REAL],
+    "thresholds.max_counterexamples": [-1, *_BAD_REAL],
+}
+
+
+def _with_value(doc: dict, path: str, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    *sections, key = path.split(".")
+    target = doc
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    return doc
+
+
+class TestHostileConfigs:
+    """Every value outside its key's range stops ``modkernel run`` at load,
+    with exit 2 and one ``error:`` line naming the key, before anything is
+    written."""
+
+    @pytest.mark.parametrize("experiment", EXPERIMENT_KINDS)
+    def test_every_key_config_loads(self, tmp_path, experiment):
+        load_config(write_config(tmp_path, dict(EVERY_KEY,
+                                                experiment=experiment)))
+
+    def test_property_covers_every_key_of_the_table(self):
+        from modkernel.config import config_schema
+        paths = set()
+        for name, schema in config_schema()["properties"].items():
+            paths |= ({f"{name}.{key}" for key in schema["properties"]}
+                      if "properties" in schema else {name})
+        assert set(HOSTILE) == paths
+        given = {"experiment"}
+        for name, value in EVERY_KEY.items():
+            given |= ({f"{name}.{key}" for key in value}
+                      if isinstance(value, dict) else {name})
+        assert given == paths
+
+    @pytest.mark.parametrize("path", sorted(HOSTILE))
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(experiment=st.sampled_from(EXPERIMENT_KINDS))
+    def test_hostile_value_exits_2_before_writing(self, path, experiment):
+        section, key = path.split(".")[0], path.split(".")[-1]
+        for value in HOSTILE[path]:
+            doc = _with_value(dict(EVERY_KEY, experiment=experiment), path,
+                              value)
+            with tempfile.TemporaryDirectory() as tmp:
+                root = Path(tmp) / "root"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(["run", str(write_config(Path(tmp), doc)),
+                                 "--output-root", str(root)])
+                assert code == 2, (path, value)
+                err = err.getvalue()
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert section in err and key in err, (path, value, err)
+                assert not root.exists(), (path, value)
+
+    @pytest.mark.parametrize("config, path, value", [
+        ("label-efficiency", "dataset.noise", NAN),
+        ("label-efficiency", "dataset.noise", -1.0),
+        ("label-efficiency", "dataset.separation", INF),
+        ("sanity-dynamics", "architecture.hidden_widths", [8.7]),
+        ("label-efficiency", "label_efficiency.budgets", [1.5]),
+        ("label-efficiency", "label_efficiency.budgets", []),
+        ("proxy-sweep", "sweep.checkpoint_epochs", [2.5]),
+        ("proxy-sweep", "sweep.checkpoint_epochs", [-1]),
+        ("proxy-sweep", "sweep.checkpoint_epochs", [21]),
+        ("proxy-sweep", "sweep.checkpoint_epochs", []),
+        ("transferability", "transfer.target_task", [0.0, 1.0]),
+        ("transferability", "transfer.target_task", [0]),
+        ("transferability", "transfer.target_task", [0, 99]),
+        ("transferability", "transfer.source_tasks", [[0, 99]]),
+        ("transferability", "transfer.source_tasks", []),
+        ("transferability", "transfer.proxy", "bogus"),
+        ("theorem-oracle", "theorem.instances", []),
+        ("sanity-dynamics", "dataset.n", 0),
+        ("sanity-dynamics", "dataset.num_classes", 1),
+        ("sanity-dynamics", "dataset.num_classes", 17),
+    ])
+    def test_committed_config_with_one_bad_value_exits_2_at_load(
+            self, tmp_path, capsys, config, path, value):
+        doc = _with_value(read_json(CONFIG_DIR / f"{config}.json"), path,
+                          value)
+        root = tmp_path / "root"
+        assert main(["run", str(write_config(tmp_path, doc)),
+                     "--output-root", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
+        assert "Traceback" not in err and not root.exists()
+
+    def test_diverging_schedule_stops_with_an_error_line(self, tmp_path,
+                                                         capsys):
+        doc = _with_value(read_json(CONFIG_DIR / "sanity-dynamics.json"),
+                          "train.lr_schedule", [[1e300, 3]])
+        code = main(["run", str(write_config(tmp_path, doc)),
+                     "--output-root", str(tmp_path / "root")])
+        err = capsys.readouterr().err
+        assert code == 1 and "error: training diverged" in err
+        assert "Traceback" not in err
+
+
+def test_config_schema_file_is_generated_from_the_tables():
+    from modkernel.config import config_schema
+    from modkernel.serialize import dump_json
+    assert ((CONFIG_DIR / "config-schema.json").read_text()
+            == dump_json(config_schema()))

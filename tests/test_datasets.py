@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from modkernel.datasets import (DatasetSpec, blob_means, make_dataset,
-                                read_idx_images, read_idx_labels)
+from modkernel.datasets import (DatasetSpec, make_dataset, read_idx_images,
+                                read_idx_labels)
 from modkernel.errors import ConfigurationError, IngestionError
 
 from oracles import nearest_centroid_accuracy
@@ -40,8 +40,8 @@ class TestGeneratedDatasets:
         assert a.X_train.tobytes() != b.X_train.tobytes()
 
     def test_too_many_blob_classes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            blob_means(10, 2, 8.0)
+        with pytest.raises(ConfigurationError, match="num_classes"):
+            DatasetSpec(kind="gaussian-blobs", n=20, d=2, num_classes=10)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -13,10 +13,11 @@ import json
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 
-from .datasets import GENERATED_KINDS, DatasetSpec
+from .datasets import GENERATED_KINDS, DatasetSpec, train_count
 from .errors import ConfigurationError
 from .serialize import dump_json, field_schemas, validate_schema
-from .training import ArchitectureSpec, TrainConfig, check_checkpoints
+from .training import (ArchitectureSpec, TrainConfig, check_budgets,
+                       check_checkpoints)
 from .transfer import SCORING_FIELDS
 
 EXPERIMENT_KINDS = ("sanity-dynamics", "proxy-sweep", "modular-vs-e2e",
@@ -249,16 +250,22 @@ def resolve_config(doc: dict) -> ExperimentConfig:
                 key, override, _TRAIN_FIELDS, partial=True)
 
     cfg = ExperimentConfig(resolved=resolved)
-    data, transfer = resolved.get("dataset"), resolved.get("transfer")
+    data, label, transfer = (resolved.get(key) for key in (
+        "dataset", "label_efficiency", "transfer"))
     if data is not None:
         cfg.dataset_spec()
     if "sweep" in resolved:
         check_checkpoints(resolved["sweep"]["checkpoint_epochs"],
                           cfg.train_config())
-    # The labels of a file dataset are unknown until it is read.
-    if transfer is not None and data is not None and (
-            data["kind"] in GENERATED_KINDS):
-        classes = data["num_classes"]
+    # The size and labels of a file dataset are unknown until it is read.
+    if data is None or data["kind"] not in GENERATED_KINDS:
+        return cfg
+    classes = data["num_classes"]
+    if label is not None:
+        check_budgets(label["budgets"],
+                      train_count(data["n"], data["split_fraction"]),
+                      classes, label["balanced"])
+    if transfer is not None:
         for key, pairs in (("source_tasks", transfer["source_tasks"]),
                            ("target_task", [transfer["target_task"]])):
             if any(max(pair) >= classes for pair in pairs):

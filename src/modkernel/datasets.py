@@ -72,11 +72,16 @@ class Dataset:
         return {int(v): int(c) for v, c in zip(values, counts)}
 
 
+def train_count(n: int, fraction: float) -> int:
+    """How many of ``n`` examples the train split keeps."""
+    return int(round(n * fraction))
+
+
 def _split(X: np.ndarray, y: np.ndarray, fraction: float,
            rng: np.random.Generator) -> Dataset:
     n = X.shape[0]
     order = rng.permutation(n)
-    cut = int(round(n * fraction))
+    cut = train_count(n, fraction)
     train, test = order[:cut], order[cut:]
     return Dataset(X[train], y[train], X[test], y[test])
 

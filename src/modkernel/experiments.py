@@ -6,7 +6,9 @@ and parameter checkpoints.  Rerunning with the same config and seed
 reproduces those files byte for byte; wall-clock timings and timestamps
 live in ``metadata.json``, which is the one file allowed to differ.
 
-Exit status: 0 when every in-config threshold passes, 1 otherwise.
+Exit status: 0 when every in-config threshold holds, 1 otherwise; a gated
+value the run could not produce (None or NaN) fails.  ``_KINDS`` says what
+each kind needs and may gate, checked before anything is written.
 """
 
 from __future__ import annotations
@@ -64,12 +66,22 @@ def resolve_output_dir(cfg: ExperimentConfig,
 
 def run_experiment(cfg: ExperimentConfig,
                    output_root: str | None = None) -> int:
+    runner, sections, gated = _KINDS[cfg.experiment]
+    for section in sections:
+        if cfg.section(section) is None:
+            raise ConfigurationError(
+                f"{cfg.experiment} needs a '{section}' section")
+    for name in cfg.thresholds:
+        if name[4:] not in gated:
+            raise ConfigurationError(f"thresholds.{name}: {cfg.experiment} "
+                                     f"gates only {', '.join(gated)}")
     outdir = resolve_output_dir(cfg, output_root)
-    runner = _RUNNERS.get(cfg.experiment)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
     metrics, artifacts, passed, timing = runner(cfg, outdir)
     elapsed = time.perf_counter() - t0
+    passed = passed and _gates_hold(cfg.thresholds, metrics)
+    timing_ok = _gates_hold(cfg.thresholds, timing)
 
     (outdir / "resolved-config.json").write_text(dump_config(cfg))
     report = {
@@ -81,34 +93,27 @@ def run_experiment(cfg: ExperimentConfig,
     }
     validate_schema(report, REPORT_SCHEMA)
     write_json(outdir / "report.json", report)
-    timing_ok = timing.pop("timing_ok", True)
     write_json(outdir / "metadata.json", {
-        "started_at": started,
-        "duration_seconds": elapsed,
-        "timing_ok": bool(timing_ok),
-        **timing,
-    })
+        "started_at": started, "duration_seconds": elapsed,
+        "timing_ok": timing_ok, **timing})
     return 0 if (passed and timing_ok) else 1
 
 
-def _check(thresholds: dict, metrics: dict) -> bool:
-    ok = True
-    for name, bound in thresholds.items():
-        if name.startswith("max_"):
-            key = name[4:]
-            if key in metrics and metrics[key] is not None:
-                ok = ok and metrics[key] <= bound
-        elif name.startswith("min_"):
-            key = name[4:]
-            if key in metrics and metrics[key] is not None:
-                ok = ok and metrics[key] >= bound
-    return ok
+def _gates_hold(thresholds: dict, values: dict) -> bool:
+    """Whether each threshold on a key of ``values`` holds: ``min_<key>``
+    is a floor and ``max_<key>`` a ceiling.  A value that is None or NaN
+    fails its gate."""
+    def holds(name, bound):
+        value = values[name[4:]]
+        return value is not None and (value <= bound if name[:4] == "max_"
+                                      else value >= bound)
+    return all(holds(name, bound) for name, bound in thresholds.items()
+               if name[4:] in values)
 
 
 def _write_trace_artifacts(outdir: Path, name: str, trace) -> list:
-    artifacts = [f"{name}.csv"]
     trace.to_csv(outdir / f"{name}.csv")
-    return artifacts
+    return [f"{name}.csv"]
 
 
 def _write_activations(outdir: Path, traces, data: Dataset) -> list:
@@ -179,7 +184,7 @@ def _run_sanity_dynamics(cfg: ExperimentConfig, outdir: Path):
         "train_accuracy": trace_out.final("train_accuracy"),
         "test_accuracy": trace_out.final("test_accuracy"),
     }
-    return metrics, artifacts, _check(cfg.thresholds, metrics), {}
+    return metrics, artifacts, True, {}
 
 
 def _run_modular_vs_e2e(cfg: ExperimentConfig, outdir: Path):
@@ -214,13 +219,11 @@ def _run_modular_vs_e2e(cfg: ExperimentConfig, outdir: Path):
         "train_accuracy": min(mdlr, e2e),
         "accuracy_gap": abs(mdlr - e2e),
     }
-    return metrics, artifacts, _check(cfg.thresholds, metrics), {}
+    return metrics, artifacts, True, {}
 
 
 def _run_proxy_sweep(cfg: ExperimentConfig, outdir: Path):
     section = cfg.section("sweep")
-    if section is None:
-        raise ConfigurationError("proxy-sweep needs a 'sweep' section")
     train_cfg = cfg.train_config()
     output_cfg = cfg.train_config("sweep.output_train")
     arch, data = _checked_setup(cfg, output_cfg.loss)
@@ -236,14 +239,11 @@ def _run_proxy_sweep(cfg: ExperimentConfig, outdir: Path):
                                  [r["accuracy"] for r in rows])
                 if len(rows) >= 3 else float("nan"))
     metrics = {"spearman": spearman, "checkpoints": float(len(rows))}
-    return metrics, artifacts, _check(cfg.thresholds, metrics), timing
+    return metrics, artifacts, True, timing
 
 
 def _run_label_efficiency(cfg: ExperimentConfig, outdir: Path):
     section = cfg.section("label_efficiency")
-    if section is None:
-        raise ConfigurationError(
-            "label-efficiency needs a 'label_efficiency' section")
     train_cfg = cfg.train_config()
     arch, data = _checked_setup(cfg, train_cfg.loss)
     model = TwoModuleModel(arch, seed=train_cfg.seed)
@@ -269,13 +269,11 @@ def _run_label_efficiency(cfg: ExperimentConfig, outdir: Path):
                                    else float("nan")),
     }
     artifacts.append("label_efficiency.csv")
-    return metrics, artifacts, _check(cfg.thresholds, metrics), {}
+    return metrics, artifacts, True, {}
 
 
 def _run_transferability(cfg: ExperimentConfig, outdir: Path):
     section = cfg.section("transfer")
-    if section is None:
-        raise ConfigurationError("transferability needs a 'transfer' section")
     base = make_dataset(cfg.dataset_spec())
     # Every source and target task is a two-class subtask.
     arch = replace(cfg.architecture_spec(), num_classes=2)
@@ -328,14 +326,9 @@ def _run_transferability(cfg: ExperimentConfig, outdir: Path):
         "spearman": report.rank_correlation_value,
         "candidates": float(len(candidates)),
     }
-    max_cost = cfg.thresholds.get("max_cost_ratio")
-    timing = {
-        "scoring_seconds": scoring_seconds,
-        "oracle_seconds": oracle_seconds,
-        "cost_ratio": cost_ratio,
-        "timing_ok": (cost_ratio <= max_cost) if max_cost is not None else True,
-    }
-    return metrics, artifacts, _check(cfg.thresholds, metrics), timing
+    timing = {"scoring_seconds": scoring_seconds,
+              "oracle_seconds": oracle_seconds, "cost_ratio": cost_ratio}
+    return metrics, artifacts, True, timing
 
 
 def binary_subtask(base: Dataset, pair: tuple) -> Dataset:
@@ -361,8 +354,7 @@ def _run_lemma_suite(cfg: ExperimentConfig, outdir: Path):
     write_json(outdir / "lemma_report.json", rep.as_dict())
     metrics = {"instances": float(rep.instances),
                "failures": float(rep.failures)}
-    max_failures = cfg.thresholds.get("max_failures", 0.0)
-    passed = rep.failures <= max_failures and _check(cfg.thresholds, metrics)
+    passed = rep.failures <= cfg.thresholds.get("max_failures", 0)
     return metrics, ["lemma_report.json"], passed, {}
 
 
@@ -374,17 +366,22 @@ def _run_theorem_oracle(cfg: ExperimentConfig, outdir: Path):
     counterexamples = sum(len(r["counterexamples"]) for r in reports)
     metrics = {"instances": float(len(reports)),
                "counterexamples": float(counterexamples)}
-    passed = all(r["passed"] for r in reports) and _check(cfg.thresholds,
-                                                          metrics)
-    return metrics, ["theorem_report.json"], passed, {}
+    return metrics, ["theorem_report.json"], all(r["passed"] for r in reports), {}
 
 
-_RUNNERS = {
-    "sanity-dynamics": _run_sanity_dynamics,
-    "modular-vs-e2e": _run_modular_vs_e2e,
-    "proxy-sweep": _run_proxy_sweep,
-    "label-efficiency": _run_label_efficiency,
-    "transferability": _run_transferability,
-    "lemma-suite": _run_lemma_suite,
-    "theorem-oracle": _run_theorem_oracle,
+# Each experiment kind: its runner, the sections its run needs (any other
+# section it reads has defaults), and the report metrics or timing values
+# its thresholds may gate, as 'min_<value>' or 'max_<value>'.
+_KINDS = {
+    "sanity-dynamics": (_run_sanity_dynamics, ("dataset",),
+                        ("train_accuracy", "test_accuracy")),
+    "modular-vs-e2e": (_run_modular_vs_e2e, ("dataset",),
+                       ("train_accuracy", "accuracy_gap")),
+    "proxy-sweep": (_run_proxy_sweep, ("dataset", "sweep"), ("spearman",)),
+    "label-efficiency": (_run_label_efficiency, ("dataset", "label_efficiency"),
+                         ("label_efficiency_ratio",)),
+    "transferability": (_run_transferability, ("dataset", "transfer"),
+                        ("spearman", "cost_ratio")),
+    "lemma-suite": (_run_lemma_suite, (), ("failures",)),
+    "theorem-oracle": (_run_theorem_oracle, (), ("counterexamples",)),
 }

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import LEMMA_DEFAULTS, LEMMA_FIELDS
 from .errors import ConfigurationError, ContractError
-from .kernels import FeatureMap, kernel_eval, rkhs_distance_sq
+from .kernels import FeatureMap
 from .losses import DecomposableLoss, make_loss
 from .serialize import check_entries
 
@@ -542,35 +542,3 @@ def committed_bruteforce_reports(names=None) -> list:
             labels=labels, grid=grid, feature=FeatureMap("tanh"),
             loss=make_loss(loss), weights=w, biases=b, name=name))
     return reports
-
-
-def check_distance_kernel_equivalence(fmap: FeatureMap, pairs,
-                                      tol: float = 1e-9) -> CheckReport:
-    """Over a sample of vector pairs, confirm that the squared feature
-    distance is maximal exactly when the kernel value sits at its infimum,
-    and that distance^2 + 2k == 2 identically for unit-normalized features.
-    """
-    alpha, beta = fmap.bounds()
-    ks, d2s = [], []
-    for u, v in pairs:
-        ks.append(kernel_eval(fmap, u, v))
-        d2s.append(rkhs_distance_sq(fmap, u, v))
-    ks = np.asarray(ks)
-    d2s = np.asarray(d2s)
-    report = CheckReport()
-
-    identity_resid = float(np.max(np.abs(d2s - (2.0 * alpha - 2.0 * ks))))
-    report.record("distance_identity", identity_resid <= 1e-12, identity_resid)
-
-    d2_max = float(d2s.max())
-    is_max = d2s >= d2_max - tol
-    at_beta = np.abs(ks - beta) <= tol
-    mismatches = int(np.sum(is_max != at_beta))
-    report.record("max_distance_iff_min_kernel", mismatches == 0,
-                  float(mismatches))
-
-    order_by_d2 = np.argsort(-d2s, kind="stable")
-    order_by_k = np.argsort(ks, kind="stable")
-    agree = bool(np.array_equal(order_by_d2, order_by_k))
-    report.record("orderings_mirror", agree, 0.0 if agree else 1.0)
-    return report

@@ -204,7 +204,7 @@ class TwoModuleModel:
 
     def unfreeze_input(self) -> None:
         """No-op, bound only for the benchmark's train-wide pass
-        (perfbench/workloads.py); it goes with that call (ROADMAP item 3)."""
+        (perfbench/workloads.py); it goes with that call (ROADMAP item 5)."""
 
     # -- checkpoint files --------------------------------------------------
     def to_checkpoint(self, meta: dict | None = None) -> dict:
@@ -564,24 +564,18 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
     test accuracy plus per-class recall; the model's own output module is
     left as it is.  Rows: dicts keyed budget/test_accuracy/recall.
     """
-    feats_train = model.link_features_np(data.X_train)
-    feats_test = model.link_features_np(data.X_test)
     n = data.X_train.shape[0]
     num_classes = data.num_classes
+    check_budgets(label_budgets, n, num_classes, balanced)
+    feats_train = model.link_features_np(data.X_train)
+    feats_test = model.link_features_np(data.X_test)
     width = model.arch.output_width(cfg.loss)
     rows = []
     for budget in label_budgets:
-        if budget < 1 or budget > n:
-            raise ConfigurationError(f"label budget {budget} out of range")
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, budget]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, budget]))
         if budget == n:
             chosen = np.arange(n)
         elif balanced:
-            if budget < num_classes:
-                raise ConfigurationError(
-                    f"balanced budget {budget} is below the class count "
-                    f"{num_classes}")
             quota = [budget // num_classes + (1 if c < budget % num_classes else 0)
                      for c in range(num_classes)]
             picks = []
@@ -608,6 +602,18 @@ def label_efficiency_run(model: TwoModuleModel, data: Dataset, label_budgets,
         rows.append({"budget": budget, "test_accuracy": acc,
                      "per_class_recall": recall})
     return rows
+
+
+def check_budgets(budgets, train_count: int, num_classes: int,
+                  balanced: bool) -> None:
+    """Each label budget must fit the training split; balanced, it needs a
+    label per class unless it takes the whole split."""
+    least = num_classes if balanced else 1
+    bad = [b for b in budgets
+           if not (least <= b <= train_count or b == train_count > 0)]
+    if bad:
+        raise ConfigurationError(f"label_efficiency.budgets: {bad} lie outside "
+                                 f"{least} to {train_count} (the training count)")
 
 
 def check_checkpoints(checkpoint_epochs, cfg: TrainConfig) -> None:

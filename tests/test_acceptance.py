@@ -227,18 +227,21 @@ def test_criterion_8_transferability(tmp_path):
 
 
 def test_criterion_9_kernel_identities():
-    """distance^2 == 2 - 2k within 1e-12 over 10^4 pairs; kernel matrices
+    """distance^2 == 2 - 2k within 1e-12 over 10^4 pairs, the pair at the
+    largest distance at the smallest kernel value; kernel matrices
     PSD within -1e-8 on batches of size <= 8 (independent Jacobi oracle)."""
     t0 = time.perf_counter()
     spec = FeatureMap("tanh")
     rng = np.random.default_rng(9)
-    worst = 0.0
-    for _ in range(10_000):
+    ks, d2s = np.empty(10_000), np.empty(10_000)
+    for i in range(10_000):
         u, v = rng.standard_normal((2, 4)) * 2.0
-        k = kernel_eval(spec, u, v)
-        d2 = rkhs_distance_sq(spec, u, v)
-        worst = max(worst, abs(d2 - (2.0 - 2.0 * k)))
+        ks[i] = kernel_eval(spec, u, v)
+        d2s[i] = rkhs_distance_sq(spec, u, v)
+    worst = float(np.max(np.abs(d2s - (2.0 - 2.0 * ks))))
     assert worst <= 1e-12
+    # The distance is largest exactly where the kernel is smallest.
+    assert np.argmax(d2s) == np.argmin(ks)
 
     min_eig = np.inf
     for kind in ("relu", "tanh", "sigmoid"):

@@ -85,9 +85,6 @@ def config_docs(draw):
             link_epsilon=_floats(1e-15, 1e-3)),
         "train": _TRAIN_SECTIONS,
         "modular": _section(input_train=st.none() | _TRAIN_SECTIONS),
-        "label_efficiency": _section(
-            {"budgets": st.lists(st.integers(1, 100), min_size=1, max_size=4)},
-            balanced=st.booleans(), seed=st.integers(0, 10 ** 6)),
         "lemma": _section(
             instances=st.integers(1, 10 ** 5),
             dims=st.lists(st.integers(1, 9), min_size=1, max_size=4),
@@ -100,6 +97,19 @@ def config_docs(draw):
     for key, strategy in sections.items():
         if draw(st.booleans()):
             doc[key] = draw(strategy)
+    data = doc.get("dataset")
+    most = round(data["n"] * data.get("split_fraction", 0.8)) if data else 100
+    if most >= 1 and draw(st.booleans()):
+        # Budgets fit the drawn training split; a balanced one gives each
+        # of the drawn classes a label, unless it takes the whole split.
+        balanced = draw(st.booleans())
+        fewest = min(data.get("num_classes", 2), most) if (
+            data and balanced) else 1
+        doc["label_efficiency"] = draw(_section(
+            {"budgets": st.lists(st.integers(fewest, most), min_size=1,
+                                 max_size=4),
+             "balanced": st.just(balanced)},
+            seed=st.integers(0, 10 ** 6)))
     if draw(st.booleans()):
         # Checkpoints are epoch counts of the drawn stage-1 schedule.
         epochs = TrainConfig.from_dict(doc.get("train", {})).total_epochs
@@ -973,6 +983,8 @@ class TestHostileConfigs:
         ("sanity-dynamics", "dataset.n", 0),
         ("sanity-dynamics", "dataset.num_classes", 1),
         ("sanity-dynamics", "dataset.num_classes", 17),
+        ("label-efficiency", "label_efficiency.budgets", [4, 301]),
+        ("label-efficiency", "label_efficiency.budgets", [3, 8]),
     ])
     def test_committed_config_with_one_bad_value_exits_2_at_load(
             self, tmp_path, capsys, config, path, value):
@@ -994,6 +1006,130 @@ class TestHostileConfigs:
         err = capsys.readouterr().err
         assert code == 1 and "error: training diverged" in err
         assert "Traceback" not in err
+
+
+class TestLabelBudgetsAtLoad:
+    """A generated dataset's training count is known at load, so a label
+    budget above it, or a balanced one below the class count, stops the
+    run there."""
+
+    @pytest.mark.parametrize("n, fraction", [(480, 0.625), (5, 0.5),
+                                             (7, 0.5), (9, 0.25), (3, 1.0)])
+    def test_boundary_is_the_training_split(self, tmp_path, n, fraction):
+        from modkernel.datasets import DatasetSpec, make_dataset
+        dataset = {"kind": "random-label", "n": n, "d": 2, "seed": 0,
+                   "split_fraction": fraction}
+        count = make_dataset(DatasetSpec(**dataset)).X_train.shape[0]
+        doc = {"experiment": "label-efficiency", "dataset": dataset}
+        for budgets, balanced in (([count], True), ([1, count], False)):
+            load_config(write_config(tmp_path, dict(doc, label_efficiency={
+                "budgets": budgets, "balanced": balanced})))
+        with pytest.raises(ConfigurationError,
+                           match=r"label_efficiency\.budgets: \[%d\]"
+                           % (count + 1)):
+            load_config(write_config(tmp_path, dict(doc, label_efficiency={
+                "budgets": [1, count + 1], "balanced": False})))
+
+    def test_unbalanced_budget_below_the_class_count_loads(self, tmp_path):
+        doc = read_json(CONFIG_DIR / "label-efficiency.json")
+        doc["label_efficiency"].update(budgets=[1, 3], balanced=False)
+        load_config(write_config(tmp_path, doc))
+
+
+def _run_in_fresh_root(doc: dict) -> tuple:
+    """``modkernel run`` on ``doc`` under a new output root: (exit code,
+    stderr, whether the root exists afterwards, the report or None)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "root"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(write_config(Path(tmp), doc)),
+                         "--output-root", str(root)])
+        report = root / doc.get("output_dir", "out") / "report.json"
+        return (code, err.getvalue(), root.exists(),
+                read_json(report) if report.is_file() else None)
+
+
+class TestExperimentKinds:
+    """Each experiment kind needs some sections and gates some values;
+    ``modkernel run`` checks a config against its kind before it writes
+    anything, and a gated value the run cannot produce fails its gate."""
+
+    BASE = {key: value for key, value in EVERY_KEY.items()
+            if key != "thresholds"}
+
+    @pytest.mark.parametrize("experiment, threshold", [
+        ("sanity-dynamics", "min_spearman"),
+        ("sanity-dynamics", "max_counterexamples"),
+        ("sanity-dynamics", "max_accuracy_gap"),
+        ("modular-vs-e2e", "min_test_accuracy"),
+        ("modular-vs-e2e", "max_failures"),
+        ("proxy-sweep", "min_train_accuracy"),
+        ("proxy-sweep", "max_cost_ratio"),
+        ("label-efficiency", "min_test_accuracy"),
+        ("label-efficiency", "min_spearman"),
+        ("transferability", "min_label_efficiency_ratio"),
+        ("transferability", "min_train_accuracy"),
+        ("lemma-suite", "max_counterexamples"),
+        ("lemma-suite", "min_spearman"),
+        ("theorem-oracle", "max_failures"),
+        ("theorem-oracle", "min_train_accuracy"),
+    ])
+    def test_threshold_the_kind_does_not_gate_exits_2_before_writing(
+            self, experiment, threshold):
+        doc = dict(self.BASE, experiment=experiment,
+                   thresholds={threshold: 0.0})
+        code, err, wrote, _ = _run_in_fresh_root(doc)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"thresholds.{threshold}" in err and not wrote
+
+    @pytest.mark.parametrize("experiment, section", [
+        ("sanity-dynamics", "dataset"),
+        ("modular-vs-e2e", "dataset"),
+        ("proxy-sweep", "dataset"),
+        ("proxy-sweep", "sweep"),
+        ("label-efficiency", "dataset"),
+        ("label-efficiency", "label_efficiency"),
+        ("transferability", "dataset"),
+        ("transferability", "transfer"),
+    ])
+    def test_missing_section_exits_2_before_writing(self, experiment,
+                                                    section):
+        doc = {key: value for key, value in self.BASE.items()
+               if key != section}
+        code, err, wrote, _ = _run_in_fresh_root(dict(doc,
+                                                     experiment=experiment))
+        assert code == 2 and err.startswith("error: ")
+        assert f"{experiment} needs a '{section}' section" in err
+        assert not wrote
+
+    def test_spearman_gate_over_two_candidates_fails(self):
+        doc = {"experiment": "transferability",
+               "dataset": {"kind": "gaussian-blobs", "n": 80, "d": 4,
+                           "num_classes": 4, "seed": 3},
+               "architecture": {"hidden_widths": [4], "latent_dim": 2},
+               "train": {"batch_size": 16, "lr_schedule": [[0.05, 2]]},
+               "transfer": {"source_tasks": [[0, 1]], "target_task": [2, 3],
+                            "subsample_fraction": 1.0},
+               "thresholds": {"min_spearman": -1.0}}
+        code, err, _, report = _run_in_fresh_root(doc)
+        assert code == 1 and err == ""
+        assert report["metrics"]["candidates"] == 2.0
+        assert report["metrics"]["spearman"] is None
+        assert report["passed"] is False
+
+    def test_every_threshold_is_gated_and_every_kind_has_a_runner(self):
+        from modkernel.config import _THRESHOLD_FIELDS
+        from modkernel.experiments import _KINDS
+        assert set(_KINDS) == set(EXPERIMENT_KINDS)
+        gated = set()
+        for runner, sections, values in _KINDS.values():
+            assert callable(runner)
+            gated |= set(values)
+        assert {name[4:] for name in _THRESHOLD_FIELDS} <= gated
+        assert all({f"min_{v}", f"max_{v}"} & _THRESHOLD_FIELDS.keys()
+                   for v in gated)
 
 
 def test_config_schema_file_is_generated_from_the_tables():

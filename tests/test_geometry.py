@@ -3,7 +3,6 @@ import pytest
 
 from modkernel.errors import ConfigurationError, ContractError
 from modkernel.geometry import (LemmaInstance, LemmaSolution,
-                                check_distance_kernel_equivalence,
                                 committed_bruteforce_reports,
                                 construct_e_star, optimality_bruteforce,
                                 random_lemma_instance, run_lemma_suite,
@@ -311,33 +310,3 @@ class TestBruteforce:
                                   feature=FeatureMap("tanh"),
                                   loss=make_loss("hinge"),
                                   weights=weights, biases=biases)
-
-
-class TestDistanceKernelEquivalence:
-    def test_antipodal_and_identical_pairs(self):
-        spec = FeatureMap("tanh")
-        u = np.array([1.3, 0.0])
-        pairs = [(u, -u), (u, u.copy()), (u, np.array([0.0, 1.3]))]
-        report = check_distance_kernel_equivalence(spec, pairs)
-        assert report.passed
-
-    def test_random_pairs_order_agreement(self):
-        rng = np.random.default_rng(8)
-        spec = FeatureMap("tanh")
-        base = rng.standard_normal(3)
-        pairs = [(base, -base)]  # pin the max at the infimum
-        pairs += [(rng.standard_normal(3), rng.standard_normal(3))
-                  for _ in range(1000)]
-        report = check_distance_kernel_equivalence(spec, pairs)
-        assert report.checks["distance_identity"]["passed"]
-        assert report.checks["orderings_mirror"]["passed"]
-        assert report.passed
-
-    def test_missing_extreme_pair_is_flagged(self):
-        # without a pair at the infimum, the max-distance pair cannot sit
-        # at beta, so the equivalence check must fail loudly
-        spec = FeatureMap("tanh")
-        u = np.array([1.0, 0.0])
-        v = np.array([0.0, 1.0])
-        report = check_distance_kernel_equivalence(spec, [(u, v), (u, u)])
-        assert not report.checks["max_distance_iff_min_kernel"]["passed"]

@@ -6,6 +6,10 @@ graph once in reverse topological order and accumulates gradients with ``+=``
 into every tensor that requires them.  Gradients are never zeroed implicitly;
 call ``zero_gradients`` between backward passes.
 
+The elementwise nodes are built by ``_binary`` and ``_unary`` from each
+op's value and local gradient; ``matmul``, ``affine``, ``pair_sum``,
+``unit_normalize`` and ``cross_entropy_logits`` write their own rules.
+
 Graph construction and backward are single-threaded per model instance.
 Distinct models may live on distinct threads; tensors can be handed between
 threads whenever no backward pass is in flight.
@@ -127,15 +131,6 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
         t.grad += grad
 
 
-def _accumulate_view(t: Tensor, grad: np.ndarray) -> None:
-    """``_accumulate`` for a gradient that may alias another buffer (the
-    node's own gradient passed through, or a view of it): the first
-    accumulation stores a copy."""
-    if t.requires_grad and t.grad is None:
-        grad = np.array(grad)
-    _accumulate(t, grad)
-
-
 def topological_order(root: Tensor) -> list[Tensor]:
     """Nodes reachable from ``root`` through parent links to tensors that
     require gradients, parents first.
@@ -189,76 +184,56 @@ def zero_gradients(tensors) -> None:
 # operations
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also supports scalars and adding a length-d vector
-    to each row of an n-by-d matrix (bias broadcast)."""
-    bias_broadcast = (a.data.ndim == 2 and b.data.ndim == 1
-                      and a.data.shape[1] == b.data.shape[0])
-    if (not bias_broadcast and a.data.shape != b.data.shape
-            and a.data.size != 1 and b.data.size != 1):
-        raise DimensionError(f"add: {a.shape} vs {b.shape}")
-    out_data = a.data + b.data
+def _binary(name: str, a: Tensor, b: Tensor, value, grad_a,
+            grad_b) -> Tensor:
+    """The node of the ufunc ``value`` on ``a`` and ``b`` of equal shapes,
+    or one of size 1, whose gradient is summed down.  ``grad_a(g)`` and
+    ``grad_b(g)`` are the operands' gradients at the node's gradient g; None
+    passes g through, copied on its first accumulation."""
+    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
+        raise DimensionError(f"{name}: {a.shape} vs {b.shape}")
 
     def rule(g):
-        if bias_broadcast:
-            _accumulate_view(a, g)
-            if b.requires_grad:
-                _accumulate(b, g.sum(axis=0))
-        else:
-            _accumulate_view(a, _unbroadcast(g, a.data.shape))
-            _accumulate_view(b, _unbroadcast(g, b.data.shape))
+        for t, grad in ((a, grad_a), (b, grad_b)):
+            if t.requires_grad:
+                local = _unbroadcast(g if grad is None else grad(g),
+                                     t.data.shape)
+                _accumulate(t, np.array(local) if local is g and t.grad is None
+                            else local)
 
-    return _make(out_data, (a, b), rule)
+    return _make(value(a.data, b.data), (a, b), rule)
+
+
+def _unary(x: Tensor, value: np.ndarray, grad) -> Tensor:
+    """The node of an op on ``x`` alone; ``grad(g)``, a new array, is the
+    gradient of ``x`` at the node's gradient g."""
+    return _make(value, (x,), lambda g: _accumulate(x, grad(g)))
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; either operand may be a scalar.  A bias row goes
+    through ``affine``."""
+    return _binary("add", a, b, np.add, None, None)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
-        raise DimensionError(f"sub: {a.shape} vs {b.shape}")
-    out_data = a.data - b.data
-
-    def rule(g):
-        _accumulate_view(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), rule)
+    return _binary("sub", a, b, np.subtract, None,
+                   lambda g: -_unbroadcast(g, b.data.shape))
 
 
 def neg(a: Tensor) -> Tensor:
-    def rule(g):
-        _accumulate(a, -g)
-
-    return _make(-a.data, (a,), rule)
+    return _unary(a, -a.data, np.negative)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; either operand may be a scalar."""
-    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
-        raise DimensionError(f"mul: {a.shape} vs {b.shape}")
-    out_data = a.data * b.data
-
-    def rule(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), rule)
+    return _binary("mul", a, b, np.multiply,
+                   lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
-        raise DimensionError(f"div: {a.shape} vs {b.shape}")
-    out_data = a.data / b.data
-
-    def rule(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data),
-                                        b.data.shape))
-
-    return _make(out_data, (a, b), rule)
+    return _binary("div", a, b, np.divide, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data))
 
 
 # Rows of 2 to this many entries are reduced one column at a time from 128
@@ -299,9 +274,7 @@ def _rowwise(ufunc, x: np.ndarray, y: np.ndarray | None = None,
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to ``shape`` after a scalar broadcast."""
-    if grad.shape == shape:
-        return grad
-    return np.full(shape, grad.sum()) if shape == () else grad.sum().reshape(shape)
+    return grad if grad.shape == shape else np.asarray(grad.sum()).reshape(shape)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -324,13 +297,7 @@ def gram(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionError(f"gram expects an n-by-d matrix, got {x.shape}")
     xd = x.data
-
-    def rule(g):
-        grad = g @ xd
-        grad += (xd.T @ g).T
-        _accumulate(x, grad)
-
-    return _make(xd @ xd.T, (x,), rule)
+    return _unary(x, xd @ xd.T, lambda g: g @ xd + (xd.T @ g).T)
 
 
 def affine(x: Tensor, W: Tensor, b: Tensor, kind: str | None = None) -> Tensor:
@@ -397,11 +364,7 @@ def elementwise(x: Tensor, kind: str) -> Tensor:
     """
     forward, derivative = _elementwise_pair(kind)
     out_data = forward(x.data)
-
-    def rule(g):
-        _accumulate(x, g * derivative(out_data))
-
-    return _make(out_data, (x,), rule)
+    return _unary(x, out_data, lambda g: g * derivative(out_data))
 
 
 def _elementwise_pair(kind: str) -> tuple:
@@ -425,47 +388,28 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def exp(x: Tensor) -> Tensor:
     out_data = np.exp(x.data)
-
-    def rule(g):
-        _accumulate(x, g * out_data)
-
-    return _make(out_data, (x,), rule)
+    return _unary(x, out_data, lambda g: g * out_data)
 
 
 def sqrt(x: Tensor) -> Tensor:
     out_data = np.sqrt(x.data)
-
-    def rule(g):
-        _accumulate(x, g * 0.5 / out_data)
-
-    return _make(out_data, (x,), rule)
+    return _unary(x, out_data, lambda g: g * 0.5 / out_data)
 
 
 def square(x: Tensor) -> Tensor:
-    def rule(g):
-        _accumulate(x, g * 2.0 * x.data)
-
-    return _make(x.data * x.data, (x,), rule)
+    return _unary(x, x.data * x.data, lambda g: g * 2.0 * x.data)
 
 
 def softplus(x: Tensor) -> Tensor:
     """ln(1 + e^x), computed without overflow for large |x|.  Its
     derivative, the sigmoid, is built inside the backward rule."""
     out_data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-
-    def rule(g):
-        _accumulate(x, g * _sigmoid(x.data))
-
-    return _make(out_data, (x,), rule)
+    return _unary(x, out_data, lambda g: g * _sigmoid(x.data))
 
 
 def tensor_sum(x: Tensor) -> Tensor:
-    out_data = np.asarray(x.data.sum())
-
-    def rule(g):
-        _accumulate(x, np.full(x.data.shape, g))
-
-    return _make(out_data, (x,), rule)
+    return _unary(x, np.asarray(x.data.sum()),
+                  lambda g: np.full(x.data.shape, g))
 
 
 def masked_sum(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -480,12 +424,10 @@ def masked_sum(x: Tensor, mask: np.ndarray) -> Tensor:
     stack = x.data.shape[:x.data.ndim - mask.ndim]
     if len(stack) > 1 or x.data.shape[len(stack):] != mask.shape:
         raise DimensionError(f"masked_sum: {x.shape} vs mask {mask.shape}")
-    axes = tuple(range(len(stack), x.data.ndim))
-
-    def rule(g):
-        _accumulate(x, np.multiply(g.reshape(stack + (1,) * mask.ndim), mask))
-
-    return _make(np.multiply(x.data, mask).sum(axis=axes), (x,), rule)
+    out_data = np.multiply(x.data, mask).sum(axis=tuple(range(len(stack),
+                                                              x.data.ndim)))
+    return _unary(x, out_data, lambda g: np.multiply(
+        g.reshape(stack + (1,) * mask.ndim), mask))
 
 
 # Rows per block when pair_sum maps and sums a large matrix.
@@ -653,8 +595,8 @@ def _square_pair_sums(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
     <f_i f_i^T, f_j f_j^T>, whose off-diagonal entries count twice."""
     sums = np.zeros(2)
     for a in range(rows.shape[1]):
-        pairs = _class_pair_sums(np.add.reduceat(rows[:, a:a + 1] * rows[:, a:],
-                                                 starts))
+        pairs = _class_pair_sums(np.add.reduceat(
+            _rowwise(np.multiply, rows[:, a:], rows[:, a:a + 1]), starts))
         sums += pairs[:, 0] + 2.0 * pairs[:, 1:].sum(axis=1)
     return sums
 

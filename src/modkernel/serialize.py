@@ -5,7 +5,8 @@ and spec dataclass fields.
 Parameters serialize to a JSON list of (name, shape, row-major values)
 entries.  JSON is always dumped canonically (sorted keys, two-space
 indent, trailing newline) and floats use Python's shortest round-trip
-repr, so identical state produces identical bytes.
+repr, so identical state produces identical bytes; a NaN or infinity is
+null.
 """
 
 from __future__ import annotations
@@ -69,7 +70,19 @@ def entries_to_params(entries: list) -> list:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON; a NaN or infinity, which JSON lacks, is null."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # only an object that holds one is walked in Python
+        return json.dumps(_finite(obj), sort_keys=True, indent=2) + "\n"
+
+
+def _finite(obj):
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def write_json(path, obj) -> None:

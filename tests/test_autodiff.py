@@ -187,8 +187,8 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
 
     cases = {
         "add": (lambda t: ad.tensor_sum(ad.square(ad.add(t, ad.constant(m)))), x),
-        "add_bias": (lambda t: ad.tensor_sum(ad.square(
-            ad.add(ad.constant(x[:, :2]), t))), b),
+        "affine_bias": (lambda t: ad.tensor_sum(ad.square(ad.affine(
+            ad.constant(x), ad.constant(w), t))), b),
         "sub": (lambda t: ad.tensor_sum(ad.square(ad.sub(t, ad.constant(m)))), x),
         "neg": (lambda t: ad.tensor_sum(ad.square(ad.neg(t))), x),
         "mul": (lambda t: ad.tensor_sum(ad.mul(t, ad.constant(m))), x),
@@ -249,6 +249,125 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
 
 def _hexes(arr):
     return [float.hex(float(v)) for v in np.ravel(arr)]
+
+
+def _sigmoid_reference(z):
+    """The sigmoid as the autodiff module writes it, each side of 0."""
+    ez = np.exp(np.minimum(z, 0.0))
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.maximum(z, 0.0))),
+                    ez / (1.0 + ez))
+
+
+def _pull(out, g, *leaves):
+    """The gradients one node's rule gives its operands for the node
+    gradient g, each operand holding no gradient before."""
+    for leaf in leaves:
+        leaf.grad = None
+    out._backward(g)
+    return [leaf.grad for leaf in leaves]
+
+
+class TestElementwiseBuilders:
+    """The nodes built by ad._binary and ad._unary: one shape rule for the
+    four binary ops, and the value and every gradient with the bits of a
+    numpy expression in the association order of the rule it replaced."""
+
+    BINARY = ("add", "sub", "mul", "div")
+    # Each operand's shape; a size-1 operand sums its gradient down.
+    SHAPES = [((3, 4), (3, 4)), ((), (3, 4)), ((3, 4), ()),
+              ((1,), (3, 4)), ((3, 4), (1, 1))]
+
+    @pytest.mark.parametrize("op", BINARY)
+    @pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((4,), (3, 4)),
+                                        ((3, 4), (3, 1)), ((2, 3), (3, 2)),
+                                        ((3,), (4,))])
+    def test_shapes_that_do_not_conform_raise_naming_the_op(self, op,
+                                                            shapes):
+        a, b = (_leaf(np.ones(shape)) for shape in shapes)
+        with pytest.raises(DimensionError, match=f"^{op}: "):
+            getattr(ad, op)(a, b)
+
+    @pytest.mark.parametrize("op", BINARY)
+    @pytest.mark.parametrize("shapes", SHAPES)
+    def test_binary_bits(self, op, shapes):
+        rng = np.random.default_rng(len(op) + 7 * sum(map(len, shapes)))
+        a_data, b_data = (rng.standard_normal(shape) for shape in shapes)
+        b_data = np.abs(b_data) + 0.5
+        g = rng.standard_normal(np.broadcast_shapes(*shapes))
+
+        def down(v, shape):
+            return v if shape == g.shape else v.sum()
+
+        value, grad_a, grad_b = {
+            "add": (a_data + b_data, g, g),
+            "sub": (a_data - b_data, g, None),
+            "mul": (a_data * b_data, g * b_data, g * a_data),
+            "div": (a_data / b_data, g / b_data,
+                    -g * a_data / (b_data * b_data)),
+        }[op]
+        want_b = (-down(g, shapes[1]) if grad_b is None
+                  else down(grad_b, shapes[1]))
+        a, b = _leaf(a_data), _leaf(b_data)
+        out = getattr(ad, op)(a, b)
+        assert _hexes(out.data) == _hexes(value)
+        got_a, got_b = _pull(out, g, a, b)
+        assert got_a.shape == shapes[0] and got_b.shape == shapes[1]
+        assert _hexes(got_a) == _hexes(down(grad_a, shapes[0]))
+        assert _hexes(got_b) == _hexes(want_b)
+        assert not any(np.shares_memory(grad, g) for grad in (got_a, got_b))
+
+    @pytest.mark.parametrize("name", ["neg", "exp", "sqrt", "square",
+                                      "softplus", "relu", "tanh", "sigmoid",
+                                      "gram", "tensor_sum", "masked_sum"])
+    def test_unary_bits(self, name):
+        rng = np.random.default_rng(len(name))
+        x_data = rng.standard_normal((5, 4)) * 2.0
+        if name == "sqrt":
+            x_data = np.abs(x_data)
+        mask = rng.random((5, 4)) < 0.5
+        y = {"exp": np.exp(x_data), "sqrt": np.sqrt(np.abs(x_data)),
+             "relu": np.maximum(x_data, 0.0), "tanh": np.tanh(x_data),
+             "sigmoid": _sigmoid_reference(x_data)}.get(name)
+        build, value, local = {
+            "neg": (ad.neg, -x_data, lambda g: -g),
+            "exp": (ad.exp, y, lambda g: g * y),
+            "sqrt": (ad.sqrt, y, lambda g: g * 0.5 / y),
+            "square": (ad.square, x_data * x_data,
+                       lambda g: g * 2.0 * x_data),
+            "softplus": (ad.softplus, np.maximum(x_data, 0.0) + np.log1p(
+                np.exp(-np.abs(x_data))),
+                lambda g: g * _sigmoid_reference(x_data)),
+            "relu": (ad.relu, y, lambda g: g * (y > 0)),
+            "tanh": (ad.tanh, y, lambda g: g * (1.0 - y * y)),
+            "sigmoid": (ad.sigmoid, y, lambda g: g * (y * (1.0 - y))),
+            "gram": (ad.gram, x_data @ x_data.T,
+                     lambda g: g @ x_data + (x_data.T @ g).T),
+            "tensor_sum": (ad.tensor_sum, x_data.sum(),
+                           lambda g: np.full(x_data.shape, g)),
+            "masked_sum": (lambda t: ad.masked_sum(t, mask),
+                           np.multiply(x_data, mask).sum(),
+                           lambda g: np.multiply(g, mask)),
+        }[name]
+        self._check_unary(build, x_data, value, local, rng)
+
+    def test_stacked_masked_sum_bits(self):
+        rng = np.random.default_rng(3)
+        x_data = rng.standard_normal((2, 5, 4))
+        mask = rng.random((5, 4)) < 0.5
+        self._check_unary(lambda t: ad.masked_sum(t, mask), x_data,
+                          np.multiply(x_data, mask).sum(axis=(1, 2)),
+                          lambda g: np.multiply(g[:, None, None], mask), rng)
+
+    @staticmethod
+    def _check_unary(build, x_data, value, local, rng):
+        x = _leaf(x_data)
+        out = build(x)
+        assert out.data.shape == np.shape(value)
+        assert _hexes(out.data) == _hexes(value)
+        g = rng.standard_normal(out.data.shape)
+        (got,) = _pull(out, g, x)
+        assert got.shape == x_data.shape
+        assert _hexes(got) == _hexes(local(g))
 
 
 class TestStackAxis:
@@ -555,10 +674,7 @@ class TestTopologicalOrder:
 
 def _transpose(a):
     """The transpose node the gram node replaced, kept as the reference."""
-    def rule(g):
-        ad._accumulate_view(a, g.T)
-
-    return ad._make(a.data.T, (a,), rule)
+    return ad._unary(a, a.data.T, lambda g: np.array(g.T))
 
 
 class TestFusedNodes:

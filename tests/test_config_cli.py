@@ -21,7 +21,7 @@ from modkernel.losses import LOSS_KINDS
 from modkernel.proxies import PROXY_KINDS
 from modkernel.errors import ConfigurationError
 from modkernel.experiments import REPORT_SCHEMA, run_experiment
-from modkernel.serialize import read_json
+from modkernel.serialize import dump_json, read_json
 from modkernel.training import TrainConfig
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -1130,6 +1130,47 @@ class TestExperimentKinds:
         assert {name[4:] for name in _THRESHOLD_FIELDS} <= gated
         assert all({f"min_{v}", f"max_{v}"} & _THRESHOLD_FIELDS.keys()
                    for v in gated)
+
+
+def _strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """A value a run cannot define is written as null, never as a bare
+    NaN or Infinity token."""
+
+    def test_two_checkpoint_sweep_writes_a_null_spearman(self, tmp_path):
+        doc = {"experiment": "proxy-sweep",
+               "dataset": {"kind": "gaussian-blobs", "n": 48, "d": 4,
+                           "num_classes": 2, "seed": 3},
+               "architecture": {"hidden_widths": [8], "latent_dim": 2},
+               "train": {"batch_size": 16, "lr_schedule": [[0.05, 1]]},
+               "sweep": {"checkpoint_epochs": [0, 1]},
+               "thresholds": {"min_spearman": 0.0}}
+        root = tmp_path / "root"
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", str(write_config(tmp_path, doc)),
+                         "--output-root", str(root)])
+        assert code == 1
+        written = sorted(root.rglob("*.json"))
+        assert written
+        for path in written:
+            _strict_json(path.read_text())
+        report = _strict_json((root / "out" / "report.json").read_text())
+        assert report["metrics"]["spearman"] is None
+        assert report["passed"] is False
+
+    def test_dump_json_writes_non_finite_floats_as_null(self):
+        finite = {"b": [1.5, (2, -0.0)], "a": {"c": 1e-300, "d": None}}
+        assert dump_json(finite) == json.dumps(finite, sort_keys=True,
+                                               indent=2) + "\n"
+        mixed = {"b": [NAN, (INF, 2.5)], "a": {"c": -INF, "d": "nan"}}
+        assert _strict_json(dump_json(mixed)) == {
+            "a": {"c": None, "d": "nan"}, "b": [None, [None, 2.5]]}
 
 
 def test_config_schema_file_is_generated_from_the_tables():

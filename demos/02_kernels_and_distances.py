@@ -7,9 +7,8 @@ squared distances collapse to 2 - 2k.
 
 import numpy as np
 
-from modkernel.kernels import (ConvPatchSpec, FeatureMap, conv_patch_feature,
-                               kernel_bounds, kernel_eval, kernel_matrix,
-                               rkhs_distance_sq)
+from modkernel.kernels import (FeatureMap, kernel_bounds, kernel_eval,
+                               kernel_matrix, rkhs_distance_sq)
 
 rng = np.random.default_rng(1)
 
@@ -29,9 +28,3 @@ print(f"\nk(u,v) = {k:+.6f}   distance^2 = {d2:.6f}   2 - 2k = {2 - 2 * k:.6f}")
 
 antipodal = kernel_eval(spec, u, -u)
 print(f"k(u,-u) = {antipodal:+.6f}  (the infimum for tanh)")
-
-# ---- receptive-field features ----------------------------------------------
-X = rng.standard_normal((5, 5, 2))
-patch = ConvPatchSpec(height=3, width=3, channels=2, center_row=2, center_col=2)
-feat = conv_patch_feature(spec, X, patch)
-print(f"\n3x3x2 receptive field at (2,2) -> feature vector of length {feat.shape[0]}")

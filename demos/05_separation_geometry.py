@@ -9,20 +9,21 @@ Cauchy-Schwarz fallback certifies the inequalities directly.
 
 import numpy as np
 
-from modkernel.geometry import (construct_e_star, random_lemma_instance,
-                                run_lemma_suite, verify_lemma_solution)
+from modkernel.geometry import (construct_e_star, lemma_checks,
+                                random_lemma_instance, run_lemma_suite)
 
 rng = np.random.default_rng(3)
 
-inst = random_lemma_instance(rng, dim=3)
-sol = construct_e_star(inst)
-report = verify_lemma_solution(inst, sol)
+batch = random_lemma_instance(rng, dim=3).as_batch()
+solutions = construct_e_star(batch)
+sol = solutions.row(0)
 print(f"one instance (branch {sol.branch}):")
 print(f"  p = {sol.p:+.4f} -> p* = {sol.p_star:+.4f} (must not decrease)")
 print(f"  n = {sol.n:+.4f} -> n* = {sol.n_star:+.4f} (must not increase)")
-for name, check in report.checks.items():
-    print(f"  {name:24s} {'ok' if check['passed'] else 'FAIL'} "
-          f"(residual {check['residual']:.2e})")
+for name, (applies, passed, residual) in lemma_checks(batch, solutions).items():
+    if applies[0]:
+        print(f"  {name:24s} {'ok' if passed[0] else 'FAIL'} "
+              f"(residual {residual[0]:.2e})")
 
 print("\nrandomized sweep:")
 suite = run_lemma_suite(num_instances=2000, seed=7)

@@ -14,11 +14,9 @@ from .datasets import Dataset, DatasetSpec, make_dataset
 from .errors import (ConfigurationError, ContractError, DegenerateBatchError,
                      DimensionError, DivergenceError, IngestionError,
                      ModkernelError, UndefinedProxyError)
-from .kernels import (ConvPatchSpec, FeatureMap, conv_patch_feature,
-                      kernel_bounds, kernel_eval, kernel_matrix,
+from .kernels import (FeatureMap, kernel_bounds, kernel_eval, kernel_matrix,
                       rkhs_distance_sq)
-from .losses import (DecomposableLoss, make_loss, monotonicity_audit,
-                     multiclass_xe, risk)
+from .losses import DecomposableLoss, make_loss, risk
 from .proxies import (PairPartition, PROXY_KINDS, partition_pairs,
                       proxy_tensor, proxy_value)
 from .training import (ArchitectureSpec, DynamicsTrace, TrainConfig,

@@ -382,10 +382,6 @@ def tanh(x: Tensor) -> Tensor:
     return elementwise(x, "tanh")
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return elementwise(x, "sigmoid")
-
-
 def exp(x: Tensor) -> Tensor:
     out_data = np.exp(x.data)
     return _unary(x, out_data, lambda g: g * out_data)

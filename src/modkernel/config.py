@@ -9,13 +9,11 @@ dump -> load is the identity.  ``config_schema`` renders the tables.
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, dataclass
-from pathlib import Path
 
 from .datasets import GENERATED_KINDS, DatasetSpec, train_count
 from .errors import ConfigurationError
-from .serialize import dump_json, field_schemas, validate_schema
+from .serialize import dump_json, field_schemas, read_json, validate_schema
 from .training import (ArchitectureSpec, TrainConfig, check_budgets,
                        check_checkpoints)
 from .transfer import SCORING_FIELDS
@@ -250,13 +248,22 @@ def resolve_config(doc: dict) -> ExperimentConfig:
                 key, override, _TRAIN_FIELDS, partial=True)
 
     cfg = ExperimentConfig(resolved=resolved)
+    train = cfg.train_config()
+    for key in TRAIN_OVERRIDES:
+        if _override(resolved, key) is not None:
+            try:
+                cfg.train_config(key)
+            except ConfigurationError as exc:
+                # Each field passed under its own path above, so what fails
+                # is the schedule this section sets: name it by that path.
+                raise ConfigurationError(
+                    str(exc).replace("train.", f"{key}.", 1)) from None
     data, label, transfer = (resolved.get(key) for key in (
         "dataset", "label_efficiency", "transfer"))
     if data is not None:
         cfg.dataset_spec()
     if "sweep" in resolved:
-        check_checkpoints(resolved["sweep"]["checkpoint_epochs"],
-                          cfg.train_config())
+        check_checkpoints(resolved["sweep"]["checkpoint_epochs"], train)
     # The size and labels of a file dataset are unknown until it is read.
     if data is None or data["kind"] not in GENERATED_KINDS:
         return cfg
@@ -276,14 +283,7 @@ def resolve_config(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from None
-    return resolve_config(doc)
+    return resolve_config(read_json(path, ConfigurationError))
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

@@ -103,62 +103,6 @@ def rkhs_distance_sq(fmap: FeatureMap, u, v) -> float:
             - 2.0 * kernel_eval(fmap, u, v))
 
 
-@dataclass(frozen=True)
-class ConvPatchSpec:
-    """A receptive-field extraction: patch size, center, and padding rule.
-
-    ``padding="none"`` rejects centers whose patch leaves the input;
-    ``padding="zero"`` reads zeros outside it.  The extracted vector
-    concatenates the per-channel row-major h-by-w patches, channel 0 first.
-    """
-
-    height: int
-    width: int
-    channels: int
-    center_row: int
-    center_col: int
-    padding: str = "none"
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1 or self.channels < 1:
-            raise ConfigurationError("patch dimensions must be positive")
-        if self.padding not in ("none", "zero"):
-            raise ConfigurationError(f"unknown padding rule: {self.padding!r}")
-
-
-def conv_patch_feature(fmap: FeatureMap, X, patch: ConvPatchSpec) -> np.ndarray:
-    """Feature vector of one receptive field of an H-by-W-by-C activation.
-
-    Applies the nonlinearity entrywise (no normalization: the receptive
-    field is a restriction of the elementwise map), then extracts the
-    h-by-w window centered at (center_row, center_col) from every channel.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 3:
-        raise DimensionError(f"expected H-by-W-by-C tensor, got {X.shape}")
-    H, W, C = X.shape
-    if C != patch.channels:
-        raise DimensionError(
-            f"patch expects {patch.channels} channels, tensor has {C}")
-    r0 = patch.center_row - patch.height // 2
-    c0 = patch.center_col - patch.width // 2
-    r1, c1 = r0 + patch.height, c0 + patch.width
-    phi = ad.elementwise(ad.constant(X), fmap.nonlinearity).data
-    if patch.padding == "none":
-        if r0 < 0 or c0 < 0 or r1 > H or c1 > W:
-            raise DimensionError(
-                f"patch [{r0}:{r1}, {c0}:{c1}] leaves the {H}x{W} input "
-                "under the no-padding rule")
-        window = phi[r0:r1, c0:c1, :]
-    else:
-        window = np.zeros((patch.height, patch.width, C))
-        rs, cs = max(r0, 0), max(c0, 0)
-        re, ce = min(r1, H), min(c1, W)
-        if rs < re and cs < ce:
-            window[rs - r0:re - r0, cs - c0:ce - c0, :] = phi[rs:re, cs:ce, :]
-    return np.concatenate([window[:, :, c].ravel() for c in range(C)])
-
-
 def gram_tensor(feature_map: FeatureMap, activations: ad.Tensor) -> ad.Tensor:
     """Differentiable kernel matrix of a batch of pre-feature activations."""
     feats = feature_map.apply_tensor(activations)

@@ -8,21 +8,19 @@ nondecreasing term on the negative class, and a weight-norm penalty:
          + (1/n) sum_{j in I-} ell_minus(score_j)
          + lambda * g(|w|)
 
-Three concrete instantiations are provided (two-class softmax
-cross-entropy, tanh + squared error, hinge), plus the standard multiclass
-softmax cross-entropy used when training multiclass output modules.
+Three concrete instantiations are provided: two-class softmax
+cross-entropy, tanh + squared error, and hinge.
 
 Each loss is defined once, as a pair of graph builders over a score
 tensor.  Training minimizes ``risk_tensor`` over those graphs; the plain
-values (``ell_plus``, ``ell_minus``, ``risk``, ``multiclass_xe``), which
-the theorem oracle and the monotonicity audit read, run the same graphs
-on constants.
+values (``ell_plus``, ``ell_minus``, ``risk``), which the theorem oracle
+reads, run the same graphs on constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +48,7 @@ class DecomposableLoss:
 
     ``plus_term`` and ``minus_term`` build ell_plus and ell_minus,
     entrywise, as graphs over a score tensor.  ell_plus must be
-    nonincreasing and ell_minus and g nondecreasing;
-    ``monotonicity_audit`` verifies this numerically on a grid.
+    nonincreasing and ell_minus and g nondecreasing.
     """
 
     kind: str
@@ -120,44 +117,3 @@ def risk_tensor(loss: DecomposableLoss, scores: ad.Tensor,
         raise ConfigurationError(
             "the differentiable risk has no weight penalty; lambda must be 0")
     return _data_term(loss, scores, positive)
-
-
-def multiclass_xe(logits, labels) -> float:
-    """Mean softmax cross-entropy of n-by-C logits against integer labels."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[1] < 2:
-        raise DimensionError(f"expected n-by-C logits with C >= 2, got {logits.shape}")
-    return ad.cross_entropy_logits(ad.constant(logits), labels).item()
-
-
-@dataclass
-class MonotonicityReport:
-    """Outcome of sweeping a loss quadruple over a sorted grid."""
-
-    grid_points: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def monotonicity_audit(loss: DecomposableLoss, grid,
-                       slack: float = 1e-12) -> MonotonicityReport:
-    """Check ell_plus nonincreasing and ell_minus, g nondecreasing on
-    consecutive grid pairs; violations are reported, never raised."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.shape[0] < 2 or np.any(np.diff(grid) < 0):
-        raise ConfigurationError("grid must be a sorted list of >= 2 reals")
-    report = MonotonicityReport(grid_points=grid.shape[0])
-    sweeps = (("ell_plus", loss.ell_plus(grid), -1.0),
-              ("ell_minus", loss.ell_minus(grid), 1.0),
-              ("g", [loss.g(t) for t in grid], 1.0))
-    for name, values, direction in sweeps:
-        values = np.asarray(values, dtype=np.float64)
-        for t1, t2, v1, v2 in zip(grid, grid[1:], values, values[1:]):
-            # Negation is exact: -v1 > -v2 + slack is v1 < v2 - slack.
-            if direction * v1 > direction * v2 + slack:
-                report.violations.append((name, float(t1), float(t2),
-                                          float(v1), float(v2)))
-    return report

@@ -89,8 +89,21 @@ def write_json(path, obj) -> None:
     Path(path).write_text(dump_json(obj))
 
 
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+def read_json(path, error=IngestionError):
+    """The JSON document in ``path``; a directory, bytes that are not UTF-8
+    text, or text that does not parse (with its line and column) raise
+    ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except IsADirectoryError:
+        raise error(f"{path}: is a directory, not a JSON file") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start} is "
+                    f"{exc.object[exc.start]:#04x})") from None
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}") from None
 
 
 def _format_cell(value) -> str:

@@ -101,6 +101,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self, "train")
+        if self.total_epochs == 0:
+            raise ConfigurationError(
+                "train.lr_schedule: the epochs sum to 0; a schedule needs "
+                "at least one epoch")
 
     @property
     def total_epochs(self) -> int:
@@ -148,8 +152,12 @@ class AffineStack:
         return out
 
 
-# The keys of a module checkpoint besides its format and architecture.
-_CHECKPOINT_HEADER = {"required": ["tensors"], "properties": {
+# A module checkpoint: an object of the module format, whose architecture
+# fields ArchitectureSpec checks.
+_CHECKPOINT_HEADER = {"type": "object", "required": [
+    "format", "architecture", "tensors"], "properties": {
+    "format": {"enum": [MODULE_FORMAT]},
+    "architecture": {"type": "object"},
     "seed": {"type": "integer", "minimum": 0},
     "output_dim": {"type": ["integer", "null"], "minimum": 1},
     "tensors": {"type": "array", "items": {
@@ -219,19 +227,14 @@ class TwoModuleModel:
 
     @classmethod
     def from_checkpoint(cls, doc: dict) -> "TwoModuleModel":
-        if doc.get("format") != MODULE_FORMAT:
-            raise IngestionError(
-                f"unexpected module checkpoint format: {doc.get('format')!r}")
-        if not isinstance(doc.get("architecture"), dict):
-            raise IngestionError("module checkpoint lacks an architecture object")
-        try:
-            arch = ArchitectureSpec.from_dict(doc["architecture"])
-        except (TypeError, ConfigurationError) as exc:  # a bad field
-            raise IngestionError(f"module checkpoint architecture: {exc}") from None
         try:
             validate_schema(doc, _CHECKPOINT_HEADER, "module checkpoint")
         except ConfigurationError as exc:
             raise IngestionError(str(exc)) from None
+        try:
+            arch = ArchitectureSpec.from_dict(doc["architecture"])
+        except (TypeError, ConfigurationError) as exc:  # a bad field
+            raise IngestionError(f"module checkpoint architecture: {exc}") from None
         model = cls(arch, seed=doc.get("seed", 0),
                     output_dim=doc.get("output_dim"))
         loaded = dict(entries_to_params(doc["tensors"]))

@@ -194,18 +194,6 @@ def jacobi_eigenvalues(S, sweeps=100, tol=1e-12):
     return np.sort(np.diag(A))
 
 
-def naive_patch_extract(X, phi, h, w, ci, cj):
-    """Receptive-field extraction by raw index arithmetic."""
-    H, W, C = X.shape
-    r0, c0 = ci - h // 2, cj - w // 2
-    values = []
-    for c in range(C):
-        for dr in range(h):
-            for dc in range(w):
-                values.append(phi(X[r0 + dr, c0 + dc, c]))
-    return np.asarray(values)
-
-
 def spearman_from_ranks(ranks_a, ranks_b):
     """Classic 1 - 6*sum(d^2)/(n(n^2-1)) for tie-free rankings."""
     ra = np.asarray(ranks_a, dtype=np.float64)
@@ -290,3 +278,62 @@ def one_head_stage_two(feats_train, y_train, feats_test, y_test, width, cfg):
             if stop:
                 return rows, W.data, b.data
     return rows, W.data, b.data
+
+
+# One small config per experiment kind.  Criterion 10 reruns each and
+# compares the bytes; tools/artifact_diff.py runs them at two revisions.
+SMALL_CONFIGS = {
+    "lemma-suite": {
+        "experiment": "lemma-suite", "lemma": {"instances": 300, "seed": 5},
+    },
+    "theorem-oracle": {
+        "experiment": "theorem-oracle",
+        "theorem": {"instances": ["two-point-hinge-1d"]},
+    },
+    "sanity-dynamics": {
+        "experiment": "sanity-dynamics",
+        "dataset": {"kind": "gaussian-blobs", "n": 64, "d": 4,
+                    "num_classes": 2, "seed": 3, "split_fraction": 0.75},
+        "architecture": {"hidden_widths": [8], "latent_dim": 2},
+        "train": {"batch_size": 16, "lr_schedule": [[0.05, 4]], "seed": 1,
+                  "proxy": "nmse-neo"},
+    },
+    "modular-vs-e2e": {
+        "experiment": "modular-vs-e2e",
+        "dataset": {"kind": "gaussian-blobs", "n": 64, "d": 4,
+                    "num_classes": 2, "seed": 3, "split_fraction": 1.0},
+        "architecture": {"hidden_widths": [8], "latent_dim": 2},
+        "train": {"batch_size": 16, "lr_schedule": [[0.05, 4]], "seed": 1,
+                  "proxy": "nmse-neo"},
+    },
+    "proxy-sweep": {
+        "experiment": "proxy-sweep",
+        "dataset": {"kind": "gaussian-blobs", "n": 64, "d": 4,
+                    "num_classes": 2, "seed": 3, "split_fraction": 0.75},
+        "architecture": {"hidden_widths": [8], "latent_dim": 2},
+        "train": {"batch_size": 16, "lr_schedule": [[0.05, 4]], "seed": 1,
+                  "proxy": "nmse-neo"},
+        "sweep": {"checkpoint_epochs": [0, 2, 4]},
+    },
+    "label-efficiency": {
+        "experiment": "label-efficiency",
+        "dataset": {"kind": "gaussian-blobs", "n": 80, "d": 4,
+                    "num_classes": 2, "seed": 3, "split_fraction": 0.75},
+        "architecture": {"hidden_widths": [8], "latent_dim": 2},
+        "train": {"batch_size": 16, "lr_schedule": [[0.05, 4]], "seed": 1,
+                  "proxy": "nmse-neo"},
+        "label_efficiency": {"budgets": [2, 10], "balanced": True,
+                             "seed": 2},
+    },
+    "transferability": {
+        "experiment": "transferability",
+        "dataset": {"kind": "gaussian-blobs", "n": 240, "d": 6,
+                    "num_classes": 4, "seed": 3, "split_fraction": 0.75},
+        "architecture": {"hidden_widths": [8], "latent_dim": 2},
+        "train": {"batch_size": 16, "lr_schedule": [[0.02, 6]], "seed": 1,
+                  "proxy": "nmse-neo"},
+        "transfer": {"source_tasks": [[0, 1], [2, 3], [1, 2]],
+                     "target_task": [0, 1],
+                     "subsample_fraction": 0.5, "seed": 4},
+    },
+}

@@ -23,7 +23,7 @@ from modkernel.kernels import FeatureMap, kernel_eval, kernel_matrix, rkhs_dista
 from modkernel.losses import make_loss, risk_tensor
 from modkernel.serialize import read_json
 
-from oracles import central_difference, jacobi_eigenvalues
+from oracles import SMALL_CONFIGS, central_difference, jacobi_eigenvalues
 from test_autodiff import check_all_op_gradients
 from test_proxies import check_proxy_gradient
 
@@ -262,61 +262,6 @@ def test_criterion_10_determinism(tmp_path):
     """Rerunning every experiment kind with the same config and seed
     reproduces byte-identical CSV/JSON artifacts."""
     t0 = time.perf_counter()
-    small = {
-        "lemma-suite": {
-            "experiment": "lemma-suite", "lemma": {"instances": 300, "seed": 5},
-        },
-        "theorem-oracle": {
-            "experiment": "theorem-oracle",
-            "theorem": {"instances": ["two-point-hinge-1d"]},
-        },
-        "sanity-dynamics": {
-            "experiment": "sanity-dynamics",
-            "dataset": {"kind": "gaussian-blobs", "n": 64, "d": 4,
-                        "num_classes": 2, "seed": 3, "split_fraction": 0.75},
-            "architecture": {"hidden_widths": [8], "latent_dim": 2},
-            "train": {"batch_size": 16, "lr_schedule": [[0.05, 4]], "seed": 1,
-                      "proxy": "nmse-neo"},
-        },
-        "modular-vs-e2e": {
-            "experiment": "modular-vs-e2e",
-            "dataset": {"kind": "gaussian-blobs", "n": 64, "d": 4,
-                        "num_classes": 2, "seed": 3, "split_fraction": 1.0},
-            "architecture": {"hidden_widths": [8], "latent_dim": 2},
-            "train": {"batch_size": 16, "lr_schedule": [[0.05, 4]], "seed": 1,
-                      "proxy": "nmse-neo"},
-        },
-        "proxy-sweep": {
-            "experiment": "proxy-sweep",
-            "dataset": {"kind": "gaussian-blobs", "n": 64, "d": 4,
-                        "num_classes": 2, "seed": 3, "split_fraction": 0.75},
-            "architecture": {"hidden_widths": [8], "latent_dim": 2},
-            "train": {"batch_size": 16, "lr_schedule": [[0.05, 4]], "seed": 1,
-                      "proxy": "nmse-neo"},
-            "sweep": {"checkpoint_epochs": [0, 2, 4]},
-        },
-        "label-efficiency": {
-            "experiment": "label-efficiency",
-            "dataset": {"kind": "gaussian-blobs", "n": 80, "d": 4,
-                        "num_classes": 2, "seed": 3, "split_fraction": 0.75},
-            "architecture": {"hidden_widths": [8], "latent_dim": 2},
-            "train": {"batch_size": 16, "lr_schedule": [[0.05, 4]], "seed": 1,
-                      "proxy": "nmse-neo"},
-            "label_efficiency": {"budgets": [2, 10], "balanced": True,
-                                 "seed": 2},
-        },
-        "transferability": {
-            "experiment": "transferability",
-            "dataset": {"kind": "gaussian-blobs", "n": 240, "d": 6,
-                        "num_classes": 4, "seed": 3, "split_fraction": 0.75},
-            "architecture": {"hidden_widths": [8], "latent_dim": 2},
-            "train": {"batch_size": 16, "lr_schedule": [[0.02, 6]], "seed": 1,
-                      "proxy": "nmse-neo"},
-            "transfer": {"source_tasks": [[0, 1], [2, 3], [1, 2]],
-                         "target_task": [0, 1],
-                         "subsample_fraction": 0.5, "seed": 4},
-        },
-    }
     from modkernel.config import resolve_config
 
     def collect(outdir):
@@ -327,7 +272,7 @@ def test_criterion_10_determinism(tmp_path):
                 files[str(path.relative_to(outdir))] = path.read_bytes()
         return files
 
-    for kind, doc in small.items():
+    for kind, doc in SMALL_CONFIGS.items():
         outdir = tmp_path / kind
         cfg = resolve_config(dict(doc, output_dir=str(outdir)))
         runs = []
@@ -339,4 +284,4 @@ def test_criterion_10_determinism(tmp_path):
             assert runs[0][name] == runs[1][name], f"{kind}: {name} differs"
     elapsed = time.perf_counter() - t0
     print(f"\nPASS criterion 10: byte-identical reruns across all "
-          f"{len(small)} experiment kinds ({elapsed:.0f}s)")
+          f"{len(SMALL_CONFIGS)} experiment kinds ({elapsed:.0f}s)")

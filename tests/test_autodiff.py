@@ -204,12 +204,14 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
             ad.constant(x), t, ad.constant(b), kind="tanh"))), w),
         "relu": (lambda t: ad.tensor_sum(ad.relu(t)), x + 0.05),
         "tanh": (lambda t: ad.tensor_sum(ad.square(ad.tanh(t))), x),
-        "sigmoid": (lambda t: ad.tensor_sum(ad.square(ad.sigmoid(t))), x),
+        "sigmoid": (lambda t: ad.tensor_sum(ad.square(
+            ad.elementwise(t, "sigmoid"))), x),
         "exp": (lambda t: ad.tensor_sum(ad.exp(t)), x),
         "sqrt": (lambda t: ad.tensor_sum(ad.sqrt(t)), np.abs(x) + 0.5),
         "square": (lambda t: ad.tensor_sum(ad.square(t)), x),
         "softplus": (lambda t: ad.tensor_sum(ad.softplus(t)), x),
         "sum": (lambda t: ad.square(ad.tensor_sum(t)), x),
+        "masked_sum": (lambda t: ad.square(ad.masked_sum(t, m > 0)), x),
         "pair_sum_exp": (lambda t: ad.square(ad.pair_sum(
             t, classes, "exp", (0.6, -1.1, 1.7), 0.3)), x[:, :3]),
         "pair_sum_square": (lambda t: ad.square(ad.pair_sum(
@@ -339,7 +341,8 @@ class TestElementwiseBuilders:
                 lambda g: g * _sigmoid_reference(x_data)),
             "relu": (ad.relu, y, lambda g: g * (y > 0)),
             "tanh": (ad.tanh, y, lambda g: g * (1.0 - y * y)),
-            "sigmoid": (ad.sigmoid, y, lambda g: g * (y * (1.0 - y))),
+            "sigmoid": (lambda t: ad.elementwise(t, "sigmoid"), y,
+                        lambda g: g * (y * (1.0 - y))),
             "gram": (ad.gram, x_data @ x_data.T,
                      lambda g: g @ x_data + (x_data.T @ g).T),
             "tensor_sum": (ad.tensor_sum, x_data.sum(),

@@ -47,11 +47,16 @@ def _section(required=None, **optional):
     return st.fixed_dictionaries(required or {}, optional=optional)
 
 
+def _lr_steps(least_epochs):
+    return st.tuples(_floats(1e-6, 1.0) | st.integers(1, 3),
+                     st.integers(least_epochs, 100)).map(list)
+
+
+# A schedule's first entry has an epoch, so no schedule sums to 0 epochs.
 _TRAIN_SECTIONS = _section(
     batch_size=st.integers(2, 512),
-    lr_schedule=st.lists(st.tuples(_floats(1e-6, 1.0) | st.integers(1, 3),
-                                   st.integers(0, 100)).map(list),
-                         min_size=1, max_size=3),
+    lr_schedule=st.tuples(_lr_steps(1), st.lists(_lr_steps(0), max_size=2))
+    .map(lambda steps: [steps[0], *steps[1]]),
     momentum=_floats(0.0, 0.99), seed=st.integers(0, 2 ** 32),
     proxy=st.sampled_from(PROXY_KINDS),
     loss=st.sampled_from(("xe",) + LOSS_KINDS),
@@ -287,6 +292,7 @@ class TestConfigLoading:
                                           {"momentum": None},
                                           {"lr_schedule": [[0.1]]},
                                           {"lr_schedule": [[-0.1, 5]]},
+                                          {"lr_schedule": [[0.1, 0]]},
                                           {"trace_every": 0},
                                           {"momentum": 1.0}])
     def test_override_bad_value_names_section(self, tmp_path, key, override):
@@ -789,6 +795,56 @@ class TestCli:
         assert "Traceback" not in captured.err and "rank" not in captured.out
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"format": "modkernel-module-v1", "tens', "line 1, column 35"),
+        ("[1, 2]", "expected object")], ids=["truncated", "list-root"])
+    def test_score_transfer_malformed_candidate_file_exits_2(
+            self, tmp_path, capsys, text, named):
+        config, candidate, _ = self._score_transfer_inputs(tmp_path)
+        Path(candidate).write_text(text)
+        out_path = tmp_path / "ranking.json"
+        code = main(["score-transfer", config, candidate,
+                     "--output", str(out_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert "Traceback" not in captured.err and "rank" not in captured.out
+        assert not out_path.exists()
+
+    @staticmethod
+    def _unreadable(path, kind) -> str:
+        """Make ``path`` a file that is not UTF-8 text, or a directory;
+        returns what the error line names."""
+        if kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe{}")
+            return "not UTF-8 text (byte 0 is 0xff)"
+        path.unlink(missing_ok=True)
+        path.mkdir()
+        return "is a directory"
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        named = self._unreadable(path, kind)
+        assert main(["dump-config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_score_transfer_unreadable_candidate_file_exits_2(
+            self, tmp_path, capsys, kind):
+        config, candidate, _ = self._score_transfer_inputs(tmp_path)
+        named = self._unreadable(Path(candidate), kind)
+        out_path = tmp_path / "ranking.json"
+        code = main(["score-transfer", config, candidate,
+                     "--output", str(out_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert "Traceback" not in captured.err and "rank" not in captured.out
+        assert not out_path.exists()
+
     def test_verify_theorem_unknown_instance_exits_2(self, capsys):
         assert main(["verify-theorem", "--instance", "martingale"]) == 2
         assert "martingale" in capsys.readouterr().err
@@ -841,7 +897,8 @@ _BAD_COUNT = [-1, 2.5, True, "3", None]
 _BAD_SEED = [-1, 0.5, True, "0", None]
 _BAD_REAL = [NAN, INF, -INF, True, "1.0", None]
 _BAD_OVERRIDE = [5, "x", [], True, {"bogus": 1}, {"momentum": 1.0},
-                 {"lr_schedule": []}, {"batch_size": 1}]
+                 {"lr_schedule": []}, {"lr_schedule": [[0.1, 0]]},
+                 {"batch_size": 1}]
 HOSTILE = {
     "experiment": ["grid-search", 1, None, ["lemma-suite"]],
     "output_dir": [5, None, ["out"], True],
@@ -866,7 +923,7 @@ HOSTILE = {
     "train.lr_schedule": [[], [[0.1]], [[0.1, 2, 3]], [[0, 2]], [[-0.1, 2]],
                           [[NAN, 2]], [[INF, 2]], [[0.1, 2.5]], [[0.1, -1]],
                           [[0.1, True]], [["0.1", 2]], [0.1, 2], "fast",
-                          None],
+                          None, [[0.1, 0]], [[0.1, 0], [0.01, 0]]],
     "train.momentum": [1.0, -0.1, *_BAD_REAL],
     "train.seed": _BAD_SEED,
     "train.proxy": ["mmd", 3, None],
@@ -985,6 +1042,14 @@ class TestHostileConfigs:
         ("sanity-dynamics", "dataset.num_classes", 17),
         ("label-efficiency", "label_efficiency.budgets", [4, 301]),
         ("label-efficiency", "label_efficiency.budgets", [3, 8]),
+        ("modular-vs-e2e", "train.lr_schedule", [[0.01, 0]]),
+        ("proxy-sweep", "sweep.output_train", {"lr_schedule": [[0.01, 0]]}),
+        ("transferability", "transfer.oracle_train",
+         {"lr_schedule": [[0.01, 0]]}),
+        ("transferability", "transfer.candidate_train",
+         {"lr_schedule": [[0.01, 0]]}),
+        ("modular-vs-e2e", "modular.input_train",
+         {"lr_schedule": [[0.01, 0]]}),
     ])
     def test_committed_config_with_one_bad_value_exits_2_at_load(
             self, tmp_path, capsys, config, path, value):

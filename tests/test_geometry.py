@@ -4,9 +4,9 @@ import pytest
 from modkernel.errors import ConfigurationError, ContractError
 from modkernel.geometry import (LemmaInstance, LemmaSolution,
                                 committed_bruteforce_reports,
-                                construct_e_star, optimality_bruteforce,
-                                random_lemma_instance, run_lemma_suite,
-                                verify_lemma_solution, weight_lattice)
+                                construct_e_star, lemma_checks,
+                                optimality_bruteforce, random_lemma_instance,
+                                run_lemma_suite, weight_lattice)
 from modkernel.kernels import FeatureMap
 from modkernel.losses import make_loss
 
@@ -94,27 +94,36 @@ class TestConstructEStar:
                           np.array([0.0, 1.0])).validate()
 
 
+def _applicable(checks, i):
+    """The checks that apply to instance ``i``: name -> (passed, residual)."""
+    return {name: (bool(passed[i]), float(residual[i]))
+            for name, (applies, passed, residual) in checks.items()
+            if applies[i]}
+
+
 class TestVerifier:
     def _solved(self):
         rng = np.random.default_rng(7)
-        inst = random_lemma_instance(rng, 3)
-        return inst, construct_e_star(inst)
+        batch = random_lemma_instance(rng, 3).as_batch()
+        return batch, construct_e_star(batch)
 
     def test_constructed_solution_passes(self):
-        inst, sol = self._solved()
-        assert verify_lemma_solution(inst, sol).passed
+        batch, sol = self._solved()
+        assert all(passed for passed, _ in
+                   _applicable(lemma_checks(batch, sol), 0).values())
 
     def test_scaled_e_star_fails_unit_norm(self):
-        inst, sol = self._solved()
+        batch, sol = self._solved()
         sol.e_star = sol.e_star * 1.1
-        report = verify_lemma_solution(inst, sol)
-        assert not report.checks["unit_norm"]["passed"]
+        passed, _ = _applicable(lemma_checks(batch, sol), 0)["unit_norm"]
+        assert not passed
 
     def test_tampered_n_star_fails_consistency(self):
-        inst, sol = self._solved()
+        batch, sol = self._solved()
         sol.n_star += 0.01
-        report = verify_lemma_solution(inst, sol)
-        assert not report.checks["diagnostics_consistent"]["passed"]
+        checks = _applicable(lemma_checks(batch, sol), 0)
+        passed, _ = checks["diagnostics_consistent"]
+        assert not passed
 
 
 # Reports of the earlier per-instance implementation, so any drift in the
@@ -195,8 +204,6 @@ class TestBatch:
         (2, _antipodal_instance(), "antipodal"),
     ])
     def test_batch_rows_equal_batches_of_one(self, dim, hand_built, branch):
-        from modkernel.geometry import lemma_checks
-
         instances = _branch_instances(dim, hand_built)
         batch = _stack(instances)
         sol = construct_e_star(batch)
@@ -209,13 +216,10 @@ class TestBatch:
             for name in LemmaSolution.__dataclass_fields__:
                 if name != "e_star":
                     assert repr(getattr(row, name)) == repr(getattr(alone, name)), name
-            report = verify_lemma_solution(inst, alone)
-            assert report.passed
-            in_batch = {name: {"passed": bool(passed[i]),
-                               "residual": float(residual[i])}
-                        for name, (applies, passed, residual) in checks.items()
-                        if applies[i]}
-            assert in_batch == report.checks
+            one = inst.as_batch()
+            checks_alone = _applicable(lemma_checks(one, construct_e_star(one)), 0)
+            assert all(passed for passed, _ in checks_alone.values())
+            assert _applicable(checks, i) == checks_alone
 
     @pytest.mark.parametrize("bad", [
         LemmaInstance(np.array([2.0, 0.0]), np.array([1.0, 0.0]),

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from modkernel.errors import ConfigurationError, DimensionError
-from modkernel.kernels import (ConvPatchSpec, FeatureMap, conv_patch_feature,
-                               kernel_bounds, kernel_eval, kernel_matrix,
-                               rkhs_distance_sq)
+from modkernel.kernels import (FeatureMap, kernel_bounds, kernel_eval,
+                               kernel_matrix, rkhs_distance_sq)
 
-from oracles import jacobi_eigenvalues, naive_patch_extract
+from oracles import jacobi_eigenvalues
 
 
 def spec_for(kind):
@@ -142,53 +141,6 @@ class TestRkhsDistance:
                 direct = float(np.sum((spec.apply(u) - spec.apply(v)) ** 2))
                 assert rkhs_distance_sq(spec, u, v) == pytest.approx(
                     direct, abs=1e-12)
-
-
-class TestConvPatch:
-    def test_single_pixel_patch(self):
-        X = np.full((3, 3, 1), -2.0)
-        X[1, 1, 0] = 0.7
-        patch = ConvPatchSpec(height=1, width=1, channels=1,
-                              center_row=1, center_col=1)
-        out = conv_patch_feature(spec_for("tanh"), X, patch)
-        np.testing.assert_allclose(out, [np.tanh(0.7)], rtol=0, atol=1e-15)
-
-    def test_relu_on_all_negative_gives_zero_vector(self):
-        X = -np.abs(np.random.default_rng(1).standard_normal((4, 4, 2))) - 0.1
-        patch = ConvPatchSpec(height=3, width=3, channels=2,
-                              center_row=1, center_col=1)
-        out = conv_patch_feature(spec_for("relu"), X, patch)
-        np.testing.assert_array_equal(out, np.zeros(18))
-
-    def test_matches_index_arithmetic_oracle(self):
-        rng = np.random.default_rng(15)
-        X = rng.standard_normal((5, 5, 2))
-        patch = ConvPatchSpec(height=3, width=3, channels=2,
-                              center_row=2, center_col=2)
-        out = conv_patch_feature(spec_for("tanh"), X, patch)
-        expected = naive_patch_extract(X, np.tanh, 3, 3, 2, 2)
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
-
-    def test_out_of_bounds_without_padding(self):
-        X = np.zeros((4, 4, 1))
-        patch = ConvPatchSpec(height=3, width=3, channels=1,
-                              center_row=0, center_col=0)
-        with pytest.raises(DimensionError):
-            conv_patch_feature(spec_for("relu"), X, patch)
-
-    def test_zero_padding_reads_zeros_outside(self):
-        X = np.ones((2, 2, 1))
-        patch = ConvPatchSpec(height=3, width=3, channels=1,
-                              center_row=0, center_col=0, padding="zero")
-        out = conv_patch_feature(spec_for("relu"), X, patch)
-        assert out.shape == (9,)
-        assert out[4] == 1.0 and out[0] == 0.0
-
-    def test_channel_mismatch(self):
-        patch = ConvPatchSpec(height=1, width=1, channels=3,
-                              center_row=0, center_col=0)
-        with pytest.raises(DimensionError):
-            conv_patch_feature(spec_for("relu"), np.zeros((2, 2, 1)), patch)
 
 
 class TestFeatureMap:

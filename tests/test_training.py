@@ -120,12 +120,20 @@ class TestForwardOnlyReads:
 
 class TestTrainInputModule:
     def test_zero_epochs_leaves_params_untouched(self):
+        """The epoch-0 snapshot is the initialization, and a schedule step
+        of zero epochs trains nothing: the bits match the schedule
+        without it."""
         data = blob_data()
-        model = TwoModuleModel(small_arch(), seed=0)
-        before = param_bytes(model.params())
-        cfg = quick_cfg(lr_schedule=((0.1, 0),))
-        train_input_module(model, data, cfg)
-        assert param_bytes(model.params()) == before
+        runs = []
+        for schedule in (((0.1, 0), (0.05, 8)), ((0.05, 8),)):
+            model = TwoModuleModel(small_arch(), seed=0)
+            before = param_bytes(model.input_params())
+            _, snaps = train_input_module(model, data,
+                                          quick_cfg(lr_schedule=schedule),
+                                          checkpoint_epochs=[0])
+            assert [s.tobytes() for s in snaps[0]] == before
+            runs.append(param_bytes(model.params()))
+        assert runs[0] == runs[1]
 
     def test_two_class_blobs_reach_near_maximal_proxy(self):
         data = blob_data(n=120, classes=2, seed=5)
@@ -243,11 +251,16 @@ class TestFreezeAndTrainOutput:
 
 class TestEndToEnd:
     def test_zero_epochs_unchanged(self):
+        """A schedule step of zero epochs, first or between two others,
+        trains nothing: the bits match the schedule without it."""
         data = blob_data()
-        model = TwoModuleModel(small_arch(), seed=0)
-        before = param_bytes(model.params())
-        train_end_to_end(model, data, quick_cfg(lr_schedule=((0.1, 0),)))
-        assert param_bytes(model.params()) == before
+        runs = []
+        for schedule in (((0.1, 0), (0.05, 8)), ((0.05, 4), (0.1, 0),
+                                                  (0.05, 4)), ((0.05, 8),)):
+            model = TwoModuleModel(small_arch(), seed=0)
+            train_end_to_end(model, data, quick_cfg(lr_schedule=schedule))
+            runs.append(param_bytes(model.params()))
+        assert runs[0] == runs[2] and runs[1] == runs[2]
 
     def test_fixed_seed_determinism(self):
         data = blob_data()
@@ -543,3 +556,6 @@ class TestTraceAndModel:
             TrainConfig(lr_schedule=())
         with pytest.raises(ConfigurationError):
             TrainConfig(lr_schedule=((-0.1, 5),))
+        for no_epochs in (((0.1, 0),), ((0.1, 0), (0.01, 0))):
+            with pytest.raises(ConfigurationError, match="lr_schedule"):
+                TrainConfig(lr_schedule=no_epochs)

@@ -353,9 +353,10 @@ class TestLockstepOracle:
             arch = ArchitectureSpec(input_dim=6, hidden_widths=(12,),
                                     latent_dim=latent, num_classes=2)
             model = TwoModuleModel(arch, seed=i)
-            cfg = TrainConfig(batch_size=32, lr_schedule=((0.05, 2 * i),),
-                              seed=i, proxy="nmse-neo", trace_every=10)
-            train_input_module(model, data, cfg)
+            if i:  # c0 keeps its initialization
+                cfg = TrainConfig(batch_size=32, lr_schedule=((0.05, 2 * i),),
+                                  seed=i, proxy="nmse-neo", trace_every=10)
+                train_input_module(model, data, cfg)
             cands.append(CandidateModule(id=f"c{i}", model=model))
         return cands
 

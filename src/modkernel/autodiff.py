@@ -292,12 +292,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def gram(x: Tensor) -> Tensor:
-    """x @ x.T for an n-by-d x; the gradient g @ x + (x.T @ g).T has the
-    bits of a matmul of x with its transpose."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"gram expects an n-by-d matrix, got {x.shape}")
+    """x @ x.T for an n-by-d x, or for each slice of a K-by-n-by-d stack;
+    the gradient g @ x + (x.T @ g).T has the bits of a matmul of x with
+    its transpose."""
+    if x.data.ndim not in (2, 3):
+        raise DimensionError(f"gram expects n-by-d or K-by-n-by-d, got {x.shape}")
     xd = x.data
-    return _unary(x, xd @ xd.T, lambda g: g @ xd + (xd.T @ g).T)
+    xt = xd.swapaxes(-1, -2)
+    return _unary(x, xd @ xt, lambda g: g @ xd + (xt @ g).swapaxes(-1, -2))
 
 
 def affine(x: Tensor, W: Tensor, b: Tensor, kind: str | None = None) -> Tensor:
@@ -501,6 +503,8 @@ def pair_sum(x: Tensor, classes: np.ndarray, kind: str = "identity",
     the value is w_neg sum_{c_i != c_j} f(x_ij) + w_same sum_{c_i = c_j}
     f(x_ij) + w_diag sum_i f(x_ii) for the class indices ``classes``
     (0 .. C-1, one per row).  The same-class sum includes the diagonal.
+    A K-by-n-by-n stack with K-by-n class indices gives one sum per slice,
+    each with the bits of its 2-D node.
 
     A matrix of at most ``PAIR_SUM_BLOCK_ROWS`` rows is summed through its
     boolean same-class mask: with weights (1, 0, 0), the value and the
@@ -512,28 +516,38 @@ def pair_sum(x: Tensor, classes: np.ndarray, kind: str = "identity",
     built for more) and then applies f'.
     """
     xd = x.data
-    n = classes.shape[0]
-    if xd.shape != (n, n):
-        raise DimensionError(f"pair_sum: {x.shape} vs {n} class indices")
+    n, stack = classes.shape[-1], classes.shape[:-1]
+    if xd.shape != classes.shape + (n,) or len(stack) > 1:
+        raise DimensionError(f"pair_sum: {x.shape} vs classes {classes.shape}")
     _check_pair_map(kind)
     w_neg, w_same, w_diag = weights
     same = fx = None
     if n <= PAIR_SUM_BLOCK_ROWS:
-        same = classes[:, None] == classes[None, :]
+        same = classes[..., :, None] == classes[..., None, :]
         fx = _pair_map(xd, kind, shift)
-        sums = (np.multiply(fx, ~same).sum() if w_neg else 0.0,
-                np.multiply(fx, same).sum() if w_same else 0.0,
-                np.trace(fx) if w_diag else 0.0)
+        sums = (np.multiply(fx, ~same).sum(axis=(-2, -1)) if w_neg else 0.0,
+                np.multiply(fx, same).sum(axis=(-2, -1)) if w_same else 0.0,
+                np.trace(fx, axis1=-2, axis2=-1) if w_diag else 0.0)
     else:
-        sums = _blocked_pair_sums(classes, kind, shift,
-                                  lambda i0, out: xd[i0:i0 + out.shape[0]])
+        sums = np.transpose([_blocked_pair_sums(
+            c, kind, shift, lambda i0, out, m=m: m[i0:i0 + out.shape[0]])
+            for m, c in zip(xd.reshape(-1, n, n), classes.reshape(-1, n))]
+        ).reshape((3,) + stack)
     out_data = weighted_pair_sum(weights, sums)
+    fx = fx if kind == "exp" else None  # only e^k's backward reads it
 
     def rule(g):
-        mask = same if same is not None else classes[:, None] == classes[None, :]
-        grad = np.where(mask, g * w_same, g * w_neg)
+        mask = (same if same is not None
+                else classes[..., :, None] == classes[..., None, :])
+        g_each = g[..., None, None]  # one value per slice
+        # np.where's bits in a fraction of its time on a stack: a same-class
+        # g * w_same = +-0.0 is 0.0 * (g * w_neg) for w_neg of its sign.
+        if w_same == 0.0 and np.signbit(w_same) == np.signbit(w_neg):
+            grad = np.multiply(~mask, g_each * w_neg)
+        else:
+            grad = np.where(mask, g_each * w_same, g_each * w_neg)
         if w_diag:
-            grad.flat[::n + 1] += g * w_diag
+            grad.reshape(stack + (n * n,))[..., ::n + 1] += g_each[..., 0] * w_diag
         if kind == "square":
             grad *= 2.0
             grad *= xd - shift if shift else xd
@@ -541,7 +555,7 @@ def pair_sum(x: Tensor, classes: np.ndarray, kind: str = "identity",
             grad *= fx if fx is not None else _pair_map(xd, kind, shift)
         _accumulate(x, grad)
 
-    return _make(np.float64(out_data), (x,), rule)
+    return _make(np.asarray(out_data, dtype=np.float64), (x,), rule)
 
 
 # Orders of the Jacobi-Anger series e^{cos t} = I_0(1) + 2 sum_{m >= 1}
@@ -694,12 +708,13 @@ def unit_normalize(x: Tensor, epsilon: float = 1e-12,
     The epsilon floor keeps zero rows (reachable early in relu training)
     at zero instead of erroring.  With ``kind``, the bits of
     ``unit_normalize(elementwise(x, kind), epsilon)`` in one node.  By
-    ``_rowwise``'s rule the norms have the bits of ``np.linalg.norm``.
+    ``_rowwise``'s rule the norms have the bits of ``np.linalg.norm``, and
+    each slice of a K-by-n-by-d stack the bits of its 2-D node.
     """
     if epsilon <= 0:
         raise ContractError("unit_normalize requires epsilon > 0")
-    if x.data.ndim != 2:
-        raise DimensionError(f"unit_normalize expects n-by-d input, got {x.shape}")
+    if x.data.ndim not in (2, 3):
+        raise DimensionError(f"unit_normalize expects 2-D or 3-D input, got {x.shape}")
     if kind is None:
         t = x.data
     else:
@@ -798,6 +813,15 @@ class SgdMomentum:
 
     def zero_grad(self) -> None:
         zero_gradients(self.params)
+
+    def rows(self, run) -> "SgdMomentum":
+        """The optimizer of the entries ``run`` of the leading (stack) axis:
+        new leaves that view the parameters and views of the velocities."""
+        sub = SgdMomentum([], self.learning_rate, self.momentum)
+        sub.params = [Tensor(p.data[run], requires_grad=True)
+                      for p in self.params]
+        sub.velocity = [v[run] for v in self.velocity]
+        return sub
 
     def select(self, index) -> None:
         """Keep the entries ``index`` of the leading (stack) axis of every

@@ -28,7 +28,8 @@ from .errors import ConfigurationError
 from .serialize import write_csv, write_json
 from .training import (TwoModuleModel, freeze_and_train_output,
                        label_efficiency_run, proxy_accuracy_sweep,
-                       train_end_to_end, train_input_module)
+                       train_end_to_end, train_input_module,
+                       train_input_stack)
 from .transfer import (CandidateModule, attach_oracle, rank_candidates,
                        rank_correlation, retrain_oracle, score_candidate)
 
@@ -280,18 +281,19 @@ def _run_transferability(cfg: ExperimentConfig, outdir: Path):
     candidate_cfg = cfg.train_config("transfer.candidate_train")
     oracle_cfg = cfg.train_config("transfer.oracle_train")
 
-    candidates = []
     artifacts = _write_dataset_summary(outdir, base)
     cand_dir = outdir / "candidates"
     cand_dir.mkdir(exist_ok=True)
-    for i, pair in enumerate(section["source_tasks"]):
-        a, b = pair
-        task = binary_subtask(base, (a, b))
-        model = TwoModuleModel(arch, seed=candidate_cfg.seed + i)
-        train_input_module(model, task, candidate_cfg)
-        cand = CandidateModule(id=f"src-{a}-{b}", model=model,
-                               source_task=f"{a}-vs-{b}")
-        candidates.append(cand)
+    candidates = [CandidateModule(
+        id=f"src-{a}-{b}", source_task=f"{a}-vs-{b}",
+        model=TwoModuleModel(arch, seed=candidate_cfg.seed + i))
+        for i, (a, b) in enumerate(section["source_tasks"])]
+    tasks = [binary_subtask(base, pair) for pair in section["source_tasks"]]
+    t0 = time.perf_counter()
+    train_input_stack([c.model for c in candidates], tasks, candidate_cfg)
+    stage1_seconds = time.perf_counter() - t0
+    stage1_steps = candidate_cfg.total_epochs * sum(  # one per batch
+        -(-t.X_train.shape[0] // candidate_cfg.batch_size) for t in tasks)
     if section["include_random_candidate"]:
         model = TwoModuleModel(arch, seed=candidate_cfg.seed + 10_000)
         candidates.append(CandidateModule(id="random-init", model=model,
@@ -326,7 +328,8 @@ def _run_transferability(cfg: ExperimentConfig, outdir: Path):
         "spearman": report.rank_correlation_value,
         "candidates": float(len(candidates)),
     }
-    timing = {"scoring_seconds": scoring_seconds,
+    timing = {"stage1_seconds": stage1_seconds, "stage1_steps": stage1_steps,
+              "scoring_seconds": scoring_seconds,
               "oracle_seconds": oracle_seconds, "cost_ratio": cost_ratio}
     return metrics, artifacts, True, timing
 

@@ -87,10 +87,24 @@ def validate_proxy_for_bounds(kind: str, beta: float) -> None:
             "use one of 'al', 'utal', 'cts', 'nmse'")
 
 
+def stack_partitions(parts) -> PairPartition:
+    """The partition of a stack of batches of n rows each: K-by-n class
+    indices of the narrowest integer type (numpy compares their masks
+    several times faster than int64 ones), and K of each count."""
+    n = parts[0].n
+    return PairPartition(
+        n, np.array([p.classes for p in parts], dtype=np.min_scalar_type(n)),
+        [p.counts for p in parts], np.array([p.num_negatives for p in parts]),
+        np.array([p.num_positives for p in parts]))
+
+
 def is_degenerate_for(kind: str, part: PairPartition) -> bool:
     """Whether the batch lacks a pair type the proxy reads: every proxy
     needs an inter-class pair, and cts an intra-class one as well."""
-    return part.num_negatives == 0 or (kind == "cts" and part.num_positives == 0)
+    negatives, positives = part.num_negatives, part.num_positives
+    if isinstance(negatives, np.ndarray):  # a stack, degenerate if any batch is
+        negatives, positives = negatives.min(), positives.min()
+    return negatives == 0 or (kind == "cts" and positives == 0)
 
 
 def _proxy(kind: str, pairs, part: PairPartition, alpha: float,
@@ -98,7 +112,8 @@ def _proxy(kind: str, pairs, part: PairPartition, alpha: float,
     """The value of any proxy for kernel supremum ``alpha`` and infimum
     ``beta``, from ``pairs(f, weights, shift)``: the weighted sums of a
     map f of the kernel over (inter-class, intra-class, diagonal) pairs,
-    as ``ad.pair_sum`` takes them.
+    as ``ad.pair_sum`` takes them; one value per batch of a stacked
+    partition (``stack_partitions``).
 
     The negative-only proxies, over the inter-class pairs N:
     al-neo = beta sum_N k / (|beta| |N| sqrt(sum_N k^2)),
@@ -110,7 +125,7 @@ def _proxy(kind: str, pairs, part: PairPartition, alpha: float,
     and cts = sum_P e^k / sum_{N u P} e^k over the off-diagonal pairs.
     """
     validate_proxy_kind(kind)
-    num_neg = float(part.num_negatives)
+    num_neg = np.float64(part.num_negatives)
     if kind == "al-neo" and beta == 0.0:
         raise UndefinedProxyError(
             "al-neo is undefined for beta = 0; use 'al' or 'utal'")
@@ -121,7 +136,7 @@ def _proxy(kind: str, pairs, part: PairPartition, alpha: float,
 
     if kind == "al-neo":
         sq = pairs("square")
-        if sq.item() <= 0.0:
+        if min(sq.data.flat) <= 0.0:
             raise DegenerateBatchError(
                 "al-neo: inter-class kernel values are all zero")
         num = pairs("identity") * beta
@@ -144,14 +159,15 @@ def _proxy(kind: str, pairs, part: PairPartition, alpha: float,
     ideal_sq = alpha * alpha * same_pairs + beta * beta * num_neg
     if kind == "nmse":
         return (sq - inner * 2.0 + ideal_sq) / -float(part.n * part.n)
-    if ideal_sq == 0.0 or sq.item() <= 0.0:
+    if min(ideal_sq.flat) == 0.0 or min(sq.data.flat) <= 0.0:
         raise DegenerateBatchError(f"{kind}: the kernel or its ideal has norm 0")
     return inner / (ad.sqrt(sq) * np.sqrt(ideal_sq))
 
 
 def proxy_tensor(kind: str, K: ad.Tensor, part: PairPartition,
                  alpha: float, beta: float) -> ad.Tensor:
-    """The differentiable value of a proxy over a symmetric kernel tensor."""
+    """The differentiable value of a proxy over a symmetric kernel tensor,
+    or of each slice of a stack under a stacked partition."""
     return _proxy(kind, partial(ad.pair_sum, K, part.classes), part, alpha,
                   beta)
 

@@ -9,11 +9,13 @@ parameter arrays, so no read changes the model.  An end-to-end baseline
 trains the same backbone jointly.  Drivers for the label-efficiency and
 proxy-versus-accuracy studies sit on top.
 
-Every stage-2 fit is a stack of output heads sharing data, labels,
-config and feature width, trained in lockstep by one SGD loop
-(``train_output_stack``); a model's own output module or a label budget
-is a stack of one.  Each head follows the trajectory it would follow
-alone.  Training is single-threaded and deterministic given the seeds.
+Every fit is a stack trained in lockstep, each member following the
+trajectory it would follow alone: stage 1 steps K input modules of one
+architecture, each on its own dataset (``train_input_stack``), and stage
+2 K output heads sharing data, labels, config and feature width
+(``train_output_stack``).  A model's own stage 1, its own output module
+and a label budget are stacks of one.  Training is single-threaded and
+deterministic given the seeds.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from . import autodiff as ad
 from . import proxies
 from .datasets import Dataset
-from .errors import (ConfigurationError, DegenerateBatchError, DivergenceError,
-                     IngestionError)
+from .errors import (ConfigurationError, ContractError, DegenerateBatchError,
+                     DivergenceError, IngestionError)
 from .kernels import NONLINEARITIES, FeatureMap, gram_tensor
 from .losses import LOSS_KINDS, make_loss, risk_tensor
 from .serialize import (MODULE_FORMAT, check_fields, entries_to_params,
@@ -358,42 +360,96 @@ def train_input_module(model: TwoModuleModel, data: Dataset, cfg: TrainConfig,
     """SGD ascent on the proxy; returns (trace, snapshots by epoch).
 
     ``checkpoint_epochs`` requests deep parameter snapshots after the given
-    epoch counts (0 means the untouched initialization).
+    epoch counts (0 means the untouched initialization).  The module
+    trains as a stack of one (``train_input_stack``).
     """
+    return train_input_stack([model], [data], cfg, checkpoint_epochs)[0]
+
+
+def train_input_stack(models, datasets, cfg: TrainConfig,
+                      checkpoint_epochs=None) -> list:
+    """Stage 1 of K input modules of one architecture, module k on
+    ``datasets[k]``, in lockstep; returns one (trace, snapshots) per
+    module, as ``train_input_module`` returns them.
+
+    Each module draws its permutations and redraws from its own generator
+    in its solo order.  At each batch position, each run of consecutive
+    modules with batches of one row count takes one graph of stacked nodes
+    (2-D for a run of one), one backward pass and one momentum step, so
+    each module follows its solo trajectory bit for bit.  With K > 1 the
+    modules' parameters become views of the stacked ones.
+    """
+    model, count = models[0], len(models)
+    if len(datasets) != count or any(m.arch != model.arch for m in models):
+        raise ContractError("a stage-1 stack needs one architecture and one "
+                            "dataset per module")
     alpha, beta = model.link.bounds()
     proxies.validate_proxy_for_bounds(cfg.proxy, beta)
-    wanted = set(checkpoint_epochs or [])
-    snapshots: dict[int, list] = {}
-    trace = DynamicsTrace()
-    rng = np.random.default_rng(cfg.seed)
-    resamples = 0
+    params = model.input_params() if count == 1 else [
+        ad.Tensor(np.array(arrays), requires_grad=True) for arrays in
+        zip(*([p.data for p in m.input_params()] for m in models))]
+    for k, m in enumerate(models if count > 1 else ()):
+        for p, stacked in zip(m.input_params(), params):
+            p.data = stacked.data[k]
+    opt = ad.SgdMomentum(params, cfg.lr_schedule[0][0], cfg.momentum)
+    rngs = [np.random.default_rng(cfg.seed) for _ in models]
+    results = [(DynamicsTrace(), {}) for _ in models]
 
-    def snap_if_wanted(done: int) -> None:
-        if done in wanted:
-            snapshots[done] = [p.data.copy() for p in model.input_params()]
+    def end_epoch(done: int, lr: float, resamples: list) -> None:
+        for m, data, (trace, snapshots), redrawn in zip(
+                models, datasets, results, resamples):
+            if done in (checkpoint_epochs or ()):
+                snapshots[done] = [p.data.copy() for p in m.input_params()]
+            if done and _trace_due(cfg, done):
+                feats = m.link_features_np(data.X_train)
+                trace.add("input", done, lr, _features_proxy(
+                    m.link, feats, data.y_train, cfg.proxy), float("nan"),
+                    float("nan"), redrawn, feats)
 
-    def batch_loss(idx):
-        nonlocal resamples
-        idx, part, resampled = _usable_batch(rng, data.y_train, idx, cfg)
-        resamples += resampled
-        acts = model.pre_link(ad.constant(data.X_train[idx]))
-        K = gram_tensor(model.link, acts)
-        return ad.neg(proxies.proxy_tensor(cfg.proxy, K, part, alpha, beta))
-
-    def end_epoch(done: int, lr: float) -> bool:
-        nonlocal resamples
-        snap_if_wanted(done)
-        if _trace_due(cfg, done):
-            feats = model.link_features_np(data.X_train)
-            value = _features_proxy(model.link, feats, data.y_train, cfg.proxy)
-            trace.add("input", done, lr, value, float("nan"), float("nan"),
-                      resamples, feats)
-        resamples = 0
-
-    snap_if_wanted(0)
-    _fit(model.input_params(), cfg, rng, data.X_train.shape[0], batch_loss,
-         end_epoch)
-    return trace, snapshots
+    end_epoch(0, 0.0, [0] * count)
+    for epoch, lr in _schedule_epochs(cfg):
+        opt.learning_rate = lr
+        orders = [rng.permutation(d.y_train.shape[0])
+                  for rng, d in zip(rngs, datasets)]
+        resamples = [0] * count
+        for start in range(0, max(o.size for o in orders), cfg.batch_size):
+            runs = []  # [(module, batch indices, pair partition)] each
+            for k, (rng, data, order) in enumerate(zip(rngs, datasets, orders)):
+                if start >= order.size:
+                    continue
+                idx, part, redrawn = _usable_batch(
+                    rng, data.y_train, order[start:start + cfg.batch_size], cfg)
+                resamples[k] += redrawn
+                if runs and runs[-1][-1][0] == k - 1 and (
+                        runs[-1][-1][1].size == idx.size):
+                    runs[-1].append((k, idx, part))
+                else:
+                    runs.append([(k, idx, part)])
+            for run in runs:
+                (first, idx, part), size = run[0], len(run)
+                sub = opt if size == count else opt.rows(
+                    first if size == 1 else slice(first, first + size))
+                X = datasets[first].X_train[idx]
+                if size > 1:
+                    X = np.array([datasets[k].X_train[i] for k, i, _ in run])
+                    part = proxies.stack_partitions([p for _, _, p in run])
+                acts = _affine_chain(ad.constant(X), sub.params,
+                                     model.arch.hidden_nonlinearity)
+                # The last graph lives until this one is built, so its
+                # memory is reused rather than returned and faulted back.
+                losses = ad.neg(proxies.proxy_tensor(
+                    cfg.proxy, gram_tensor(model.link, acts), part, alpha,
+                    beta))
+                for (k, _, _), loss in zip(run, losses.data.flat):
+                    if not math.isfinite(loss):
+                        raise DivergenceError(
+                            f"training diverged: module {k}'s batch loss is "
+                            f"{loss} in epoch {epoch + 1}, at learning rate {lr}")
+                sub.zero_grad()
+                ad.backward(losses if size == 1 else ad.tensor_sum(losses))
+                sub.step()
+        end_epoch(epoch + 1, lr, resamples)
+    return results
 
 
 def _usable_batch(rng, labels, idx, cfg: TrainConfig) -> tuple:

@@ -280,6 +280,42 @@ def one_head_stage_two(feats_train, y_train, feats_test, y_test, width, cfg):
     return rows, W.data, b.data
 
 
+def one_module_stage_one(model, data, cfg):
+    """Stage 1 of one input module by a plain 2-D loop: the batch order of
+    ``cfg.seed``, a batch that lacks a pair type the proxy needs redrawn
+    from the same generator, the negated proxy of the gram of the link
+    features, and momentum SGD.  Returns each epoch's redraw count."""
+    from modkernel import autodiff as ad, proxies
+    rng = np.random.default_rng(cfg.seed)
+    params = model.input_params()
+    opt = ad.SgdMomentum(params, cfg.lr_schedule[0][0], cfg.momentum)
+    alpha, beta = model.link.bounds()
+    n = data.X_train.shape[0]
+    redraws = []
+    for lr, epochs in cfg.lr_schedule:
+        for _ in range(epochs):
+            opt.learning_rate = lr
+            order = rng.permutation(n)
+            redraws.append(0)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                part = proxies.partition_pairs(data.y_train[idx])
+                while proxies.is_degenerate_for(cfg.proxy, part):
+                    redraws[-1] += 1
+                    idx = rng.choice(n, size=min(cfg.batch_size, n),
+                                     replace=False)
+                    part = proxies.partition_pairs(data.y_train[idx])
+                feats = ad.unit_normalize(
+                    model.pre_link(ad.constant(data.X_train[idx])),
+                    model.link.epsilon, kind=model.link.nonlinearity)
+                loss = ad.neg(proxies.proxy_tensor(
+                    cfg.proxy, ad.gram(feats), part, alpha, beta))
+                opt.zero_grad()
+                ad.backward(loss)
+                opt.step()
+    return redraws
+
+
 # One small config per experiment kind.  Criterion 10 reruns each and
 # compares the bytes; tools/artifact_diff.py runs them at two revisions.
 SMALL_CONFIGS = {

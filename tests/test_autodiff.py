@@ -175,6 +175,12 @@ class TestOpGradients:
         check_all_op_gradients(rng)
 
 
+# (w_neg, w_same, w_diag) sets that take each branch of pair_sum's
+# backward: a zero same-class weight, a zero inter-class weight, neither.
+PAIR_WEIGHT_SETS = ((1.0, 0.0, 0.0), (0.0, 1.0, -1.0), (1.0, 1.0, -1.0),
+                    (-0.8, 0.5, 2.0))
+
+
 def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
     """Shared by the unit test above and the acceptance suite."""
     x = rng.standard_normal((3, 4)) * 0.8
@@ -239,6 +245,27 @@ def check_all_op_gradients(rng, rtol=1e-5, atol=1e-8):
                 ad.cross_entropy_logits(ad.affine(
                     t, ad.constant(ws), ad.constant(bs)), labels),
                 per_head)), xs)
+    # The stage-1 nodes on a stack of 3, each slice with class vector of
+    # its own; every pair map under weights that take each backward branch.
+    stack_classes = np.array([[0, 1, 0], [1, 1, 0], [2, 0, 1]])
+    feats = rng.standard_normal((3, 3, 4)) * 0.8
+    feat_weights = rng.standard_normal((3, 3, 4))
+    gram_weights = rng.standard_normal((3, 3, 3))
+    squares = rng.uniform(-1.0, 1.0, (3, 3, 3))
+    per_slice = ad.constant(rng.standard_normal(3))
+    cases["gram_stack"] = (lambda t: ad.tensor_sum(ad.mul(
+        ad.gram(t), ad.constant(gram_weights))), feats)
+    for kind in (None, "tanh"):
+        cases[f"unit_normalize_stack_{kind}"] = (
+            lambda t, kind=kind: ad.tensor_sum(ad.mul(ad.unit_normalize(
+                t, kind=kind), ad.constant(feat_weights))), feats)
+    for kind, shift in (("identity", 0.0), ("square", -1.0), ("exp", 0.3)):
+        for pair_weights in PAIR_WEIGHT_SETS:
+            cases[f"pair_sum_stack_{kind}_{pair_weights}"] = (
+                lambda t, kind=kind, shift=shift, w=pair_weights:
+                ad.tensor_sum(ad.mul(ad.square(ad.pair_sum(
+                    t, stack_classes, kind, w, shift)), per_slice)),
+                squares)
     for name, (build, value) in cases.items():
         leaf = ad.Tensor(value.copy(), requires_grad=True)
         ad.backward(build(leaf))
@@ -417,6 +444,91 @@ class TestStackAxis:
         with pytest.raises(DimensionError):
             ad.cross_entropy_logits(ad.constant(np.ones((2, 5, 3))),
                                     np.zeros(4, dtype=np.int64))
+
+
+def _bytes(arr):
+    return np.asarray(arr).tobytes()
+
+
+class TestStackedStageOneNodes:
+    """gram, unit_normalize and pair_sum on a leading stack axis of K, as
+    a stage-1 sub-stack builds them: each slice of every value and every
+    gradient has the bits of the 2-D node on that slice."""
+
+    K = 3
+
+    @staticmethod
+    def _graph(acts, kind, classes, pair_map, weights, shift, per_slice):
+        feats = ad.unit_normalize(acts, kind=kind)
+        gram = ad.gram(feats)
+        sums = ad.pair_sum(gram, classes, pair_map, weights, shift)
+        return feats, gram, sums, ad.mul(sums, per_slice)
+
+    @pytest.mark.parametrize("rows", [7, 64, 128])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_slices_have_the_bits_of_the_2d_nodes(self, d, rows):
+        rng = np.random.default_rng(10 * d + rows)
+        parts = [proxies.partition_pairs(rng.integers(0, 3, rows))
+                 for _ in range(self.K)]
+        stacked = proxies.stack_partitions(parts)
+        acts = rng.standard_normal((self.K, rows, d))
+        acts[0, 0] = 0.0  # a zero row takes the epsilon floor
+        per_slice = rng.standard_normal(self.K)
+        for kind in (None, "tanh"):
+            for pair_map, shift in (("identity", 0.0), ("square", -1.0),
+                                    ("exp", 0.0)):
+                for weights in PAIR_WEIGHT_SETS:
+                    whole = _leaf(acts)
+                    outs = self._graph(whole, kind, stacked.classes, pair_map,
+                                       weights, shift, ad.constant(per_slice))
+                    ad.backward(ad.tensor_sum(outs[-1]))
+                    for k, part in enumerate(parts):
+                        leaf = _leaf(acts[k])
+                        outs_k = self._graph(leaf, kind, part.classes, pair_map,
+                                             weights, shift,
+                                             ad.constant(per_slice[k]))
+                        ad.backward(outs_k[-1])
+                        case = (kind, pair_map, weights, k)
+                        for out, out_k in zip(outs, outs_k):
+                            assert (_bytes(out.data[k])
+                                    == _bytes(out_k.data)), case
+                            assert (_bytes(out.grad[k])
+                                    == _bytes(out_k.grad)), case
+                        assert _bytes(whole.grad[k]) == _bytes(leaf.grad), case
+
+    @pytest.mark.parametrize("kind", proxies.PROXY_KINDS)
+    def test_stacked_proxies_have_the_bits_of_each_batch(self, kind):
+        """Every proxy over a stacked partition: one value per batch, with
+        the value and the gram gradient of the batch alone."""
+        rng = np.random.default_rng(len(kind))
+        parts = [proxies.partition_pairs(labels) for labels in
+                 ([0, 1, 0, 0, 1, 1, 0, 1], [2, 2, 0, 1, 0, 1, 1, 2],
+                  [1, 0, 0, 1, 1, 1, 0, 0])]
+        feats = rng.standard_normal((3, 8, 2))
+        feats /= np.linalg.norm(feats, axis=-1, keepdims=True)
+        whole = _leaf(feats @ feats.swapaxes(-1, -2))
+        values = proxies.proxy_tensor(kind, whole, proxies.stack_partitions(
+            parts), 1.0, -1.0)
+        assert values.shape == (3,)
+        ad.backward(ad.tensor_sum(values))
+        for k, part in enumerate(parts):
+            leaf = _leaf(whole.data[k])
+            value = proxies.proxy_tensor(kind, leaf, part, 1.0, -1.0)
+            ad.backward(value)
+            assert _bytes(values.data[k]) == _bytes(value.data), k
+            assert _bytes(whole.grad[k]) == _bytes(leaf.grad), k
+
+    def test_mismatched_stacks_rejected(self):
+        with pytest.raises(DimensionError):
+            ad.gram(_leaf(np.ones((2, 2, 3, 3))))
+        with pytest.raises(DimensionError):
+            ad.unit_normalize(_leaf(np.ones((2, 2, 3, 3))))
+        for shape, classes in (((2, 3, 3), np.zeros((3, 3), dtype=int)),
+                               ((2, 3, 3), np.zeros(3, dtype=int)),
+                               ((3, 3), np.zeros((1, 3), dtype=int)),
+                               ((1, 2, 3, 3), np.zeros((1, 2, 3), dtype=int))):
+            with pytest.raises(DimensionError):
+                ad.pair_sum(_leaf(np.ones(shape)), classes)
 
 
 def _narrow_values(rng, shape, special_share):

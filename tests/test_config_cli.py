@@ -20,9 +20,12 @@ from modkernel.kernels import NONLINEARITIES
 from modkernel.losses import LOSS_KINDS
 from modkernel.proxies import PROXY_KINDS
 from modkernel.errors import ConfigurationError
-from modkernel.experiments import REPORT_SCHEMA, run_experiment
+from modkernel.datasets import make_dataset
+from modkernel.experiments import REPORT_SCHEMA, binary_subtask, run_experiment
 from modkernel.serialize import dump_json, read_json
 from modkernel.training import TrainConfig
+
+from oracles import SMALL_CONFIGS
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -463,6 +466,27 @@ class TestRunExperiment:
         assert meta["stage1_seconds"] > 0 and meta["stage2_seconds"] > 0
         assert (meta["stage1_seconds"] + meta["stage2_seconds"]
                 <= meta["duration_seconds"])
+        assert "seconds" not in (tmp_path / "out" / "report.json").read_text()
+
+    def test_transferability_metadata_times_the_candidates_stage_one(
+            self, tmp_path):
+        """The candidates' stage-1 seconds and module steps, one step per
+        batch of each candidate in each epoch, sit beside the scoring and
+        oracle seconds; the report names no time."""
+        doc = dict(SMALL_CONFIGS["transferability"],
+                   output_dir=str(tmp_path / "out"))
+        cfg = load_config(write_config(tmp_path, doc))
+        base = make_dataset(cfg.dataset_spec())
+        train = cfg.train_config("transfer.candidate_train")
+        rows = [binary_subtask(base, pair).X_train.shape[0]
+                for pair in doc["transfer"]["source_tasks"]]
+        run_experiment(cfg)
+        meta = read_json(tmp_path / "out" / "metadata.json")
+        assert meta["stage1_steps"] == train.total_epochs * sum(
+            -(-n // train.batch_size) for n in rows)
+        assert meta["stage1_seconds"] > 0
+        assert (meta["stage1_seconds"] + meta["scoring_seconds"]
+                + meta["oracle_seconds"] <= meta["duration_seconds"])
         assert "seconds" not in (tmp_path / "out" / "report.json").read_text()
 
 

@@ -6,17 +6,19 @@ import pytest
 import modkernel.autodiff as ad
 from modkernel import proxies
 from modkernel.datasets import Dataset, DatasetSpec, make_dataset
-from modkernel.errors import ConfigurationError
+from modkernel.errors import (ConfigurationError, ContractError,
+                              DegenerateBatchError, DivergenceError)
 from modkernel.kernels import FeatureMap, kernel_matrix
 from modkernel.losses import make_loss, risk
 from modkernel.training import (ArchitectureSpec, TrainConfig, TwoModuleModel,
                                 accuracy, freeze_and_train_output,
                                 label_efficiency_run, proxy_accuracy_sweep,
                                 train_end_to_end, train_input_module,
-                                train_output_stack, full_proxy_value,
-                                TRACE_HEADER)
+                                train_input_stack, train_output_stack,
+                                full_proxy_value, TRACE_HEADER)
 
-from oracles import one_head_stage_two, proxy_references
+from oracles import (one_head_stage_two, one_module_stage_one,
+                     proxy_references)
 
 
 def blob_data(n=200, d=6, classes=4, seed=3, split=0.75):
@@ -177,6 +179,97 @@ class TestTrainInputModule:
         assert set(snaps) == {0, 3, 8}
         for a, b in zip(snaps[0], init):
             np.testing.assert_array_equal(a, b)
+
+
+def _binary_task(n, seed, single_class=False):
+    """n two-class training rows in two shifted clouds (one class only
+    when ``single_class``), and as many test rows."""
+    rng = np.random.default_rng(seed)
+    y = np.zeros(n, dtype=np.int64) if single_class else np.arange(n) % 2
+    X = rng.standard_normal((n, 6)) + 1.5 * y[:, None]
+    return Dataset(X, y, X.copy(), y.copy())
+
+
+def _row_bits(rows):
+    """Trace rows with every float as its bits, so NaN equals NaN."""
+    return [{key: float.hex(value) if isinstance(value, float) else value
+             for key, value in row.items()} for row in rows]
+
+
+class TestInputStack:
+    """Stage 1 of K modules in lockstep against each module trained alone.
+
+    At batch 16 the three tasks have 40, 49 and 48 training rows.  At
+    position 32 the first has a ragged batch of 8 rows, a run of one,
+    and the other two a run of two full batches.  The second task's last
+    batch has 1 row, which lacks an inter-class pair, so it is redrawn in
+    every epoch, and then trains alone at position 48."""
+
+    SIZES = (40, 49, 48)
+    CHECKPOINTS = [0, 2, 5]
+
+    def _cfg(self, proxy="nmse-neo", **kw):
+        return quick_cfg(batch_size=16, lr_schedule=((0.05, 3), (0.01, 2)),
+                         proxy=proxy, **{"trace_every": 2, **kw})
+
+    def _setup(self):
+        tasks = [_binary_task(n, seed) for seed, n in enumerate(self.SIZES)]
+        models = [TwoModuleModel(small_arch(latent=2, classes=2), seed=seed)
+                  for seed in range(len(tasks))]
+        return models, tasks
+
+    @pytest.mark.parametrize("proxy", ["nmse-neo", "cts"])
+    def test_lockstep_has_the_bits_of_each_module_alone(self, proxy):
+        cfg = self._cfg(proxy)
+        alone, tasks = self._setup()
+        solo = [train_input_module(model, task, cfg, self.CHECKPOINTS)
+                for model, task in zip(alone, tasks)]
+        stacked, _ = self._setup()
+        lockstep = train_input_stack(stacked, tasks, cfg, self.CHECKPOINTS)
+        assert all(r["resamples"] >= 1 for r in solo[1][0].rows)
+        for a, b, (trace_a, snaps_a), (trace_b, snaps_b) in zip(
+                alone, stacked, solo, lockstep):
+            assert param_bytes(a.params()) == param_bytes(b.params())
+            assert _row_bits(trace_a.rows) == _row_bits(trace_b.rows)
+            assert set(snaps_a) == set(snaps_b) == set(self.CHECKPOINTS)
+            for epoch in self.CHECKPOINTS:
+                assert param_bytes(snaps_a[epoch]) == param_bytes(
+                    snaps_b[epoch])
+            assert [(e, f.tobytes()) for e, f in trace_a.activations] == [
+                (e, f.tobytes()) for e, f in trace_b.activations]
+
+    def test_a_module_alone_follows_the_plain_loop(self):
+        """train_input_module against a 2-D loop written out in full,
+        redraws included: the same bits and the same redraw counts."""
+        cfg = self._cfg(trace_every=1)
+        _, tasks = self._setup()
+        for task in tasks:
+            model = TwoModuleModel(small_arch(latent=2, classes=2), seed=3)
+            plain = TwoModuleModel(small_arch(latent=2, classes=2), seed=3)
+            trace, _ = train_input_module(model, task, cfg)
+            redraws = one_module_stage_one(plain, task, cfg)
+            assert param_bytes(model.params()) == param_bytes(plain.params())
+            assert [r["resamples"] for r in trace.rows] == redraws
+
+    def test_a_non_finite_loss_stops_the_stack(self):
+        models, tasks = self._setup()
+        models[1].input_params()[0].data[:] = np.nan
+        with pytest.raises(DivergenceError, match="module 1's batch loss is nan"):
+            train_input_stack(models, tasks, self._cfg())
+
+    def test_an_exhausted_redraw_stops_the_stack(self):
+        models, tasks = self._setup()
+        tasks[2] = _binary_task(48, 2, single_class=True)
+        with pytest.raises(DegenerateBatchError, match="'nmse-neo'"):
+            train_input_stack(models, tasks, self._cfg(resample_limit=3))
+
+    def test_modules_of_two_architectures_rejected(self):
+        models, tasks = self._setup()
+        models[2] = TwoModuleModel(small_arch(latent=3, classes=2), seed=0)
+        with pytest.raises(ContractError):
+            train_input_stack(models, tasks, self._cfg())
+        with pytest.raises(ContractError):
+            train_input_stack(models[:2] + models[:1], tasks[:2], self._cfg())
 
 
 class TestFreezeAndTrainOutput:

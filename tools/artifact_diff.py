@@ -1,12 +1,14 @@
 """Compare the artifacts of two revisions, file by file.
 
     python tools/artifact_diff.py [BASE [CHANGE]] [--skip-slow]
+    python tools/artifact_diff.py [BASE] --threads A,B [--skip-slow]
 
 BASE defaults to HEAD and CHANGE to the working tree (its tracked files and
 its untracked files that git does not ignore).  Each side is exported into a
 scratch directory, a revision with ``git archive`` and the working tree by
 copying, so the repository is only read.  Both sides then run, in parallel
-and with OpenBLAS on one thread:
+and with OpenBLAS on one thread; with ``--threads A,B`` the two sides are
+BASE alone, run with OpenBLAS on A threads and on B threads:
 
 - every committed config under ``configs/`` (``--skip-slow`` leaves out
   ``modular-vs-e2e``);
@@ -118,11 +120,11 @@ def small_configs() -> dict:
     return module.SMALL_CONFIGS
 
 
-def start_side(tree: Path, out: Path, small: Path,
-               skip_slow: bool) -> subprocess.Popen:
+def start_side(tree: Path, out: Path, small: Path, skip_slow: bool,
+               threads: int = 1) -> subprocess.Popen:
     env = {key: value for key, value in os.environ.items()
            if key != "MODKERNEL_OUTPUT_ROOT"}
-    env.update(OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
+    env.update(OPENBLAS_NUM_THREADS=str(threads), PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(tree / "src"))
     return subprocess.Popen(
         [sys.executable, "-c", _SIDE_SCRIPT, str(out), str(small),
@@ -204,6 +206,18 @@ def describe(path_a: Path, path_b: Path) -> str:
             f"{str(x)[:60]} -> {str(y)[:60]}")
 
 
+def _thread_counts(text: str) -> tuple:
+    """Two positive thread counts written ``A,B``."""
+    try:
+        counts = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        counts = ()
+    if len(counts) != 2 or min(counts) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected two positive thread counts A,B, got {text!r}")
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", nargs="?", default="HEAD",
@@ -212,18 +226,30 @@ def main(argv=None) -> int:
                         help="revision to compare to (default the working tree)")
     parser.add_argument("--skip-slow", action="store_true",
                         help="leave out the modular-vs-e2e committed config")
+    parser.add_argument("--threads", type=_thread_counts, metavar="A,B",
+                        help="compare BASE alone with OpenBLAS on A threads "
+                             "against it on B threads")
     args = parser.parse_args(argv)
+    if args.threads and args.change is not None:
+        parser.error("--threads runs one revision; give no CHANGE")
 
+    # side -> (revision, OpenBLAS threads)
+    if args.threads:
+        sides = {"base": (args.base, args.threads[0]),
+                 "change": (args.base, args.threads[1])}
+        label = f"{args.base} at {args.threads[0]} vs {args.threads[1]} threads"
+    else:
+        sides = {"base": (args.base, 1), "change": (args.change, 1)}
+        label = f"{args.base} vs {args.change or 'the working tree'}"
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as scratch:
         scratch = Path(scratch)
         small = scratch / "small-configs.json"
         small.write_text(json.dumps(small_configs()))
-        sides = {"base": args.base, "change": args.change}
         runs = {}
-        for side, revision in sides.items():
+        for side, (revision, threads) in sides.items():
             export(revision, scratch / side / "tree")
             runs[side] = start_side(scratch / side / "tree", scratch / side / "out",
-                                    small, args.skip_slow)
+                                    small, args.skip_slow, threads)
         errors = {side: proc.communicate()[1] for side, proc in runs.items()}
         for side, proc in runs.items():
             stderr = errors[side]
@@ -251,9 +277,7 @@ def main(argv=None) -> int:
             else:
                 print(f"DIFF {name}: {describe(base[name], change[name])}")
                 differ += 1
-        label = args.change or "the working tree"
-        print(f"{args.base} vs {label}: {same} files identical, "
-              f"{differ} differ")
+        print(f"{label}: {same} files identical, {differ} differ")
         return 0 if differ == 0 else 1
 
 

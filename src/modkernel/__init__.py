@@ -13,7 +13,7 @@ from .autodiff import (SgdMomentum, Tensor, affine, backward, elementwise,
 from .datasets import Dataset, DatasetSpec, make_dataset
 from .errors import (ConfigurationError, ContractError, DegenerateBatchError,
                      DimensionError, DivergenceError, IngestionError,
-                     ModkernelError, UndefinedProxyError)
+                     ModkernelError, UndefinedProxyError, WorkerError)
 from .kernels import (FeatureMap, kernel_bounds, kernel_eval, kernel_matrix,
                       rkhs_distance_sq)
 from .losses import DecomposableLoss, make_loss, risk

@@ -31,3 +31,7 @@ class IngestionError(ModkernelError):
 
 class DivergenceError(ModkernelError):
     """A training loss became NaN or infinite."""
+
+
+class WorkerError(ModkernelError):
+    """A forked training worker exited without sending its result."""

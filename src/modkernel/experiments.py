@@ -3,8 +3,9 @@
 Every experiment writes, into its output directory: a canonical
 ``report.json`` (schema-checked), the resolved config, trace/result CSVs,
 and parameter checkpoints.  Rerunning with the same config and seed
-reproduces those files byte for byte; wall-clock timings and timestamps
-live in ``metadata.json``, which is the one file allowed to differ.
+reproduces those files byte for byte; wall-clock timings, timestamps,
+and the numpy, BLAS and CPUs of the run live in ``metadata.json``, which
+is the one file allowed to differ.
 
 Exit status: 0 when every in-config threshold holds, 1 otherwise; a gated
 value the run could not produce (None or NaN) fails.  ``_KINDS`` says what
@@ -28,8 +29,8 @@ from .errors import ConfigurationError
 from .serialize import write_csv, write_json
 from .training import (TwoModuleModel, freeze_and_train_output,
                        label_efficiency_run, proxy_accuracy_sweep,
-                       train_end_to_end, train_input_module,
-                       train_input_stack)
+                       stack_slices, train_end_to_end, train_input_module,
+                       train_input_stack, usable_cpus)
 from .transfer import (CandidateModule, attach_oracle, rank_candidates,
                        rank_correlation, retrain_oracle, score_candidate)
 
@@ -94,9 +95,16 @@ def run_experiment(cfg: ExperimentConfig,
     }
     validate_schema(report, REPORT_SCHEMA)
     write_json(outdir / "report.json", report)
+    # What the run's speed rests on; a null thread setting is OpenBLAS's
+    # default, one thread per CPU.
+    blas = getattr(np.__config__, "CONFIG", {}).get(
+        "Build Dependencies", {}).get("blas", {})
     write_json(outdir / "metadata.json", {
         "started_at": started, "duration_seconds": elapsed,
-        "timing_ok": timing_ok, **timing})
+        "timing_ok": timing_ok, "numpy_version": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpus": usable_cpus(), **timing})
     return 0 if (passed and timing_ok) else 1
 
 
@@ -329,6 +337,7 @@ def _run_transferability(cfg: ExperimentConfig, outdir: Path):
         "candidates": float(len(candidates)),
     }
     timing = {"stage1_seconds": stage1_seconds, "stage1_steps": stage1_steps,
+              "stage1_workers": len(stack_slices(len(tasks))),
               "scoring_seconds": scoring_seconds,
               "oracle_seconds": oracle_seconds, "cost_ratio": cost_ratio}
     return metrics, artifacts, True, timing

@@ -14,13 +14,16 @@ trajectory it would follow alone: stage 1 steps K input modules of one
 architecture, each on its own dataset (``train_input_stack``), and stage
 2 K output heads sharing data, labels, config and feature width
 (``train_output_stack``).  A model's own stage 1, its own output module
-and a label budget are stacks of one.  Training is single-threaded and
-deterministic given the seeds.
+and a label budget are stacks of one.  A stage-1 stack splits into a
+slice per CPU the process may use, all but the first trained in forked
+children, with the same bits.  Training is deterministic given the seeds.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -31,7 +34,7 @@ from . import autodiff as ad
 from . import proxies
 from .datasets import Dataset
 from .errors import (ConfigurationError, ContractError, DegenerateBatchError,
-                     DivergenceError, IngestionError)
+                     DivergenceError, IngestionError, WorkerError)
 from .kernels import NONLINEARITIES, FeatureMap, gram_tensor
 from .losses import LOSS_KINDS, make_loss, risk_tensor
 from .serialize import (MODULE_FORMAT, check_fields, entries_to_params,
@@ -377,14 +380,86 @@ def train_input_stack(models, datasets, cfg: TrainConfig,
     modules with batches of one row count takes one graph of stacked nodes
     (2-D for a run of one), one backward pass and one momentum step, so
     each module follows its solo trajectory bit for bit.  With K > 1 the
-    modules' parameters become views of the stacked ones.
+    modules' parameters become views of the stacked ones.  The first of
+    ``stack_slices(K)`` trains here, and each other in a forked child,
+    which sends back its modules' arrays and results, or its error.
     """
     model, count = models[0], len(models)
     if len(datasets) != count or any(m.arch != model.arch for m in models):
         raise ContractError("a stage-1 stack needs one architecture and one "
                             "dataset per module")
+    proxies.validate_proxy_for_bounds(cfg.proxy, model.link.bounds()[1])
+    (_, stop), *others = stack_slices(count)
+    children = []
+    try:
+        for start, end in others:
+            children.append(_fork_slice(models[start:end], datasets[start:end],
+                                        cfg, checkpoint_epochs, start))
+        results = _lockstep(models[:stop], datasets[:stop], cfg,
+                            checkpoint_epochs)
+    finally:  # every child is reaped, whatever this process raised
+        sent = []
+        for pid, read in children:
+            with os.fdopen(read, "rb") as pipe:
+                sent.append((pipe.read(), os.waitpid(pid, 0)[1]))
+    for (start, end), (data, status) in zip(others, sent):
+        if not data:
+            raise WorkerError(f"the stage-1 worker of modules {start} to "
+                              f"{end - 1} exited with code "
+                              f"{os.waitstatus_to_exitcode(status)}, no result")
+        trained, arrays = pickle.loads(data)
+        if arrays is None:
+            raise trained
+        for p, array in zip((p for m in models[start:end]
+                             for p in m.input_params()), arrays):
+            p.data = array
+        results += trained
+    return results
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may use; 1 without fork or sched_getaffinity."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if forks else 1
+
+
+def stack_slices(count: int) -> list:
+    """(start, stop) of each slice a stage-1 stack of ``count`` modules
+    trains in: one per usable CPU, at most ``count``."""
+    parts = min(count, usable_cpus())
+    return [(count * i // parts, count * (i + 1) // parts)
+            for i in range(parts)]
+
+
+def _fork_slice(models, datasets, cfg: TrainConfig, checkpoint_epochs,
+                offset: int) -> tuple:
+    """Fork a child that trains a slice, module ``offset`` first, and pipes
+    back (results, parameter arrays) or (its error, None) as one pickle;
+    returns (pid, the pipe's read end)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    try:  # the child leaves by os._exit: no atexit hook or stdio flush runs
+        try:
+            sent = (_lockstep(models, datasets, cfg, checkpoint_epochs, offset),
+                    [p.data for m in models for p in m.input_params()])
+        except Exception as error:
+            sent = error, None
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(sent))
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _lockstep(models, datasets, cfg: TrainConfig, checkpoint_epochs=None,
+              offset: int = 0) -> list:
+    """Stage 1 of a checked stack in this process, ``models[0]`` being
+    module ``offset`` of the whole stack."""
+    model, count = models[0], len(models)
     alpha, beta = model.link.bounds()
-    proxies.validate_proxy_for_bounds(cfg.proxy, beta)
     params = model.input_params() if count == 1 else [
         ad.Tensor(np.array(arrays), requires_grad=True) for arrays in
         zip(*([p.data for p in m.input_params()] for m in models))]
@@ -418,7 +493,8 @@ def train_input_stack(models, datasets, cfg: TrainConfig,
                 if start >= order.size:
                     continue
                 idx, part, redrawn = _usable_batch(
-                    rng, data.y_train, order[start:start + cfg.batch_size], cfg)
+                    rng, data.y_train, order[start:start + cfg.batch_size], cfg,
+                    offset + k)
                 resamples[k] += redrawn
                 if runs and runs[-1][-1][0] == k - 1 and (
                         runs[-1][-1][1].size == idx.size):
@@ -443,8 +519,9 @@ def train_input_stack(models, datasets, cfg: TrainConfig,
                 for (k, _, _), loss in zip(run, losses.data.flat):
                     if not math.isfinite(loss):
                         raise DivergenceError(
-                            f"training diverged: module {k}'s batch loss is "
-                            f"{loss} in epoch {epoch + 1}, at learning rate {lr}")
+                            f"training diverged: module {offset + k}'s batch "
+                            f"loss is {loss} in epoch {epoch + 1}, at learning "
+                            f"rate {lr}")
                 sub.zero_grad()
                 ad.backward(losses if size == 1 else ad.tensor_sum(losses))
                 sub.step()
@@ -452,7 +529,7 @@ def train_input_stack(models, datasets, cfg: TrainConfig,
     return results
 
 
-def _usable_batch(rng, labels, idx, cfg: TrainConfig) -> tuple:
+def _usable_batch(rng, labels, idx, cfg: TrainConfig, module: int) -> tuple:
     """Swap in random batches until the proxy's pair types are present;
     returns (indices, their pair partition, number of redraws)."""
     n = labels.shape[0]
@@ -464,7 +541,8 @@ def _usable_batch(rng, labels, idx, cfg: TrainConfig) -> tuple:
         resamples += 1
         if resamples > cfg.resample_limit:
             raise DegenerateBatchError(
-                f"could not draw a batch with the pair types {cfg.proxy!r} needs")
+                f"module {module}: could not draw a batch with the pair "
+                f"types {cfg.proxy!r} needs")
         idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
 
 

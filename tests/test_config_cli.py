@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from modkernel.errors import ConfigurationError
 from modkernel.datasets import make_dataset
 from modkernel.experiments import REPORT_SCHEMA, binary_subtask, run_experiment
 from modkernel.serialize import dump_json, read_json
-from modkernel.training import TrainConfig
+from modkernel.training import TrainConfig, stack_slices, usable_cpus
 
 from oracles import SMALL_CONFIGS
 
@@ -468,6 +469,20 @@ class TestRunExperiment:
                 <= meta["duration_seconds"])
         assert "seconds" not in (tmp_path / "out" / "report.json").read_text()
 
+    def test_metadata_records_numpy_blas_and_cpus(self, tmp_path,
+                                                  monkeypatch):
+        """What a run's speed rests on sits in metadata.json, never in
+        the report."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        doc = dict(SMALL_CONFIGS["sanity-dynamics"],
+                   output_dir=str(tmp_path / "out"))
+        run_experiment(load_config(write_config(tmp_path, doc)))
+        meta = read_json(tmp_path / "out" / "metadata.json")
+        assert meta["numpy_version"] == np.__version__
+        assert meta["blas"] and meta["blas_threads"] == "1"
+        assert meta["cpus"] == usable_cpus() >= 1
+        assert np.__version__ not in (tmp_path / "out" / "report.json").read_text()
+
     def test_transferability_metadata_times_the_candidates_stage_one(
             self, tmp_path):
         """The candidates' stage-1 seconds and module steps, one step per
@@ -484,6 +499,7 @@ class TestRunExperiment:
         meta = read_json(tmp_path / "out" / "metadata.json")
         assert meta["stage1_steps"] == train.total_epochs * sum(
             -(-n // train.batch_size) for n in rows)
+        assert meta["stage1_workers"] == len(stack_slices(len(rows)))
         assert meta["stage1_seconds"] > 0
         assert (meta["stage1_seconds"] + meta["scoring_seconds"]
                 + meta["oracle_seconds"] <= meta["duration_seconds"])

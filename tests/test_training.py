@@ -1,13 +1,15 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import modkernel.autodiff as ad
-from modkernel import proxies
+from modkernel import proxies, training
 from modkernel.datasets import Dataset, DatasetSpec, make_dataset
 from modkernel.errors import (ConfigurationError, ContractError,
-                              DegenerateBatchError, DivergenceError)
+                              DegenerateBatchError, DivergenceError,
+                              WorkerError)
 from modkernel.kernels import FeatureMap, kernel_matrix
 from modkernel.losses import make_loss, risk
 from modkernel.training import (ArchitectureSpec, TrainConfig, TwoModuleModel,
@@ -196,6 +198,25 @@ def _row_bits(rows):
              for key, value in row.items()} for row in rows]
 
 
+def _same_stage_one(models_a, results_a, models_b, results_b, checkpoints):
+    """Parameters, trace rows (NaN-aware, resamples included), snapshots
+    and activations of two stage-1 runs, byte for byte."""
+    for a, b, (trace_a, snaps_a), (trace_b, snaps_b) in zip(
+            models_a, models_b, results_a, results_b, strict=True):
+        assert param_bytes(a.params()) == param_bytes(b.params())
+        assert _row_bits(trace_a.rows) == _row_bits(trace_b.rows)
+        assert set(snaps_a) == set(snaps_b) == set(checkpoints)
+        for epoch in checkpoints:
+            assert param_bytes(snaps_a[epoch]) == param_bytes(snaps_b[epoch])
+        assert [(e, f.tobytes()) for e, f in trace_a.activations] == [
+            (e, f.tobytes()) for e, f in trace_b.activations]
+
+
+def _cpus(monkeypatch, count):
+    """Let the stage-1 stack see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 class TestInputStack:
     """Stage 1 of K modules in lockstep against each module trained alone.
 
@@ -203,17 +224,26 @@ class TestInputStack:
     position 32 the first has a ragged batch of 8 rows, a run of one,
     and the other two a run of two full batches.  The second task's last
     batch has 1 row, which lacks an inter-class pair, so it is redrawn in
-    every epoch, and then trains alone at position 48."""
+    every epoch, and then trains alone at position 48.
+
+    On a machine with two or more CPUs the stack splits into forked
+    slices; after every test here no child process is left."""
 
     SIZES = (40, 49, 48)
     CHECKPOINTS = [0, 2, 5]
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def _cfg(self, proxy="nmse-neo", **kw):
         return quick_cfg(batch_size=16, lr_schedule=((0.05, 3), (0.01, 2)),
                          proxy=proxy, **{"trace_every": 2, **kw})
 
-    def _setup(self):
-        tasks = [_binary_task(n, seed) for seed, n in enumerate(self.SIZES)]
+    def _setup(self, sizes=SIZES):
+        tasks = [_binary_task(n, seed) for seed, n in enumerate(sizes)]
         models = [TwoModuleModel(small_arch(latent=2, classes=2), seed=seed)
                   for seed in range(len(tasks))]
         return models, tasks
@@ -227,16 +257,39 @@ class TestInputStack:
         stacked, _ = self._setup()
         lockstep = train_input_stack(stacked, tasks, cfg, self.CHECKPOINTS)
         assert all(r["resamples"] >= 1 for r in solo[1][0].rows)
-        for a, b, (trace_a, snaps_a), (trace_b, snaps_b) in zip(
-                alone, stacked, solo, lockstep):
-            assert param_bytes(a.params()) == param_bytes(b.params())
-            assert _row_bits(trace_a.rows) == _row_bits(trace_b.rows)
-            assert set(snaps_a) == set(snaps_b) == set(self.CHECKPOINTS)
-            for epoch in self.CHECKPOINTS:
-                assert param_bytes(snaps_a[epoch]) == param_bytes(
-                    snaps_b[epoch])
-            assert [(e, f.tobytes()) for e, f in trace_a.activations] == [
-                (e, f.tobytes()) for e, f in trace_b.activations]
+        _same_stage_one(alone, solo, stacked, lockstep, self.CHECKPOINTS)
+
+    @pytest.mark.parametrize("cpus", [None, 3])
+    @pytest.mark.parametrize("sizes", [SIZES, (40, 49, 48, 33, 17)])
+    def test_forked_slices_have_the_bits_of_one_process(self, monkeypatch,
+                                                        sizes, cpus):
+        """The stack split over the machine's CPUs (None) or over three,
+        against it in one process; the 5-module tasks of 33 and 17 rows
+        end in a redrawn batch of 1 row too."""
+        if cpus is None and len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable CPU: the stack does not fork")
+        cfg = self._cfg()
+        with monkeypatch.context() as patch:
+            _cpus(patch, 1)
+            assert training.stack_slices(len(sizes)) == [(0, len(sizes))]
+            here, tasks = self._setup(sizes)
+            one_process = train_input_stack(here, tasks, cfg, self.CHECKPOINTS)
+        if cpus:
+            _cpus(monkeypatch, cpus)
+        assert len(training.stack_slices(len(sizes))) > 1
+        forked, _ = self._setup(sizes)
+        split = train_input_stack(forked, tasks, cfg, self.CHECKPOINTS)
+        assert any(row["resamples"] for trace, _ in split[1:]
+                   for row in trace.rows)
+        _same_stage_one(here, one_process, forked, split, self.CHECKPOINTS)
+
+    def test_slices_are_contiguous_and_capped_at_the_stack(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        assert training.stack_slices(1) == [(0, 1)]
+        assert training.stack_slices(5) == [(0, 2), (2, 5)]
+        _cpus(monkeypatch, 4)
+        assert training.stack_slices(3) == [(0, 1), (1, 2), (2, 3)]
+        assert training.stack_slices(6) == [(0, 1), (1, 3), (3, 4), (4, 6)]
 
     def test_a_module_alone_follows_the_plain_loop(self):
         """train_input_module against a 2-D loop written out in full,
@@ -251,19 +304,52 @@ class TestInputStack:
             assert param_bytes(model.params()) == param_bytes(plain.params())
             assert [r["resamples"] for r in trace.rows] == redraws
 
-    def test_a_non_finite_loss_stops_the_stack(self):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("module", [0, 1, 2])
+    def test_a_non_finite_loss_stops_the_stack(self, monkeypatch, cpus,
+                                               module):
+        """At two CPUs module 0 trains here and modules 1 and 2 in a child;
+        the error names the module by its place in the whole stack."""
+        _cpus(monkeypatch, cpus)
         models, tasks = self._setup()
-        models[1].input_params()[0].data[:] = np.nan
-        with pytest.raises(DivergenceError, match="module 1's batch loss is nan"):
+        models[module].input_params()[0].data[:] = np.nan
+        with pytest.raises(DivergenceError,
+                           match=f"module {module}'s batch loss is nan"):
             train_input_stack(models, tasks, self._cfg())
 
-    def test_an_exhausted_redraw_stops_the_stack(self):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_exhausted_redraw_stops_the_stack(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
         models, tasks = self._setup()
         tasks[2] = _binary_task(48, 2, single_class=True)
-        with pytest.raises(DegenerateBatchError, match="'nmse-neo'"):
+        with pytest.raises(DegenerateBatchError,
+                           match="module 2: .* 'nmse-neo' needs"):
             train_input_stack(models, tasks, self._cfg(resample_limit=3))
 
-    def test_modules_of_two_architectures_rejected(self):
+    def test_a_worker_that_dies_without_a_result_raises(self, monkeypatch):
+        """A child that leaves before it writes raises WorkerError, with
+        its exit code, once this process's own slice is done."""
+        lockstep = training._lockstep
+
+        def dying(models, datasets, cfg, checkpoint_epochs=None, offset=0):
+            if offset:
+                os._exit(1)
+            return lockstep(models, datasets, cfg, checkpoint_epochs, offset)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(training, "_lockstep", dying)
+        models, tasks = self._setup()
+        with pytest.raises(WorkerError, match="modules 1 to 2 exited with "
+                                              "code 1"):
+            train_input_stack(models, tasks, self._cfg())
+
+    def test_modules_of_two_architectures_rejected(self, monkeypatch):
+        """The check runs before any child is forked."""
+        def no_fork():
+            raise AssertionError("forked before the stack was checked")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
         models, tasks = self._setup()
         models[2] = TwoModuleModel(small_arch(latent=3, classes=2), seed=0)
         with pytest.raises(ContractError):

@@ -2,13 +2,17 @@
 
     python tools/artifact_diff.py [BASE [CHANGE]] [--skip-slow]
     python tools/artifact_diff.py [BASE] --threads A,B [--skip-slow]
+    python tools/artifact_diff.py [BASE] --cpus A,B [--skip-slow]
 
 BASE defaults to HEAD and CHANGE to the working tree (its tracked files and
 its untracked files that git does not ignore).  Each side is exported into a
 scratch directory, a revision with ``git archive`` and the working tree by
 copying, so the repository is only read.  Both sides then run, in parallel
 and with OpenBLAS on one thread; with ``--threads A,B`` the two sides are
-BASE alone, run with OpenBLAS on A threads and on B threads:
+BASE alone, run with OpenBLAS on A threads and on B threads, and with
+``--cpus A,B`` BASE alone, each side's process allowed only the first A
+and the first B of the CPUs this tool may use (``os.sched_setaffinity``),
+so that a stage-1 stack trains in A and in B slices:
 
 - every committed config under ``configs/`` (``--skip-slow`` leaves out
   ``modular-vs-e2e``);
@@ -121,7 +125,11 @@ def small_configs() -> dict:
 
 
 def start_side(tree: Path, out: Path, small: Path, skip_slow: bool,
-               threads: int = 1) -> subprocess.Popen:
+               threads: int = 1, cpus: int | None = None) -> subprocess.Popen:
+    """Start one side's runs, with OpenBLAS on ``threads`` threads and,
+    when ``cpus`` is given, on the first ``cpus`` CPUs this process may
+    use."""
+    allowed = sorted(os.sched_getaffinity(0))[:cpus or None]
     env = {key: value for key, value in os.environ.items()
            if key != "MODKERNEL_OUTPUT_ROOT"}
     env.update(OPENBLAS_NUM_THREADS=str(threads), PYTHONDONTWRITEBYTECODE="1",
@@ -130,7 +138,7 @@ def start_side(tree: Path, out: Path, small: Path, skip_slow: bool,
         [sys.executable, "-c", _SIDE_SCRIPT, str(out), str(small),
          *committed_configs(tree, skip_slow)],
         cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True)
+        text=True, preexec_fn=lambda: os.sched_setaffinity(0, allowed))
 
 
 def artifacts(out: Path) -> dict:
@@ -206,15 +214,15 @@ def describe(path_a: Path, path_b: Path) -> str:
             f"{str(x)[:60]} -> {str(y)[:60]}")
 
 
-def _thread_counts(text: str) -> tuple:
-    """Two positive thread counts written ``A,B``."""
+def _counts(text: str) -> tuple:
+    """Two positive counts written ``A,B``."""
     try:
         counts = tuple(int(part) for part in text.split(","))
     except ValueError:
         counts = ()
     if len(counts) != 2 or min(counts) < 1:
         raise argparse.ArgumentTypeError(
-            f"expected two positive thread counts A,B, got {text!r}")
+            f"expected two positive counts A,B, got {text!r}")
     return counts
 
 
@@ -226,30 +234,40 @@ def main(argv=None) -> int:
                         help="revision to compare to (default the working tree)")
     parser.add_argument("--skip-slow", action="store_true",
                         help="leave out the modular-vs-e2e committed config")
-    parser.add_argument("--threads", type=_thread_counts, metavar="A,B",
-                        help="compare BASE alone with OpenBLAS on A threads "
-                             "against it on B threads")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--threads", type=_counts, metavar="A,B",
+                      help="compare BASE alone with OpenBLAS on A threads "
+                           "against it on B threads")
+    mode.add_argument("--cpus", type=_counts, metavar="A,B",
+                      help="compare BASE alone on A CPUs against it on B CPUs")
     args = parser.parse_args(argv)
-    if args.threads and args.change is not None:
-        parser.error("--threads runs one revision; give no CHANGE")
+    if (args.threads or args.cpus) and args.change is not None:
+        parser.error("--threads and --cpus run one revision; give no CHANGE")
+    if args.cpus and max(args.cpus) > len(os.sched_getaffinity(0)):
+        parser.error(f"--cpus: this process may use only "
+                     f"{len(os.sched_getaffinity(0))} CPUs")
 
-    # side -> (revision, OpenBLAS threads)
+    # side -> (revision, OpenBLAS threads, CPUs or None for all)
     if args.threads:
-        sides = {"base": (args.base, args.threads[0]),
-                 "change": (args.base, args.threads[1])}
+        sides = {"base": (args.base, args.threads[0], None),
+                 "change": (args.base, args.threads[1], None)}
         label = f"{args.base} at {args.threads[0]} vs {args.threads[1]} threads"
+    elif args.cpus:
+        sides = {"base": (args.base, 1, args.cpus[0]),
+                 "change": (args.base, 1, args.cpus[1])}
+        label = f"{args.base} on {args.cpus[0]} vs {args.cpus[1]} CPUs"
     else:
-        sides = {"base": (args.base, 1), "change": (args.change, 1)}
+        sides = {"base": (args.base, 1, None), "change": (args.change, 1, None)}
         label = f"{args.base} vs {args.change or 'the working tree'}"
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as scratch:
         scratch = Path(scratch)
         small = scratch / "small-configs.json"
         small.write_text(json.dumps(small_configs()))
         runs = {}
-        for side, (revision, threads) in sides.items():
+        for side, (revision, threads, cpus) in sides.items():
             export(revision, scratch / side / "tree")
             runs[side] = start_side(scratch / side / "tree", scratch / side / "out",
-                                    small, args.skip_slow, threads)
+                                    small, args.skip_slow, threads, cpus)
         errors = {side: proc.communicate()[1] for side, proc in runs.items()}
         for side, proc in runs.items():
             stderr = errors[side]
